@@ -173,6 +173,12 @@ class Tape:
         return False
 
 
+def is_recording(inputs: Sequence[Tensor]) -> bool:
+    """Whether ``record`` would put an op over ``inputs`` on the active tape,
+    so that a fused op can skip saving what only its backward reads."""
+    return active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
 def record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
            backward: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
     """Wrap raw output data into a Tensor and push a node onto the active

@@ -7,15 +7,17 @@ One block runs, over (batch, L, C):
     dt,B,C = split(x_proj(x'))
     delta  = softplus(dt_proj(dt) + dt_bias)        # (B, L, E*C), > 0
     A      = -exp(A_log)                            # (E*C, N), < 0
-    A_bar  = exp(delta * A)        B_bar = delta * B
-    h_i    = A_bar_i . h_{i-1} + B_bar_i . x'_i     # h_0 = 0
+    h_i    = exp(delta_i A) . h_{i-1} + (delta_i x'_i) B_i   # h_0 = 0
     y_i    = sum_n C_i . h_i
     out    = out_proj(y . SiLU(z))
 
 The discretization is exact (zero-order hold) on the state path and Euler
-on the input path.  The scan is a single fused tape operation with a
-hand-written reverse recurrence; ``selective_scan_reference`` is the naive
-per-step oracle it is tested against.
+on the input path.  ``selective_scan`` fuses it into the scan: one tape op
+that forms exp(delta_i A) and delta_i B_i one step at a time, keeps only the
+hidden states, and recomputes the discretization in its hand-written
+reverse recurrence (Gu & Dao 2023, section 3.3).  ``selective_scan_reference``
+is the naive per-step oracle it is tested against, fed the discretization
+computed in plain numpy.
 
 The bidirectional wrapper shares ONE set of block weights between the
 forward and the reversed scan, adds the raw input back, and finishes with
@@ -30,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (AutodiffError, ShapeError, Tensor, add,
-                       depthwise_causal_conv1d, exp, layernorm_lastaxis,
-                       matmul, mul, record, relu, reshape, reverse_axis,
+                       depthwise_causal_conv1d, exp, is_recording,
+                       layernorm_lastaxis, matmul, mul, record, relu, reverse_axis,
                        silu, slice_axis, softplus)
 
 SCAN_MODES = ("bidirectional", "forward", "backward")
@@ -114,75 +116,70 @@ def init_mamba_block(rng: np.random.Generator, channels: int, expand: int = 2,
     )
 
 
-def ssm_discretize(delta: Tensor, a: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
-    """(A_bar, B_bar) from step sizes and continuous parameters.
+def selective_scan(delta: Tensor, a: Tensor, b: Tensor, c: Tensor, u: Tensor) -> Tensor:
+    """Discretize and scan in one tape op:
 
-    delta: (B, L, EC) positive; a: (EC, N) negative; b: (B, L, N).
-    A_bar = exp(delta x a) per state (exact), B_bar = delta x b (Euler).
+        h_i = exp(delta_i x a) . h_{i-1} + (delta_i u_i) x b_i,   h_0 = 0
+        y_i = sum_n c_i . h_i
+
+    delta: (B, L, EC) positive; a: (EC, N) negative; b, c: (B, L, N);
+    u: (B, L, EC) -> (B, L, EC).  The discretized factors are formed one step
+    at a time and never stored; the reverse recurrence recomputes
+    exp(delta_i x a).  The hidden states are the only 4-D array kept, and
+    only when the op is recorded on a tape.
     """
-    if delta.ndim != 3:
-        raise ShapeError(f"ssm_discretize: delta must be (batch, L, channels), got {delta.shape}")
-    if a.ndim != 2 or a.shape[0] != delta.shape[2]:
-        raise ShapeError(f"ssm_discretize: a must be ({delta.shape[2]}, N), got {a.shape}")
-    if b.ndim != 3 or b.shape[:2] != delta.shape[:2] or b.shape[2] != a.shape[1]:
-        raise ShapeError(
-            f"ssm_discretize: b must be {delta.shape[:2] + (a.shape[1],)}, got {b.shape}")
-    if _debug_checks and np.any(delta.data <= 0.0):
-        raise AutodiffError("ssm_discretize: delta must be strictly positive")
-    bsz, length, inner = delta.shape
-    n = a.shape[1]
-    d4 = reshape(delta, (bsz, length, inner, 1))
-    a_bar = exp(mul(d4, a))
-    b_bar = mul(d4, reshape(b, (bsz, length, 1, n)))
-    return a_bar, b_bar
+    dd, a_, bd, cd, ud = (t.data for t in (delta, a, b, c, u))
+    if dd.ndim != 3:
+        raise ShapeError(f"selective_scan: delta must be (B, L, EC), got {dd.shape}")
+    bsz, length, inner = dd.shape
+    if a_.ndim != 2 or a_.shape[0] != inner:
+        raise ShapeError(f"selective_scan: a must be ({inner}, N), got {a_.shape}")
+    n = a_.shape[1]
+    for name, arr, want in (("b", bd, (bsz, length, n)), ("c", cd, (bsz, length, n)),
+                            ("u", ud, (bsz, length, inner))):
+        if arr.shape != want:
+            raise ShapeError(f"selective_scan: {name} must be {want}, got {arr.shape}")
+    if _debug_checks and np.any(dd <= 0.0):
+        raise AutodiffError("selective_scan: delta must be strictly positive")
 
-
-def selective_scan(a_bar: Tensor, b_bar: Tensor, c: Tensor, u: Tensor) -> Tensor:
-    """Linear recurrence h_i = A_bar_i . h_{i-1} + B_bar_i . u_i with
-    per-step readout y_i = sum_n C_i . h_i; h_0 = 0.
-
-    a_bar, b_bar: (B, L, EC, N); c: (B, L, N); u: (B, L, EC) -> (B, L, EC).
-    Fused into one tape node; the backward pass replays the recurrence in
-    reverse (standard backprop-through-time).
-    """
-    ad, bd, cd, ud = a_bar.data, b_bar.data, c.data, u.data
-    if ad.ndim != 4:
-        raise ShapeError(f"selective_scan: a_bar must be (B, L, EC, N), got {ad.shape}")
-    if bd.shape != ad.shape:
-        raise ShapeError(f"selective_scan: b_bar shape {bd.shape} != a_bar shape {ad.shape}")
-    bsz, length, inner, n = ad.shape
-    if cd.shape != (bsz, length, n):
-        raise ShapeError(f"selective_scan: c must be {(bsz, length, n)}, got {cd.shape}")
-    if ud.shape != (bsz, length, inner):
-        raise ShapeError(f"selective_scan: u must be {(bsz, length, inner)}, got {ud.shape}")
-
-    states = np.empty((bsz, length, inner, n), dtype=ad.dtype)
-    ys = np.empty((bsz, length, inner), dtype=ad.dtype)
-    h = np.zeros((bsz, inner, n), dtype=ad.dtype)
+    # step-major copies, so that every per-step slice is contiguous
+    d_t, b_t, c_t, u_t = (np.ascontiguousarray(x.swapaxes(0, 1)) for x in (dd, bd, cd, ud))
+    du_t = d_t * u_t
+    inputs = (delta, a, b, c, u)
+    keep = is_recording(inputs)
+    states = np.empty((length, bsz, inner, n), dtype=dd.dtype) if keep else None
+    ys = np.empty((length, bsz, inner), dtype=dd.dtype)
+    h = np.zeros((bsz, inner, n), dtype=dd.dtype)
     for i in range(length):
-        h = ad[:, i] * h + bd[:, i] * ud[:, i, :, None]
-        states[:, i] = h
-        ys[:, i] = np.einsum("bcn,bn->bc", h, cd[:, i])
-    if _debug_checks and not np.all(np.isfinite(states)):
-        raise AutodiffError("selective_scan: non-finite hidden state")
+        a_bar = np.exp(d_t[i, :, :, None] * a_)
+        h = np.multiply(a_bar, h, out=states[i] if keep else a_bar)
+        h += du_t[i, :, :, None] * b_t[i, :, None, :]
+        if _debug_checks and not np.all(np.isfinite(h)):
+            raise AutodiffError("selective_scan: non-finite hidden state")
+        np.matmul(h, c_t[i, :, :, None], out=ys[i, :, :, None])
 
     def bwd(g):
-        ga = np.empty_like(ad)
-        gb = np.empty_like(bd)
-        gc = np.empty_like(cd)
-        gu = np.empty_like(ud)
-        gh = np.zeros((bsz, inner, n), dtype=ad.dtype)
+        g_t = np.ascontiguousarray(g.swapaxes(0, 1))
+        gc = np.matmul(g_t[:, :, None, :], states)[:, :, 0, :]
+        gb = np.empty_like(b_t)
+        gdu = np.empty_like(du_t)
+        # s_i = dL/d(delta_i x a); s_0 = 0 because h_0 = 0
+        s = np.zeros_like(states)
+        gh = np.zeros((bsz, inner, n), dtype=dd.dtype)
         for i in range(length - 1, -1, -1):
-            gh = gh + g[:, i, :, None] * cd[:, i, None, :]
-            gc[:, i] = np.einsum("bc,bcn->bn", g[:, i], states[:, i])
-            h_prev = states[:, i - 1] if i > 0 else np.zeros_like(gh)
-            ga[:, i] = gh * h_prev
-            gb[:, i] = gh * ud[:, i, :, None]
-            gu[:, i] = np.einsum("bcn,bcn->bc", gh, bd[:, i])
-            gh = gh * ad[:, i]
-        return ga, gb, gc, gu
+            gh += g_t[i, :, :, None] * c_t[i, :, None, :]
+            np.matmul(gh, b_t[i, :, :, None], out=gdu[i, :, :, None])
+            np.matmul(du_t[i, :, None, :], gh, out=gb[i, :, None, :])
+            if i:
+                gh *= np.exp(d_t[i, :, :, None] * a_)
+                np.multiply(gh, states[i - 1], out=s[i])
+        gdelta = np.einsum("lbcn,cn->lbc", s, a_) + gdu * u_t
+        ga = np.einsum("lbcn,lbc->cn", s, d_t)
+        gdelta, gb, gc, gu = (np.ascontiguousarray(x.swapaxes(0, 1))
+                              for x in (gdelta, gb, gc, gdu * d_t))
+        return gdelta, ga, gb, gc, gu
 
-    return record("selective_scan", (a_bar, b_bar, c, u), ys, bwd)
+    return record("selective_scan", inputs, ys.swapaxes(0, 1), bwd)
 
 
 def selective_scan_reference(a_bar: np.ndarray, b_bar: np.ndarray,
@@ -204,7 +201,6 @@ def mamba_block_forward(params: MambaBlockParams, x: Tensor) -> Tensor:
     if x.ndim != 3 or x.shape[2] != params.channels:
         raise ShapeError(
             f"mamba_block_forward: expected (batch, L, {params.channels}), got {x.shape}")
-    bsz, length, _ = x.shape
     inner = params.expand * params.channels
     rank, n = params.dt_rank, params.state_dim
 
@@ -221,9 +217,7 @@ def mamba_block_forward(params: MambaBlockParams, x: Tensor) -> Tensor:
 
     delta = softplus(add(matmul(dt_low, params.dt_proj), params.dt_bias))
     a = mul(exp(params.A_log), Tensor(-1.0))
-    a_bar, b_bar = ssm_discretize(delta, a, b_in)
-
-    y = selective_scan(a_bar, b_bar, c_in, xs)
+    y = selective_scan(delta, a, b_in, c_in, xs)
     gated = mul(y, silu(z))
     return matmul(gated, params.out_proj)
 

@@ -114,7 +114,7 @@ def run_epoch(model: MotionMoE, sequences: list[MotionSequence],
                        cfg.total_frames, shuffle_seed)):
         hist, target = _regroup_scene(hist, target, cfg.scene_persons)
         model.zero_grad()
-        with Tape():
+        with Tape() as tape:
             pred, _ = model.forward(Tensor(hist), train_mode=True, rng=rng)
             b, d, t_total = pred.shape
             pred4 = reshape(pred, (b * cfg.scene_persons, d // (3 * cfg.scene_persons), 3, t_total))
@@ -124,6 +124,9 @@ def run_epoch(model: MotionMoE, sequences: list[MotionSequence],
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite loss in epoch {epoch}, batch {batch_index}")
             backward(loss)
+        # a tape and its tensors point at each other; dropping the consumed
+        # nodes lets reference counting free the step instead of the cyclic GC
+        tape.nodes.clear()
         grads = {name: p.grad for name, p in params.items() if p.grad is not None}
         if settings.grad_clip > 0.0:
             _clip_gradients(grads, settings.grad_clip)
@@ -288,20 +291,28 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
         raise TrainingError(f"bad checkpoint magic {magic!r}")
     if version != CKPT_VERSION:
         raise TrainingError(f"unsupported checkpoint version {version}")
-    header = json.loads(raw[_CKPT_HEAD.size:_CKPT_HEAD.size + head_len])
+    base = _CKPT_HEAD.size + head_len
+    if len(raw) < base:
+        raise TrainingError("checkpoint truncated inside its header")
+    try:
+        header = json.loads(raw[_CKPT_HEAD.size:base])
+    except ValueError as exc:
+        raise TrainingError(f"checkpoint header is not valid JSON: {exc}") from None
     config = ModelConfig.from_dict(header["config"])
     if expected_config is not None and config != expected_config:
         stored, wanted = config.to_dict(), expected_config.to_dict()
         diverging = sorted(k for k in wanted if stored.get(k) != wanted[k])
         raise TrainingError(f"checkpoint config mismatch on field(s): {', '.join(diverging)}")
 
-    base = _CKPT_HEAD.size + head_len
     tensors = {}
     for entry in header["tensors"]:
         lo = base + entry["offset"]
-        arr = np.frombuffer(raw, dtype=np.dtype(entry["dtype"]),
-                            count=int(np.prod(entry["shape"], dtype=np.int64)) or 1,
-                            offset=lo)
+        dtype = np.dtype(entry["dtype"])
+        count = int(np.prod(entry["shape"], dtype=np.int64)) or 1
+        if entry["offset"] < 0 or lo + count * dtype.itemsize > len(raw):
+            raise TrainingError(
+                f"checkpoint tensor {entry['name']!r} runs past the end of the file")
+        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=lo)
         if not entry["shape"]:
             arr = arr.reshape(())
         else:

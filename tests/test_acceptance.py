@@ -239,12 +239,16 @@ def test_criterion_02_scan_oracle():
             length = int(rng.integers(1, 33))
             inner = int(rng.integers(1, 9))
             n = int(rng.integers(1, 9))
-            a_bar = ad.Tensor(rng.uniform(0.05, 0.95, (bsz, length, inner, n)))
-            b_bar = ad.Tensor(rng.standard_normal((bsz, length, inner, n)))
-            c = ad.Tensor(rng.standard_normal((bsz, length, n)))
-            u = ad.Tensor(rng.standard_normal((bsz, length, inner)))
-            fused = ssm.selective_scan(a_bar, b_bar, c, u).data
-            naive = ssm.selective_scan_reference(a_bar.data, b_bar.data, c.data, u.data)
+            delta = rng.uniform(0.05, 1.0, (bsz, length, inner))
+            a = -rng.uniform(0.1, 3.0, (inner, n))
+            b = rng.standard_normal((bsz, length, n))
+            c = rng.standard_normal((bsz, length, n))
+            u = rng.standard_normal((bsz, length, inner))
+            fused = ssm.selective_scan(*map(ad.Tensor, (delta, a, b, c, u))).data
+            # the oracle gets the discretization computed separately
+            a_bar = np.exp(delta[..., None] * a)
+            b_bar = delta[..., None] * b[:, :, None, :]
+            naive = ssm.selective_scan_reference(a_bar, b_bar, c, u)
             bound = 1e-6 * max(1.0, float(np.abs(naive).max()))
             assert np.abs(fused - naive).max() <= bound, f"seed {seed}"
 

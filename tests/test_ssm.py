@@ -1,6 +1,10 @@
-"""Selective-SSM tests: discretization against a loop oracle, the fused scan
-against the naive recurrence, hand-computed rollouts, block gradients, and
-the reversal equivariance of the shared-weight bidirectional wrapper."""
+"""Selective-SSM tests: the fused scan's discretization against a loop
+oracle, the fused scan against the naive recurrence and the unfused tape
+composition, hand-computed rollouts, block gradients, and the reversal
+equivariance of the shared-weight bidirectional wrapper."""
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,73 +14,131 @@ from motionmoe import ssm
 
 
 def random_scan_inputs(rng, bsz, length, inner, n, grad=False):
-    """Well-conditioned scan inputs: decay factors in (0, 1)."""
-    a_bar = ad.Tensor(rng.uniform(0.05, 0.95, (bsz, length, inner, n)), requires_grad=grad)
-    b_bar = ad.Tensor(rng.standard_normal((bsz, length, inner, n)), requires_grad=grad)
+    """Well-conditioned scan inputs: decay factors exp(delta x A) in (0.04, 1)."""
+    delta = ad.Tensor(rng.uniform(0.05, 1.0, (bsz, length, inner)), requires_grad=grad)
+    a = ad.Tensor(-rng.uniform(0.1, 3.0, (inner, n)), requires_grad=grad)
+    b = ad.Tensor(rng.standard_normal((bsz, length, n)), requires_grad=grad)
     c = ad.Tensor(rng.standard_normal((bsz, length, n)), requires_grad=grad)
     u = ad.Tensor(rng.standard_normal((bsz, length, inner)), requires_grad=grad)
-    return a_bar, b_bar, c, u
+    return delta, a, b, c, u
+
+
+def discretize(delta, a, b):
+    """(A_bar, B_bar) = (exp(delta x A), delta x B) in plain numpy, the
+    reference's inputs."""
+    return np.exp(delta[..., None] * a), delta[..., None] * b[:, :, None, :]
+
+
+def discretization_read_back(delta, a, b):
+    """(A_bar, B_bar) of one time step, read back out of the fused scan.
+
+    delta: (EC,), a: (EC, N), b: (N,) -> two (EC, N) arrays.  Batch row j
+    reads state j through a one-hot C, so every read is exact: B_bar from a
+    unit input on a zero state, A_bar from the step after a unit state.
+    """
+    inner, n = a.shape
+
+    def rows(x):
+        return ad.Tensor(np.broadcast_to(x, (n,) + np.shape(x)).copy())
+
+    onehot = ad.Tensor(np.eye(n)[:, None, :])
+    b_bar = ssm.selective_scan(rows(delta[None]), ad.Tensor(a), rows(b[None]), onehot,
+                               rows(np.ones((1, inner))))
+    unit = np.stack([np.ones(inner), delta])
+    a_bar = ssm.selective_scan(rows(unit), ad.Tensor(a), ad.Tensor(np.ones((n, 2, n))),
+                               ad.Tensor(np.repeat(onehot.data, 2, axis=1)),
+                               rows(np.stack([np.ones(inner), np.zeros(inner)])))
+    return a_bar.data[:, 1].T, b_bar.data[:, 0].T
+
+
+def unfused_scan(delta, a, b, c, u):
+    """The scan as separate tape primitives: 4-D exp(delta x A) and
+    delta x B, then a per-step recurrence."""
+    bsz, length, inner = delta.shape
+    n = a.shape[1]
+    d4 = ad.reshape(delta, (bsz, length, inner, 1))
+    a_bar = ad.exp(ad.mul(d4, a))
+    b_bar = ad.mul(d4, ad.reshape(b, (bsz, length, 1, n)))
+    h, ys = None, []
+    for i in range(length):
+        def step(t):
+            return ad.slice_axis(t, axis=1, start=i, stop=i + 1)
+
+        drive = ad.mul(step(b_bar), ad.reshape(step(u), (bsz, 1, inner, 1)))
+        h = drive if h is None else ad.add(ad.mul(step(a_bar), h), drive)
+        ys.append(ad.reduce_sum(ad.mul(h, ad.reshape(step(c), (bsz, 1, 1, n))), axes=3))
+    return ad.concat(ys, axis=1)
 
 
 class TestDiscretize:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(0)
         bsz, length, inner, n = 2, 3, 4, 5
-        delta = ad.Tensor(rng.uniform(0.01, 0.5, (bsz, length, inner)))
-        a = ad.Tensor(-rng.uniform(0.5, 3.0, (inner, n)))
-        b = ad.Tensor(rng.standard_normal((bsz, length, n)))
-        a_bar, b_bar = ssm.ssm_discretize(delta, a, b)
+        delta = rng.uniform(0.01, 0.5, (bsz, length, inner))
+        a = -rng.uniform(0.5, 3.0, (inner, n))
+        b = rng.standard_normal((bsz, length, n))
         for s in range(bsz):
             for i in range(length):
+                a_bar, b_bar = discretization_read_back(delta[s, i], a, b[s, i])
                 for ec in range(inner):
                     for j in range(n):
-                        expected_a = np.exp(delta.data[s, i, ec] * a.data[ec, j])
-                        expected_b = delta.data[s, i, ec] * b.data[s, i, j]
-                        assert a_bar.data[s, i, ec, j] == pytest.approx(expected_a, rel=1e-14)
-                        assert b_bar.data[s, i, ec, j] == pytest.approx(expected_b, rel=1e-14)
+                        expected_a = math.exp(delta[s, i, ec] * a[ec, j])
+                        expected_b = delta[s, i, ec] * b[s, i, j]
+                        assert a_bar[ec, j] == pytest.approx(expected_a, rel=1e-14)
+                        assert b_bar[ec, j] == pytest.approx(expected_b, rel=1e-14)
 
     def test_decay_factors_in_unit_interval(self):
         rng = np.random.default_rng(1)
-        delta = ad.Tensor(rng.uniform(0.001, 1.0, (2, 4, 3)))
-        a = ad.Tensor(-rng.uniform(0.1, 5.0, (3, 6)))
-        b = ad.Tensor(rng.standard_normal((2, 4, 6)))
-        a_bar, _ = ssm.ssm_discretize(delta, a, b)
-        assert np.all(a_bar.data > 0.0) and np.all(a_bar.data < 1.0)
+        delta = rng.uniform(0.001, 1.0, (4, 3))
+        a = -rng.uniform(0.1, 5.0, (3, 6))
+        b = rng.standard_normal((4, 6))
+        for i in range(4):
+            a_bar, _ = discretization_read_back(delta[i], a, b[i])
+            assert np.all(a_bar > 0.0) and np.all(a_bar < 1.0)
 
     def test_debug_check_rejects_nonpositive_delta(self):
         delta = ad.Tensor(np.zeros((1, 1, 2)))
         a = ad.Tensor(-np.ones((2, 3)))
         b = ad.Tensor(np.ones((1, 1, 3)))
+        u = ad.Tensor(np.ones((1, 1, 2)))
         ssm.set_debug_checks(True)
         try:
             with pytest.raises(ad.AutodiffError, match="positive"):
-                ssm.ssm_discretize(delta, a, b)
+                ssm.selective_scan(delta, a, b, b, u)
         finally:
             ssm.set_debug_checks(False)
-        ssm.ssm_discretize(delta, a, b)  # silent once checks are off
+        ssm.selective_scan(delta, a, b, b, u)  # silent once checks are off
 
     def test_shape_validation(self):
-        with pytest.raises(ad.ShapeError):
-            ssm.ssm_discretize(ad.Tensor(np.ones((1, 2, 3))),
-                               ad.Tensor(-np.ones((4, 5))),
-                               ad.Tensor(np.ones((1, 2, 5))))
+        good = random_scan_inputs(np.random.default_rng(0), 1, 2, 3, 5)
+        ssm.selective_scan(*good)
+        bad = {0: np.ones((1, 2)), 1: -np.ones((4, 5)), 2: np.ones((1, 2, 4)),
+               3: np.ones((1, 3, 5)), 4: np.ones((1, 2, 4))}
+        for position, arr in bad.items():
+            args = list(good)
+            args[position] = ad.Tensor(arr)
+            with pytest.raises(ad.ShapeError):
+                ssm.selective_scan(*args)
 
 
 class TestSelectiveScan:
     def test_single_step(self):
         rng = np.random.default_rng(2)
-        a_bar, b_bar, c, u = random_scan_inputs(rng, 2, 1, 3, 4)
-        out = ssm.selective_scan(a_bar, b_bar, c, u)
-        # h_1 = B_bar . u_1, so y_1 = sum_n C_1 (B_bar u_1)
-        expected = np.einsum("bcn,bc,bn->bc", b_bar.data[:, 0], u.data[:, 0], c.data[:, 0])
+        delta, a, b, c, u = random_scan_inputs(rng, 2, 1, 3, 4)
+        out = ssm.selective_scan(delta, a, b, c, u)
+        # h_1 = (delta_1 u_1) x B_1, so y_1 = delta_1 u_1 sum_n C_1 B_1
+        expected = (delta.data[:, 0] * u.data[:, 0]
+                    * np.einsum("bn,bn->b", b.data[:, 0], c.data[:, 0])[:, None])
         np.testing.assert_allclose(out.data[:, 0], expected, atol=1e-14)
 
     def test_two_step_hand_values(self):
-        a_bar = ad.Tensor(np.array([0.5, 0.2, 0.4, 0.1]).reshape(1, 2, 1, 2))
-        b_bar = ad.Tensor(np.array([1.0, 2.0, 0.5, 1.0]).reshape(1, 2, 1, 2))
+        # exp(delta_2 A) = [0.4, 0.1]; delta_i B_i = [1, 2] then [0.5, 1]
+        delta = ad.Tensor(np.array([0.5, 0.5]).reshape(1, 2, 1))
+        a = ad.Tensor(2.0 * np.log([[0.4, 0.1]]))
+        b = ad.Tensor(np.array([2.0, 4.0, 1.0, 2.0]).reshape(1, 2, 2))
         c = ad.Tensor(np.array([1.0, -1.0, 0.5, 1.0]).reshape(1, 2, 2))
         u = ad.Tensor(np.array([1.0, 2.0]).reshape(1, 2, 1))
-        out = ssm.selective_scan(a_bar, b_bar, c, u)
+        out = ssm.selective_scan(delta, a, b, c, u)
         # h1 = [1, 2], y1 = 1 - 2 = -1; h2 = [1.4, 2.2], y2 = 0.7 + 2.2 = 2.9
         np.testing.assert_allclose(out.data.ravel(), [-1.0, 2.9], atol=1e-15)
 
@@ -87,34 +149,80 @@ class TestSelectiveScan:
         length = int(rng.integers(1, 33))
         inner = int(rng.integers(1, 9))
         n = int(rng.integers(1, 9))
-        a_bar, b_bar, c, u = random_scan_inputs(rng, bsz, length, inner, n)
-        fused = ssm.selective_scan(a_bar, b_bar, c, u).data
-        naive = ssm.selective_scan_reference(a_bar.data, b_bar.data, c.data, u.data)
+        delta, a, b, c, u = random_scan_inputs(rng, bsz, length, inner, n)
+        fused = ssm.selective_scan(delta, a, b, c, u).data
+        a_bar, b_bar = discretize(delta.data, a.data, b.data)
+        naive = ssm.selective_scan_reference(a_bar, b_bar, c.data, u.data)
         assert np.abs(fused - naive).max() <= 1e-6 * (1.0 + np.abs(naive).max())
+
+    def test_matches_unfused_composition(self):
+        rng = np.random.default_rng(7)
+        inputs = random_scan_inputs(rng, 3, 11, 5, 4, grad=True)
+        w = ad.Tensor(rng.uniform(0.5, 1.5, (3, 11, 5)))
+        results = []
+        for scan in (ssm.selective_scan, unfused_scan):
+            for t in inputs:
+                t.zero_grad()
+            with ad.Tape():
+                out = scan(*inputs)
+                ad.backward(ad.reduce_sum(ad.mul(out, w)))
+            results.append([out.data] + [t.grad for t in inputs])
+        for name, fused, unfused in zip(("y", "delta", "a", "b", "c", "u"), *results):
+            assert fused.shape == unfused.shape, name
+            err = np.abs(fused - unfused).max() / np.abs(unfused).max()
+            assert err <= 1e-12, f"{name}: {err:.3e}"
 
     def test_backward_against_finite_differences(self):
         rng = np.random.default_rng(3)
-        a_bar, b_bar, c, u = random_scan_inputs(rng, 2, 5, 3, 4, grad=True)
+        inputs = random_scan_inputs(rng, 2, 5, 3, 4, grad=True)
         w = rng.uniform(0.5, 1.5, (2, 5, 3))
 
-        def make(target):
+        def make(position):
             def f(t):
-                args = {"a": a_bar, "b": b_bar, "c": c, "u": u}
-                args[target] = t
-                out = ssm.selective_scan(args["a"], args["b"], args["c"], args["u"])
-                return ad.reduce_sum(ad.mul(out, ad.Tensor(w)))
+                args = list(inputs)
+                args[position] = t
+                return ad.reduce_sum(ad.mul(ssm.selective_scan(*args), ad.Tensor(w)))
             return f
 
-        for name, tensor in (("a", a_bar), ("b", b_bar), ("c", c), ("u", u)):
-            err = ad.finite_difference_check(make(name), tensor)
+        for position, name in enumerate(("delta", "a", "b", "c", "u")):
+            err = ad.finite_difference_check(make(position), inputs[position])
             assert err < 1e-6, f"{name}: {err:.3e}"
+
+    def test_debug_check_rejects_nonfinite_state(self):
+        delta, a, b, c, u = random_scan_inputs(np.random.default_rng(5), 1, 3, 2, 2)
+        u.data[0, 1, 0] = np.inf
+        ssm.set_debug_checks(True)
+        try:
+            with pytest.raises(ad.AutodiffError, match="non-finite"):
+                ssm.selective_scan(delta, a, b, c, u)
+        finally:
+            ssm.set_debug_checks(False)
+
+    def test_only_a_recorded_call_keeps_the_hidden_states(self):
+        inputs = random_scan_inputs(np.random.default_rng(6), 2, 64, 16, 32, grad=True)
+        history = 64 * 2 * 16 * 32 * 8  # bytes of every hidden state, float64
+
+        def peak_bytes(record):
+            tracemalloc.start()
+            try:
+                if record:
+                    with ad.Tape():
+                        ssm.selective_scan(*inputs)
+                else:
+                    ssm.selective_scan(*inputs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(record=True) >= history
+        assert peak_bytes(record=False) < history / 2
 
     def test_long_rollout_stays_finite(self):
         rng = np.random.default_rng(4)
-        a_bar, b_bar, c, u = random_scan_inputs(rng, 1, 10_000, 4, 4)
+        inputs = random_scan_inputs(rng, 1, 10_000, 4, 4)
         ssm.set_debug_checks(True)
         try:
-            out = ssm.selective_scan(a_bar, b_bar, c, u)
+            out = ssm.selective_scan(*inputs)
         finally:
             ssm.set_debug_checks(False)
         assert np.isfinite(out.data).all()
@@ -155,6 +263,15 @@ class TestMambaBlock:
         out = ssm.mamba_block_forward(params, x)
         # the gate path z is zero, and silu(0) = 0 annihilates the scan output
         np.testing.assert_array_equal(out.data, np.zeros((2, 6, 5)))
+
+    def test_tape_holds_no_4d_node_outputs(self):
+        params = ssm.init_mamba_block(np.random.default_rng(0), channels=6,
+                                      expand=2, state_dim=4, conv_width=3)
+        x = ad.Tensor(np.random.default_rng(1).standard_normal((2, 7, 6)), requires_grad=True)
+        with ad.Tape() as tape:
+            ssm.mamba_block_forward(params, x)
+        assert "selective_scan" in [node.op for node in tape.nodes]
+        assert [node.op for node in tape.nodes if node.output.ndim >= 4] == []
 
     def test_gradients_against_finite_differences(self):
         params = ssm.init_mamba_block(np.random.default_rng(5), channels=4,

@@ -1,10 +1,16 @@
 """Trainer tests: the decayed learning-rate schedule, Adam against hand
 values, deterministic runs, checkpoint round trips and bit-exact resume."""
 
+import gc
+import json
+import struct
+import weakref
+
 import numpy as np
 import pytest
 
 from motionmoe import autodiff as ad
+from motionmoe import training
 from motionmoe.data import GeneratorSpec, synth_generate
 from motionmoe.model import ModelConfig, MotionMoE
 from motionmoe.training import (AdamState, TrainingError, TrainSettings,
@@ -117,6 +123,25 @@ class TestEpochs:
         assert np.isfinite(first)
         assert optim.step == 2  # 8 sequences / batch_size 4
 
+    def test_step_tapes_are_freed_without_the_cyclic_collector(self, monkeypatch):
+        tapes = []
+
+        class WatchedTape(ad.Tape):
+            def __enter__(self):
+                tapes.append(weakref.ref(self))
+                return super().__enter__()
+
+        monkeypatch.setattr(training, "Tape", WatchedTape)
+        model, seqs, settings = micro_setup(epochs=1)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run_epoch(model, seqs, settings, AdamState(), np.random.default_rng(0), epoch=0)
+            assert len(tapes) == 2 and all(ref() is None for ref in tapes)
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_evaluate_is_read_only_and_deterministic(self):
         model, seqs, settings = micro_setup()
         before = {n: p.data.copy() for n, p in model.parameters().items()}
@@ -212,6 +237,37 @@ class TestCheckpoints:
         path.write_bytes(bytes(raw))
         with pytest.raises(TrainingError, match="magic"):
             load_checkpoint(path)
+
+    def test_damaged_files_raise_training_error(self, tmp_path):
+        model, seqs, settings = micro_setup(epochs=1)
+        settings.out_dir = str(tmp_path)
+        fit(model, seqs, None, settings)
+        raw = (tmp_path / "checkpoint_00001.stmc").read_bytes()
+        head = struct.Struct("<4sIQ")
+        magic, version, head_len = head.unpack_from(raw)
+        base = head.size + head_len
+        damaged = tmp_path / "damaged.stmc"
+        # cuts inside the header JSON, then inside the payload
+        for offset in (head.size + 1, head.size + head_len // 2, base - 1,
+                       base + 1, (base + len(raw)) // 2, len(raw) - 1):
+            damaged.write_bytes(raw[:offset])
+            with pytest.raises(TrainingError, match="truncated|past the end"):
+                load_checkpoint(damaged)
+
+        # an entry pointing past the end of an otherwise whole file
+        header = json.loads(raw[head.size:base])
+        header["tensors"][-1]["offset"] = len(raw)
+        head_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        damaged.write_bytes(head.pack(magic, version, len(head_bytes)) + head_bytes
+                            + raw[base:])
+        with pytest.raises(TrainingError, match="past the end"):
+            load_checkpoint(damaged)
+
+        # a header whose JSON is cut although its length field was patched to fit
+        cut = raw[head.size:base - 5]
+        damaged.write_bytes(head.pack(magic, version, len(cut)) + cut + raw[base:])
+        with pytest.raises(TrainingError, match="JSON"):
+            load_checkpoint(damaged)
 
     def test_periodic_checkpoints(self, tmp_path):
         model, seqs, settings = micro_setup(epochs=4, checkpoint_every=2)
