@@ -262,9 +262,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp of a non-positive argument only, so no overflow on either branch
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    # exp of a non-positive argument only, so no overflow on either branch:
+    # 1 / (1 + z) for x >= 0 and z / (1 + z) below, with z = exp(-|x|),
+    # formed in place so that two arrays of x's size are live, not six
+    z = np.abs(x)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    out = np.where(x >= 0, 1.0, z)
+    z += 1.0
+    out /= z
+    return out
 
 
 def _check_broadcastable(name: str, a: np.ndarray, b: np.ndarray) -> None:
@@ -739,11 +746,13 @@ def finite_difference_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float
         raise AutodiffError(f"finite_difference_check requires float64 input, got {x.data.dtype}")
 
     probe = Tensor(x.data.copy(), requires_grad=True, dtype=np.float64)
-    with Tape():
+    with Tape() as tape:
         out = f(probe)
         if out.data.ndim != 0:
             raise AutodiffError(f"finite_difference_check: f must be scalar-valued, got shape {out.data.shape}")
         backward(out)
+    # break the tape <-> tensor cycle so reference counting frees the tape
+    tape.nodes.clear()
     analytic = probe.grad
     if analytic is None:
         analytic = np.zeros_like(probe.data)
@@ -787,9 +796,9 @@ def directional_derivative_check(f: Callable[[], Tensor], params: Sequence[Tenso
 
     for p in params:
         p.zero_grad()
-    with Tape():
-        out = f()
-        backward(out)
+    with Tape() as tape:
+        backward(f())
+    tape.nodes.clear()
     analytic = sum(
         float((p.grad * d).sum()) for p, d in zip(params, direction) if p.grad is not None)
 

@@ -21,10 +21,10 @@ from .config import (ConfigError, RUN_SCHEMA, SYNTH_SCHEMA, format_config,
                      model_config_from, parse_config_file, parse_config_text,
                      schema_help, train_settings_from)
 from .data import DataError, GeneratorSpec, MotionSequence, batch_iter, \
-    read_dataset, synth_generate, unflatten_poses, write_dataset
+    read_dataset, synth_generate, unflatten_poses, write_atomic, write_dataset
 from .dct import dct_forward
 from .model import MotionMoE, audit_parameters
-from .moe import expert_forward
+from .moe import expert_outputs
 from .ssm import init_bi_block, bidirectional_forward
 from .training import (TrainingError, append_log, evaluate, fit,
                        load_checkpoint, model_from_checkpoint)
@@ -98,7 +98,7 @@ def cmd_train(args) -> int:
 
     out_dir = Path(settings.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved.cfg").write_text(format_config(values, RUN_SCHEMA))
+    write_atomic(out_dir / "resolved.cfg", [format_config(values, RUN_SCHEMA).encode()])
 
     resume = load_checkpoint(args.resume, expected_config=config) if args.resume else None
     model = MotionMoE(config)
@@ -147,7 +147,10 @@ def cmd_predict(args) -> int:
     out_seqs = []
     for hist, _ in batch_iter(sequences, 1, cfg.history_frames, cfg.total_frames,
                               shuffle_seed=None):
-        pred, _ = model.forward(Tensor(hist))
+        try:
+            pred, _ = model.forward(Tensor(hist))
+        except ValueError as exc:  # non-finite history
+            raise DataError(f"sequence {len(out_seqs)}: {exc}") from None
         poses = unflatten_poses(pred.data)  # (M, T, J, 3)
         out_seqs.append(MotionSequence(poses.astype(np.float32), sequences[0].fps))
     write_dataset(out_seqs, args.out)
@@ -183,7 +186,8 @@ def cmd_inspect_routing(args) -> int:
 
 def cmd_export_features(args) -> int:
     """Per-expert pooled features for embedding plots: every expert is
-    evaluated densely on the first mixture layer's input features."""
+    evaluated densely on the first mixture layer's input features, sharing
+    first stages as the mixture layer does."""
     model, sequences = _read_eval_pair(args)
     cfg = model.config
     d, t_total = cfg.pose_dim, cfg.total_frames
@@ -200,9 +204,10 @@ def cmd_export_features(args) -> int:
         hist = hist[:max(0, args.samples - count)]
         features = model.codec.encode(
             dct_forward(pad_sequence(Tensor(hist), t_total), model.basis))
+        outs = expert_outputs(pool, layer.spatial, layer.temporal, features,
+                              cfg.scan_mode, cfg.flip_back)
         for kind in pool:
-            out = expert_forward(kind, layer.spatial, layer.temporal, features,
-                                 cfg.scan_mode, cfg.flip_back).data
+            out = outs[kind].data
             pooled = np.concatenate([out.mean(axis=2), out.mean(axis=1)], axis=1)
             rows.append((kind, pooled))
         count += hist.shape[0]
@@ -254,9 +259,10 @@ def cmd_bench(args) -> int:
             for p in params:
                 p.grad = None
             t0 = time.perf_counter()
-            with Tape():
+            with Tape() as tape:
                 out = bidirectional_forward(block, Tensor(x.data, requires_grad=True))
                 backward(reduce_sum(mul(out, out)))
+            tape.nodes.clear()
             both.append(time.perf_counter() - t0)
         f_ms, b_ms = 1e3 * min(fwd), 1e3 * min(both)
         fwd_times.append(min(fwd))

@@ -16,6 +16,8 @@ stays inside ``spec.bone_envelope`` of its root.
 
 from __future__ import annotations
 
+import itertools
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -74,10 +76,25 @@ def write_dataset(sequences: list[MotionSequence], path) -> None:
         m = t = j = 0
         fps = 0.0
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, len(sequences), m, t, j, fps, 0)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for seq in sequences:
-            fh.write(np.ascontiguousarray(seq.positions, dtype="<f4").tobytes())
+    payload = (np.ascontiguousarray(seq.positions, dtype="<f4").tobytes() for seq in sequences)
+    write_atomic(path, itertools.chain([header], payload))
+
+
+def write_atomic(path, chunks) -> None:
+    """Write the byte strings ``chunks`` to ``path`` through a temporary file
+    in the same directory, then rename it into place: a reader sees the old
+    file or the whole new one, never a part, and a failed write leaves the
+    old file as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def read_dataset(path) -> list[MotionSequence]:

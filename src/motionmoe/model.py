@@ -117,7 +117,8 @@ class MotionMoE:
         """(batch, D, t) observed frames -> (batch, D, T) full trajectory.
 
         The first t output frames are reconstructions, not copies; the
-        remaining T - t frames are the forecast.
+        remaining T - t frames are the forecast.  A history row holding NaN
+        or inf raises ValueError naming the row.
         """
         cfg = self.config
         if not isinstance(history, Tensor):
@@ -129,6 +130,10 @@ class MotionMoE:
         if history.shape[2] != cfg.history_frames:
             raise ShapeError(
                 f"forward: expected {cfg.history_frames} history frames, got {history.shape[2]}")
+        bad_rows = np.flatnonzero(~np.isfinite(history.data).all(axis=(1, 2)))
+        if bad_rows.size:
+            raise ValueError(
+                f"forward: non-finite history in batch row(s) {', '.join(map(str, bad_rows))}")
         if train_mode and cfg.dropout > 0.0 and rng is None:
             raise ValueError("train-mode forward with dropout needs an explicit rng")
 

@@ -3,10 +3,16 @@
 All experts in one layer are built from the SAME two shared blocks: a
 spatial block (scan axis = pose coordinate, channels = frequency bins) and
 a temporal block (scan axis = frequency bin, channels = pose coordinates).
-Choosing an expert only chooses a composition order, never new parameters:
+Choosing an expert only chooses a composition order, never new parameters.
+A kind names its two stages in order, S for spatial and T for temporal:
 
     ST: spatial, then temporal        TT: temporal twice
     TS: temporal, then spatial        SS: spatial twice
+
+Experts share computation as well as weights: a mixture layer computes
+each first stage (S or T) once, and only if some expert with a nonzero
+weight starts with it, then applies each such expert's second stage to it.
+With the full pool that is six block applications per layer, not eight.
 
 The gate reduces each sample's feature map by a temporal mean, applies one
 linear layer, keeps the top-k logits (ties to the lowest index), masks the
@@ -93,28 +99,43 @@ def gate(router: RouterParams, features: Tensor) -> GateDecision:
     return GateDecision(logits=np.array(logits.data), kept=kept, weights=weights)
 
 
+def _stage(name: str, shared_s: BiBlockParams, shared_t: BiBlockParams,
+           x: Tensor, scan_mode: str, flip_back: bool) -> Tensor:
+    """One expert stage over (batch, D, T): "S" is the spatial block; "T" is
+    the temporal block on the transposed view (batch, T, D), transposed back."""
+    if name == "S":
+        return bidirectional_forward(shared_s, x, scan_mode, flip_back)
+    y = bidirectional_forward(shared_t, transpose(x, 1, 2), scan_mode, flip_back)
+    return transpose(y, 1, 2)
+
+
+def expert_outputs(kinds, shared_s: BiBlockParams, shared_t: BiBlockParams,
+                   features: Tensor, scan_mode: str = "bidirectional",
+                   flip_back: bool = True) -> dict[str, Tensor]:
+    """Each distinct kind in ``kinds`` applied to (batch, D, T) features.
+
+    A kind names its stages, first stage first.  Each first stage is
+    computed once and shared by every kind that starts with it, so the full
+    pool makes six block applications, not eight.
+    """
+    firsts: dict[str, Tensor] = {}
+    outs: dict[str, Tensor] = {}
+    for kind in kinds:
+        if kind not in EXPERT_KINDS:
+            raise ValueError(f"unknown expert kind {kind!r}, expected one of {EXPERT_KINDS}")
+        if kind in outs:
+            continue
+        if kind[0] not in firsts:
+            firsts[kind[0]] = _stage(kind[0], shared_s, shared_t, features, scan_mode, flip_back)
+        outs[kind] = _stage(kind[1], shared_s, shared_t, firsts[kind[0]], scan_mode, flip_back)
+    return outs
+
+
 def expert_forward(kind: str, shared_s: BiBlockParams, shared_t: BiBlockParams,
                    features: Tensor, scan_mode: str = "bidirectional",
                    flip_back: bool = True) -> Tensor:
-    """Apply one expert composition to (batch, D, T).
-
-    The spatial block consumes (batch, D, T) directly; the temporal block
-    sees the transposed view (batch, T, D) and the result is transposed
-    back, so every expert preserves (batch, D, T).
-    """
-    if kind not in EXPERT_KINDS:
-        raise ValueError(f"unknown expert kind {kind!r}, expected one of {EXPERT_KINDS}")
-
-    def spatial(x):
-        return bidirectional_forward(shared_s, x, scan_mode, flip_back)
-
-    def temporal(x):
-        y = bidirectional_forward(shared_t, transpose(x, 1, 2), scan_mode, flip_back)
-        return transpose(y, 1, 2)
-
-    first, second = {"ST": (spatial, temporal), "TT": (temporal, temporal),
-                     "TS": (temporal, spatial), "SS": (spatial, spatial)}[kind]
-    return second(first(features))
+    """Apply one expert composition to (batch, D, T); the shape is kept."""
+    return expert_outputs((kind,), shared_s, shared_t, features, scan_mode, flip_back)[kind]
 
 
 def moe_layer_forward(router: RouterParams, shared_s: BiBlockParams,
@@ -125,14 +146,14 @@ def moe_layer_forward(router: RouterParams, shared_s: BiBlockParams,
     if len(pool) != router.n_experts:
         raise ShapeError(f"pool size {len(pool)} != router width {router.n_experts}")
     decision = gate(router, features)
+    used = [e for e in range(len(pool)) if np.any(decision.weights.data[:, e] != 0.0)]
+    outs = expert_outputs([pool[e] for e in used], shared_s, shared_t, features,
+                          scan_mode, flip_back)
     bsz = features.shape[0]
     out = None
-    for e, kind in enumerate(pool):
-        if not np.any(decision.weights.data[:, e] != 0.0):
-            continue
+    for e in used:
         w_col = reshape(slice_axis(decision.weights, axis=1, start=e, stop=e + 1),
                         (bsz, 1, 1))
-        term = mul(expert_forward(kind, shared_s, shared_t, features, scan_mode, flip_back),
-                   w_col)
+        term = mul(outs[pool[e]], w_col)
         out = term if out is None else add(out, term)
     return out, decision

@@ -2,7 +2,7 @@
 
 One block runs, over (batch, L, C):
 
-    x, z   = split(in_proj(X))              # each (B, L, E*C)
+    x, z   = X @ in_proj[:, :E*C], X @ in_proj[:, E*C:]   # each (B, L, E*C)
     x'     = SiLU(causal depthwise conv(x))
     dt,B,C = split(x_proj(x'))
     delta  = softplus(dt_proj(dt) + dt_bias)        # (B, L, E*C), > 0
@@ -17,11 +17,14 @@ that forms exp(delta_i A) and delta_i B_i one step at a time, keeps only the
 hidden states, and recomputes the discretization in its hand-written
 reverse recurrence (Gu & Dao 2023, section 3.3).  ``selective_scan_reference``
 is the naive per-step oracle it is tested against, fed the discretization
-computed in plain numpy.
+computed in plain numpy.  A tape-free block call holds no activation it no
+longer needs: z is formed after the scan, and the scan's inputs are freed
+when it returns.
 
 The bidirectional wrapper shares ONE set of block weights between the
-forward and the reversed scan, adds the raw input back, and finishes with
-LN(LN(core) + FFN(LN(core))).
+forward and the reversed scan, and runs both as one block call on the
+(2B, L, C) stack of x and its time reversal.  It adds the raw input back,
+and finishes with LN(LN(core) + FFN(LN(core))).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (AutodiffError, ShapeError, Tensor, add,
+from .autodiff import (AutodiffError, ShapeError, Tensor, add, concat,
                        depthwise_causal_conv1d, exp, is_recording,
                        layernorm_lastaxis, matmul, mul, record, relu, reverse_axis,
                        silu, slice_axis, softplus)
@@ -142,24 +145,24 @@ def selective_scan(delta: Tensor, a: Tensor, b: Tensor, c: Tensor, u: Tensor) ->
     if _debug_checks and np.any(dd <= 0.0):
         raise AutodiffError("selective_scan: delta must be strictly positive")
 
-    # step-major copies, so that every per-step slice is contiguous
-    d_t, b_t, c_t, u_t = (np.ascontiguousarray(x.swapaxes(0, 1)) for x in (dd, bd, cd, ud))
-    du_t = d_t * u_t
     inputs = (delta, a, b, c, u)
     keep = is_recording(inputs)
     states = np.empty((length, bsz, inner, n), dtype=dd.dtype) if keep else None
-    ys = np.empty((length, bsz, inner), dtype=dd.dtype)
+    ys = np.empty((bsz, length, inner), dtype=dd.dtype)
     h = np.zeros((bsz, inner, n), dtype=dd.dtype)
     for i in range(length):
-        a_bar = np.exp(d_t[i, :, :, None] * a_)
+        a_bar = np.exp(dd[:, i, :, None] * a_)
         h = np.multiply(a_bar, h, out=states[i] if keep else a_bar)
-        h += du_t[i, :, :, None] * b_t[i, :, None, :]
+        h += (dd[:, i] * ud[:, i])[:, :, None] * bd[:, i, None, :]
         if _debug_checks and not np.all(np.isfinite(h)):
             raise AutodiffError("selective_scan: non-finite hidden state")
-        np.matmul(h, c_t[i, :, :, None], out=ys[i, :, :, None])
+        np.matmul(h, cd[:, i, :, None], out=ys[:, i, :, None])
 
     def bwd(g):
-        g_t = np.ascontiguousarray(g.swapaxes(0, 1))
+        # step-major copies, so that every per-step slice is contiguous
+        g_t, d_t, b_t, c_t, u_t = (np.ascontiguousarray(x.swapaxes(0, 1))
+                                   for x in (g, dd, bd, cd, ud))
+        du_t = d_t * u_t
         gc = np.matmul(g_t[:, :, None, :], states)[:, :, 0, :]
         gb = np.empty_like(b_t)
         gdu = np.empty_like(du_t)
@@ -179,7 +182,7 @@ def selective_scan(delta: Tensor, a: Tensor, b: Tensor, c: Tensor, u: Tensor) ->
                               for x in (gdelta, gb, gc, gdu * d_t))
         return gdelta, ga, gb, gc, gu
 
-    return record("selective_scan", inputs, ys.swapaxes(0, 1), bwd)
+    return record("selective_scan", inputs, ys, bwd)
 
 
 def selective_scan_reference(a_bar: np.ndarray, b_bar: np.ndarray,
@@ -202,24 +205,25 @@ def mamba_block_forward(params: MambaBlockParams, x: Tensor) -> Tensor:
         raise ShapeError(
             f"mamba_block_forward: expected (batch, L, {params.channels}), got {x.shape}")
     inner = params.expand * params.channels
+    # slicing the weight, not the (B, L, 2*E*C) activation, keeps x and z
+    # from being materialized together; z is formed only after the scan
+    w_x = slice_axis(params.in_proj, axis=1, start=0, stop=inner)
+    w_z = slice_axis(params.in_proj, axis=1, start=inner, stop=2 * inner)
+    y = selective_scan(*_scan_inputs(params, matmul(x, w_x)))
+    return matmul(mul(y, silu(matmul(x, w_z))), params.out_proj)
+
+
+def _scan_inputs(params: MambaBlockParams, xr: Tensor):
+    """(delta, A, B, C, x') for the scan.  Returned rather than held in the
+    caller's locals, so that a tape-free call frees them once the scan ends."""
     rank, n = params.dt_rank, params.state_dim
-
-    xz = matmul(x, params.in_proj)
-    xr = slice_axis(xz, axis=2, start=0, stop=inner)
-    z = slice_axis(xz, axis=2, start=inner, stop=2 * inner)
-
     xs = silu(add(depthwise_causal_conv1d(xr, params.conv_kernel), params.conv_bias))
-
     proj = matmul(xs, params.x_proj)
     dt_low = slice_axis(proj, axis=2, start=0, stop=rank)
     b_in = slice_axis(proj, axis=2, start=rank, stop=rank + n)
     c_in = slice_axis(proj, axis=2, start=rank + n, stop=rank + 2 * n)
-
     delta = softplus(add(matmul(dt_low, params.dt_proj), params.dt_bias))
-    a = mul(exp(params.A_log), Tensor(-1.0))
-    y = selective_scan(delta, a, b_in, c_in, xs)
-    gated = mul(y, silu(z))
-    return matmul(gated, params.out_proj)
+    return delta, mul(exp(params.A_log), Tensor(-1.0)), b_in, c_in, xs
 
 
 @dataclass
@@ -288,14 +292,19 @@ def bidirectional_core(params: BiBlockParams, x: Tensor,
     """
     if scan_mode not in SCAN_MODES:
         raise ValueError(f"scan_mode must be one of {SCAN_MODES}, got {scan_mode!r}")
+    # both directions run as one call on a (2B, L, C) stack of x and its
+    # time reversal; their sum keeps the order (forward + reversed) + x
+    reversed_rows = {"bidirectional": (False, True), "forward": (False,),
+                     "backward": (True,)}[scan_mode]
+    stacked = concat([reverse_axis(x, 1) if rev else x for rev in reversed_rows], axis=0)
+    y = mamba_block_forward(params.mamba, stacked)
+    bsz = x.shape[0]
     out = None
-    if scan_mode in ("bidirectional", "forward"):
-        out = mamba_block_forward(params.mamba, x)
-    if scan_mode in ("bidirectional", "backward"):
-        rev = mamba_block_forward(params.mamba, reverse_axis(x, 1))
-        if flip_back:
-            rev = reverse_axis(rev, 1)
-        out = rev if out is None else add(out, rev)
+    for i, rev in enumerate(reversed_rows):
+        part = slice_axis(y, axis=0, start=i * bsz, stop=(i + 1) * bsz)
+        if rev and flip_back:
+            part = reverse_axis(part, 1)
+        out = part if out is None else add(out, part)
     return add(out, x)
 
 

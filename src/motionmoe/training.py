@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Tape, Tensor, backward, get_default_dtype, reshape
-from .data import MotionSequence, batch_iter, unflatten_poses
+from .data import MotionSequence, batch_iter, unflatten_poses, write_atomic
 from .model import ModelConfig, MotionMoE
 from .objectives import LossWeights, report_at_horizons, total_loss
 
@@ -213,9 +214,13 @@ def append_log(path, records: list[dict]) -> None:
 
 # --- checkpoints ------------------------------------------------------------
 
+# Layout: head (magic, version, header length) | header JSON | tensor payload,
+# then from version 2 on a CRC32 of everything before it.  Version-1 files,
+# which end with the payload, still load.
 CKPT_MAGIC = b"STMC"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 _CKPT_HEAD = struct.Struct("<4sIQ")
+_CKPT_CRC = struct.Struct("<I")
 
 
 @dataclass
@@ -274,11 +279,11 @@ def save_checkpoint(path, model: MotionMoE, optim: AdamState, epoch: int,
         "tensors": entries,
     }
     head_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_HEAD.pack(CKPT_MAGIC, CKPT_VERSION, len(head_bytes)))
-        fh.write(head_bytes)
-        for raw in blobs:
-            fh.write(raw)
+    chunks = [_CKPT_HEAD.pack(CKPT_MAGIC, CKPT_VERSION, len(head_bytes)), head_bytes, *blobs]
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    write_atomic(path, chunks + [_CKPT_CRC.pack(crc)])
 
 
 def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpoint:
@@ -289,7 +294,7 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
     magic, version, head_len = _CKPT_HEAD.unpack_from(raw)
     if magic != CKPT_MAGIC:
         raise TrainingError(f"bad checkpoint magic {magic!r}")
-    if version != CKPT_VERSION:
+    if version not in (1, CKPT_VERSION):
         raise TrainingError(f"unsupported checkpoint version {version}")
     base = _CKPT_HEAD.size + head_len
     if len(raw) < base:
@@ -298,6 +303,25 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
         header = json.loads(raw[_CKPT_HEAD.size:base])
     except ValueError as exc:
         raise TrainingError(f"checkpoint header is not valid JSON: {exc}") from None
+    end = len(raw) - (_CKPT_CRC.size if version >= 2 else 0)
+
+    # bounds first, so that a cut file says so rather than failing its checksum
+    layout = []
+    try:
+        for entry in header["tensors"]:
+            dtype = np.dtype(entry["dtype"])
+            shape = tuple(int(n) for n in entry["shape"])
+            count = int(np.prod(shape, dtype=np.int64)) or 1
+            lo = base + int(entry["offset"])
+            if lo < base or lo + count * dtype.itemsize > end:
+                raise TrainingError(
+                    f"checkpoint tensor {entry['name']!r} runs past the end of the file")
+            layout.append((entry["name"], dtype, shape, count, lo))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TrainingError(f"checkpoint header has a malformed tensor entry: {exc!r}") from None
+    if version >= 2 and zlib.crc32(raw[:end]) != _CKPT_CRC.unpack_from(raw, end)[0]:
+        raise TrainingError("checkpoint checksum mismatch: the file is damaged")
+
     config = ModelConfig.from_dict(header["config"])
     if expected_config is not None and config != expected_config:
         stored, wanted = config.to_dict(), expected_config.to_dict()
@@ -305,19 +329,9 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
         raise TrainingError(f"checkpoint config mismatch on field(s): {', '.join(diverging)}")
 
     tensors = {}
-    for entry in header["tensors"]:
-        lo = base + entry["offset"]
-        dtype = np.dtype(entry["dtype"])
-        count = int(np.prod(entry["shape"], dtype=np.int64)) or 1
-        if entry["offset"] < 0 or lo + count * dtype.itemsize > len(raw):
-            raise TrainingError(
-                f"checkpoint tensor {entry['name']!r} runs past the end of the file")
+    for name, dtype, shape, count, lo in layout:
         arr = np.frombuffer(raw, dtype=dtype, count=count, offset=lo)
-        if not entry["shape"]:
-            arr = arr.reshape(())
-        else:
-            arr = arr.reshape(entry["shape"])
-        tensors[entry["name"]] = arr.copy()
+        tensors[name] = arr.reshape(shape).copy()
     return Checkpoint(config=config, epoch=header["epoch"], tensors=tensors,
                       adam_meta=header["adam"], rng_state=_decode_rng(header["rng_state"]))
 

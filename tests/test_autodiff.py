@@ -1,6 +1,9 @@
 """Engine tests: every primitive against central finite differences on
 randomized shapes, plus tape bookkeeping invariants."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -278,6 +281,28 @@ class TestTapeMechanics:
         with ad.Tape():
             ad.backward(loss_b(xb))
         np.testing.assert_allclose(combined, xa.grad + xb.grad, rtol=1e-12)
+
+    def test_gradient_check_tapes_are_freed_without_the_cyclic_collector(self, monkeypatch):
+        tapes = []
+
+        class WatchedTape(ad.Tape):
+            def __enter__(self):
+                tapes.append(weakref.ref(self))
+                return super().__enter__()
+
+        monkeypatch.setattr(ad, "Tape", WatchedTape)
+        x = ad.Tensor(np.array([0.5, -1.0, 2.0]))
+        p = ad.Tensor(np.array([[1.0, 2.0], [3.0, -4.0]]), requires_grad=True)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            ad.finite_difference_check(lambda t: ad.reduce_sum(ad.mul(t, t)), x)
+            assert len(tapes) == 1 and tapes[0]() is None
+            ad.directional_derivative_check(lambda: ad.reduce_sum(ad.mul(p, p)), [p])
+            assert len(tapes) == 2 and tapes[1]() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_detached_loss_raises(self):
         x = ad.Tensor(np.ones(()), requires_grad=True)

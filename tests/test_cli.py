@@ -1,13 +1,21 @@
 """Command-line tests driven through main(argv): exit codes, artifacts on
 disk, and the printed summaries."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from motionmoe import autodiff as ad
+from motionmoe import cli
 from motionmoe.cli import main, read_feature_export
-from motionmoe.data import MAGIC, read_dataset
+from motionmoe.codec import pad_sequence
+from motionmoe.data import MAGIC, batch_iter, read_dataset
+from motionmoe.dct import dct_forward
+from motionmoe.moe import expert_forward
+from motionmoe.training import load_checkpoint, model_from_checkpoint
 
 MICRO_SET = ["--set", "joints=3", "--set", "history_frames=5",
              "--set", "total_frames=8", "--set", "state_dim=4",
@@ -141,6 +149,25 @@ class TestPredict:
         assert len(preds) == len(originals)
         assert preds[0].positions.shape == (1, 8, 3, 3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_history_exits_1(self, trained, tmp_path, monkeypatch, capsys, bad):
+        # the .mmp1 reader already refuses non-finite payloads, so the bad
+        # value is put into a batch the reader has passed
+        def poisoned(*args, **kwargs):
+            for i, (hist, target) in enumerate(batch_iter(*args, **kwargs)):
+                if i == 2:
+                    hist = hist.copy()
+                    hist[0, 1, 1] = bad
+                yield hist, target
+
+        monkeypatch.setattr(cli, "batch_iter", poisoned)
+        out = tmp_path / "pred.mmp1"
+        code = main(["predict", "--checkpoint", str(trained["checkpoint"]),
+                     "--data", str(trained["data"]), "--out", str(out)])
+        assert code == 1
+        assert "sequence 2: forward: non-finite history in batch row(s) 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestInspectRouting:
     def test_lines_and_mass_conservation(self, trained, tmp_path):
@@ -182,6 +209,21 @@ class TestExportFeatures:
         assert rows.dtype == np.float32
         assert np.isfinite(rows).all()
 
+        # the rows match each expert evaluated on its own
+        model = model_from_checkpoint(load_checkpoint(trained["checkpoint"]))
+        cfg, layer = model.config, model.layers[0]
+        hist, _ = next(batch_iter(read_dataset(trained["data"]), 16, cfg.history_frames,
+                                  cfg.total_frames, shuffle_seed=None))
+        features = model.codec.encode(dct_forward(
+            pad_sequence(ad.Tensor(hist[:5]), cfg.total_frames), model.basis))
+        expected = []
+        for kind in cfg.expert_pool:
+            out = expert_forward(kind, layer.spatial, layer.temporal, features,
+                                 cfg.scan_mode, cfg.flip_back).data
+            expected.append(np.concatenate([out.mean(axis=2), out.mean(axis=1)], axis=1))
+        np.testing.assert_allclose(rows, np.concatenate(expected).astype(np.float32),
+                                   rtol=1e-6, atol=1e-6)
+
 
 class TestBench:
     def test_reports_exponent(self, tmp_path, capsys):
@@ -192,6 +234,25 @@ class TestBench:
         printed = capsys.readouterr().out
         assert "fitted growth exponent" in printed
         assert "exponent" in out.read_text()
+
+    def test_tapes_are_freed_without_the_cyclic_collector(self, monkeypatch):
+        tapes = []
+
+        class WatchedTape(ad.Tape):
+            def __enter__(self):
+                tapes.append(weakref.ref(self))
+                return super().__enter__()
+
+        monkeypatch.setattr(cli, "Tape", WatchedTape)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert main(["bench", "--lengths", "8,16", "--channels", "6",
+                         "--batch", "1", "--repeats", "2"]) == 0
+            assert len(tapes) == 4 and all(ref() is None for ref in tapes)
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_single_length_rejected(self):
         assert main(["bench", "--lengths", "32"]) == 2

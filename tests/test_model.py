@@ -72,6 +72,15 @@ class TestForward:
         with pytest.raises(ad.ShapeError):
             model.forward(ad.Tensor(np.zeros((1, 8, 5))))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_history_names_rows(self, bad):
+        model = micro_model()
+        x = np.random.default_rng(4).standard_normal((4, 9, 5))
+        x[1, 3, 2] = bad
+        x[3, 0, 4] = bad
+        with pytest.raises(ValueError, match=r"non-finite history in batch row\(s\) 1, 3$"):
+            model.forward(ad.Tensor(x))
+
     def test_train_mode_needs_rng_only_with_dropout(self):
         model = micro_model(dropout=0.2)
         x = ad.Tensor(np.zeros((1, 9, 5)))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from motionmoe import autodiff as ad
+from motionmoe import ssm
 from motionmoe.moe import (EXPERT_KINDS, GateDecision, RouterParams,
                            expert_forward, gate, init_router,
                            moe_layer_forward)
@@ -202,3 +203,131 @@ class TestMixture:
         with pytest.raises(ad.ShapeError, match="pool"):
             moe_layer_forward(router, shared_s, shared_t, ("ST", "TT"),
                               ad.Tensor(np.zeros((1, 5, 6))))
+
+
+def unshared_block(params, x, scan_mode, flip_back):
+    """A bidirectional block as two separate Mamba calls, one per direction,
+    followed by the LN/FFN head."""
+    out = None
+    if scan_mode in ("bidirectional", "forward"):
+        out = ssm.mamba_block_forward(params.mamba, x)
+    if scan_mode in ("bidirectional", "backward"):
+        rev = ssm.mamba_block_forward(params.mamba, ad.reverse_axis(x, 1))
+        if flip_back:
+            rev = ad.reverse_axis(rev, 1)
+        out = rev if out is None else ad.add(out, rev)
+    core = ad.add(out, x)
+    inner = ad.layernorm_lastaxis(core, params.ln_inner_gamma, params.ln_inner_beta)
+    hidden = ad.relu(ad.add(ad.matmul(inner, params.ffn_w1), params.ffn_b1))
+    ffn_out = ad.add(ad.matmul(hidden, params.ffn_w2), params.ffn_b2)
+    return ad.layernorm_lastaxis(ad.add(inner, ffn_out),
+                                 params.ln_outer_gamma, params.ln_outer_beta)
+
+
+def unshared_mixture(router, shared_s, shared_t, pool, x, scan_mode, flip_back):
+    """The mixture with every expert composed from scratch: no stage is
+    shared between experts and no block stacks its two directions."""
+    def spatial(f):
+        return unshared_block(shared_s, f, scan_mode, flip_back)
+
+    def temporal(f):
+        return ad.transpose(unshared_block(shared_t, ad.transpose(f, 1, 2),
+                                           scan_mode, flip_back), 1, 2)
+
+    stages = {"S": spatial, "T": temporal}
+    decision = gate(router, x)
+    out = None
+    for e, kind in enumerate(pool):
+        if not decision.weights.data[:, e].any():
+            continue
+        w_col = ad.reshape(ad.slice_axis(decision.weights, axis=1, start=e, stop=e + 1),
+                           (x.shape[0], 1, 1))
+        term = ad.mul(stages[kind[1]](stages[kind[0]](x)), w_col)
+        out = term if out is None else ad.add(out, term)
+    return out
+
+
+class TestSharedComputation:
+    def make_layer(self, pool, k):
+        rng = np.random.default_rng(20)
+        d, t = 5, 7
+        router = init_router(rng, d, len(pool), k)
+        shared_s = init_bi_block(rng, channels=t, expand=2, state_dim=3, conv_width=2)
+        shared_t = init_bi_block(rng, channels=d, expand=2, state_dim=3, conv_width=2)
+        params = [router.gate_weight, router.gate_bias,
+                  *shared_s.parameters().values(), *shared_t.parameters().values()]
+        return router, shared_s, shared_t, params
+
+    @pytest.mark.parametrize("pool,k,scan_mode,flip_back", [
+        (EXPERT_KINDS, 4, "bidirectional", True),
+        (EXPERT_KINDS, 2, "bidirectional", True),
+        (("TS",), 1, "bidirectional", True),
+        (("SS", "ST", "SS"), 3, "bidirectional", True),
+        (EXPERT_KINDS, 4, "forward", True),
+        (EXPERT_KINDS, 4, "backward", True),
+        (EXPERT_KINDS, 4, "bidirectional", False),
+        (EXPERT_KINDS, 3, "backward", False),
+    ])
+    def test_matches_unshared_composition(self, pool, k, scan_mode, flip_back):
+        router, shared_s, shared_t, params = self.make_layer(pool, k)
+        rng = np.random.default_rng(21)
+        x_data = rng.standard_normal((4, 5, 7))
+        w = ad.Tensor(rng.standard_normal((4, 5, 7)))
+
+        def run(mixture):
+            for p in params:
+                p.zero_grad()
+            x = ad.Tensor(x_data, requires_grad=True)
+            with ad.Tape():
+                out = mixture(router, shared_s, shared_t, pool, x, scan_mode, flip_back)
+                grads = ad.backward(ad.reduce_sum(ad.mul(out, w)))
+            return out.data, [grads[p].data for p in params] + [grads[x].data]
+
+        def layer(*args):
+            return moe_layer_forward(*args)[0]
+
+        out, grads = run(layer)
+        ref_out, ref_grads = run(unshared_mixture)
+
+        assert np.abs(out - ref_out).max() <= 1e-12 * np.abs(ref_out).max()
+        # some entries are sums that cancel to orders below the rest (the
+        # temporal block's last LN shift feeding a spatial stage), so the
+        # gradient is compared against the scale of the whole gradient
+        scale = max(np.abs(ref).max() for ref in ref_grads)
+        assert len(grads) == len(params) + 1
+        for g, ref in zip(grads, ref_grads):
+            assert np.abs(g - ref).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("pool,calls", [(EXPERT_KINDS, 6), (("ST",), 2),
+                                            (("ST", "ST", "TT", "ST"), 4)])
+    def test_block_and_mamba_calls_per_layer(self, pool, calls, monkeypatch):
+        router, shared_s, shared_t, _ = self.make_layer(pool, len(pool))
+        counted = []
+        original = ssm.mamba_block_forward
+
+        def counting(params, x):
+            counted.append(x.shape[0])
+            return original(params, x)
+
+        monkeypatch.setattr(ssm, "mamba_block_forward", counting)
+        x = ad.Tensor(np.random.default_rng(22).standard_normal((3, 5, 7)))
+        moe_layer_forward(router, shared_s, shared_t, pool, x)
+        # one stacked call per block application, both directions at once
+        assert counted == [6] * calls
+
+    def test_unused_first_stage_is_not_computed(self, monkeypatch):
+        # k=1 with logits rigged to pick SS only: the temporal block never runs
+        router, shared_s, shared_t, _ = self.make_layer(EXPERT_KINDS, 1)
+        router.gate_weight.data[:] = 0.0
+        router.gate_bias.data[:] = [0.0, 0.0, 0.0, 1.0]
+        blocks = []
+        original = ssm.mamba_block_forward
+
+        def counting(params, x):
+            blocks.append(params)
+            return original(params, x)
+
+        monkeypatch.setattr(ssm, "mamba_block_forward", counting)
+        x = ad.Tensor(np.random.default_rng(23).standard_normal((2, 5, 7)))
+        moe_layer_forward(router, shared_s, shared_t, EXPERT_KINDS, x)
+        assert blocks == [shared_s.mamba, shared_s.mamba]

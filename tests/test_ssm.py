@@ -273,6 +273,45 @@ class TestMambaBlock:
         assert "selective_scan" in [node.op for node in tape.nodes]
         assert [node.op for node in tape.nodes if node.output.ndim >= 4] == []
 
+    def test_matches_activation_split_composition(self):
+        # the block slices in_proj's weight into its x and z halves; slicing
+        # the (B, L, 2*E*C) activation instead must give the same values
+        params = ssm.init_mamba_block(np.random.default_rng(7), channels=5,
+                                      expand=2, state_dim=3, conv_width=3, dt_rank=2)
+        rng = np.random.default_rng(8)
+        x_data = rng.standard_normal((3, 6, 5))
+        w = ad.Tensor(rng.standard_normal((3, 6, 5)))
+
+        def split_activation(x):
+            inner, rank, n = 10, 2, 3
+            xz = ad.matmul(x, params.in_proj)
+            xr = ad.slice_axis(xz, axis=2, start=0, stop=inner)
+            z = ad.slice_axis(xz, axis=2, start=inner, stop=2 * inner)
+            xs = ad.silu(ad.add(ad.depthwise_causal_conv1d(xr, params.conv_kernel),
+                                params.conv_bias))
+            proj = ad.matmul(xs, params.x_proj)
+            delta = ad.softplus(ad.add(ad.matmul(ad.slice_axis(proj, 2, 0, rank),
+                                                 params.dt_proj), params.dt_bias))
+            y = ssm.selective_scan(delta, ad.mul(ad.exp(params.A_log), ad.Tensor(-1.0)),
+                                   ad.slice_axis(proj, 2, rank, rank + n),
+                                   ad.slice_axis(proj, 2, rank + n, rank + 2 * n), xs)
+            return ad.matmul(ad.mul(y, ad.silu(z)), params.out_proj)
+
+        def run(block):
+            for p in params.parameters().values():
+                p.zero_grad()
+            x = ad.Tensor(x_data, requires_grad=True)
+            with ad.Tape():
+                out = block(x)
+                grads = ad.backward(ad.reduce_sum(ad.mul(out, w)))
+            return out.data, [grads[p].data for p in (x, *params.parameters().values())]
+
+        out, grads = run(lambda x: ssm.mamba_block_forward(params, x))
+        ref_out, ref_grads = run(split_activation)
+        assert np.abs(out - ref_out).max() <= 1e-12 * np.abs(ref_out).max()
+        for g, ref in zip(grads, ref_grads):
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_gradients_against_finite_differences(self):
         params = ssm.init_mamba_block(np.random.default_rng(5), channels=4,
                                       expand=2, state_dim=3, conv_width=2, dt_rank=2)
@@ -334,6 +373,23 @@ class TestBidirectionalWrapper:
             grads = ad.backward(ad.reduce_sum(ssm.bidirectional_forward(params, x)))
         for name, p in params.parameters().items():
             assert p in grads, name
+
+    def test_tape_free_forward_peak_memory(self):
+        # a tape-free call frees each activation once nothing reads it; the
+        # stacked (2B, L, E*C) working set must not grow the peak past 17
+        # units of B*L*E*C values (two unstacked calls peaked at 13.6)
+        bsz, length, channels = 8, 60, 40
+        params = ssm.init_bi_block(np.random.default_rng(9), channels=channels)
+        x = ad.Tensor(np.random.default_rng(10).standard_normal((bsz, length, channels)))
+        unit = bsz * length * params.mamba.expand * channels * 8
+        ssm.bidirectional_forward(params, x)
+        tracemalloc.start()
+        try:
+            ssm.bidirectional_forward(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17 * unit
 
     def test_full_block_gradient(self):
         params = ssm.init_bi_block(np.random.default_rng(4), channels=4,

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from motionmoe import autodiff as ad
-from motionmoe import training
-from motionmoe.data import GeneratorSpec, synth_generate
+from motionmoe import data, training
+from motionmoe.data import GeneratorSpec, synth_generate, write_dataset
 from motionmoe.model import ModelConfig, MotionMoE
 from motionmoe.training import (AdamState, TrainingError, TrainSettings,
                                 adam_step, evaluate, fit, load_checkpoint,
@@ -268,6 +268,92 @@ class TestCheckpoints:
         damaged.write_bytes(head.pack(magic, version, len(cut)) + cut + raw[base:])
         with pytest.raises(TrainingError, match="JSON"):
             load_checkpoint(damaged)
+
+    def test_flipped_bytes_fail_the_checksum(self, tmp_path):
+        model, seqs, settings = micro_setup(epochs=1)
+        settings.out_dir = str(tmp_path)
+        fit(model, seqs, None, settings)
+        raw = (tmp_path / "checkpoint_00001.stmc").read_bytes()
+        head = struct.Struct("<4sIQ")
+        assert head.unpack_from(raw)[1] == training.CKPT_VERSION == 2
+        base = head.size + head.unpack_from(raw)[2]
+        epoch_digit = raw.index(b'"epoch":1') + len(b'"epoch":')
+        damaged = tmp_path / "damaged.stmc"
+        # a digit of the header JSON that still parses, then payload bytes
+        for offset in (epoch_digit, base, (base + len(raw)) // 2, len(raw) - 5):
+            flipped = bytearray(raw)
+            flipped[offset] ^= 0x02
+            damaged.write_bytes(bytes(flipped))
+            with pytest.raises(TrainingError, match="checksum"):
+                load_checkpoint(damaged)
+        # a flip that renames a tensor entry's key ("offset" -> "odfset")
+        flipped = bytearray(raw)
+        flipped[raw.index(b'"offset"') + 2] ^= 0x02
+        damaged.write_bytes(bytes(flipped))
+        with pytest.raises(TrainingError, match="malformed"):
+            load_checkpoint(damaged)
+
+    def test_version_1_files_still_load(self, tmp_path):
+        model, seqs, settings = micro_setup(epochs=1)
+        settings.out_dir = str(tmp_path)
+        fit(model, seqs, None, settings)
+        raw = (tmp_path / "checkpoint_00001.stmc").read_bytes()
+        head = struct.Struct("<4sIQ")
+        magic, _, head_len = head.unpack_from(raw)
+        header = json.loads(raw[head.size:head.size + head_len])
+        header["version"] = 1
+        head_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        # version 1: no checksum after the payload
+        payload = raw[head.size + head_len:-4]
+        old = tmp_path / "v1.stmc"
+        old.write_bytes(head.pack(magic, 1, len(head_bytes)) + head_bytes + payload)
+        ckpt = load_checkpoint(old)
+        assert ckpt.epoch == 1
+        for name, p in model.parameters().items():
+            np.testing.assert_array_equal(ckpt.tensors[f"param/{name}"], p.data)
+
+    @pytest.mark.parametrize("writer", ["checkpoint", "dataset"])
+    def test_failed_write_leaves_no_partial_target(self, tmp_path, monkeypatch, writer):
+        model, seqs, _ = micro_setup()
+        target = tmp_path / "target.bin"
+
+        def write():
+            if writer == "checkpoint":
+                save_checkpoint(target, model, AdamState(), 0, np.random.default_rng(0))
+            else:
+                write_dataset(seqs, target)
+
+        class FailingFile:
+            """Writes its first chunk, then fails like a full disk."""
+
+            def __init__(self, path, mode):
+                self.fh = open(path, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, chunk):
+                if self.fh.tell():
+                    raise OSError("disk full")
+                return self.fh.write(chunk)
+
+        write()
+        whole = target.read_bytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(data, "open", FailingFile, raising=False)
+            target.unlink()
+            with pytest.raises(OSError, match="disk full"):
+                write()
+            assert list(tmp_path.iterdir()) == []
+            target.write_bytes(whole)
+            with pytest.raises(OSError, match="disk full"):
+                write()
+        # an existing file is left whole, and no temporary file stays behind
+        assert [p.name for p in tmp_path.iterdir()] == ["target.bin"]
+        assert target.read_bytes() == whole
 
     def test_periodic_checkpoints(self, tmp_path):
         model, seqs, settings = micro_setup(epochs=4, checkpoint_every=2)
