@@ -414,10 +414,10 @@ def _p_reverse_axis(inputs, attrs):
 
 def _p_reshape(inputs, attrs):
     (x,) = inputs
-    shape = tuple(attrs["shape"])
-    if int(np.prod(shape, dtype=np.int64)) != x.size:
-        raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
-    out = x.reshape(shape)
+    try:
+        out = x.reshape(attrs["shape"])  # numpy semantics, so one -1 is allowed
+    except ValueError:
+        raise ShapeError(f"reshape: cannot view {x.shape} as {attrs['shape']}") from None
 
     def bwd(g):
         return (g.reshape(x.shape),)

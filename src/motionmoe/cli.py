@@ -16,18 +16,17 @@ import numpy as np
 
 from .autodiff import (AutodiffError, Tape, Tensor, backward, mul,
                        reduce_sum, set_default_dtype)
-from .codec import pad_sequence
 from .config import (ConfigError, RUN_SCHEMA, SYNTH_SCHEMA, format_config,
                      model_config_from, parse_config_file, parse_config_text,
                      schema_help, train_settings_from)
-from .data import DataError, GeneratorSpec, MotionSequence, batch_iter, \
-    read_dataset, synth_generate, unflatten_poses, write_atomic, write_dataset
-from .dct import dct_forward
+from .data import DataError, GeneratorSpec, MotionSequence, read_dataset, \
+    synth_generate, unflatten_poses, write_atomic, write_dataset
 from .model import MotionMoE, audit_parameters
 from .moe import expert_outputs
+from .objectives import horizon_frames
 from .ssm import init_bi_block, bidirectional_forward
-from .training import (TrainingError, append_log, evaluate, fit,
-                       load_checkpoint, model_from_checkpoint)
+from .training import (TrainingError, TrainSettings, append_log, evaluate, fit,
+                       load_checkpoint, model_from_checkpoint, scene_batches)
 
 FEATURE_MAGIC = "MMFX"
 
@@ -129,10 +128,13 @@ def _read_eval_pair(args):
 
 def cmd_eval(args) -> int:
     model, sequences = _read_eval_pair(args)
-    settings = train_settings_from(parse_config_text("", RUN_SCHEMA))
-    settings.fps = args.fps
-    settings.horizons = tuple(float(h) for h in args.horizons.split(","))
-    settings.root_joint = args.root_joint
+    cfg = model.config
+    try:
+        horizons = tuple(float(h) for h in args.horizons.split(","))
+        horizon_frames(horizons, args.fps, cfg.total_frames - cfg.history_frames)
+    except ValueError as exc:
+        raise ConfigError(f"--horizons: {exc}") from None
+    settings = TrainSettings(fps=args.fps, horizons=horizons, root_joint=args.root_joint)
     report = evaluate(model, sequences, settings)
     table = report.to_table()
     print(table)
@@ -145,13 +147,13 @@ def cmd_predict(args) -> int:
     model, sequences = _read_eval_pair(args)
     cfg = model.config
     out_seqs = []
-    for hist, _ in batch_iter(sequences, 1, cfg.history_frames, cfg.total_frames,
-                              shuffle_seed=None):
+    for hist, _ in scene_batches(cfg, sequences, 1):
         try:
-            pred, _ = model.forward(Tensor(hist))
+            pred, _ = model.forward(hist)
         except ValueError as exc:  # non-finite history
             raise DataError(f"sequence {len(out_seqs)}: {exc}") from None
-        poses = unflatten_poses(pred.data)  # (M, T, J, 3)
+        # one row per person: (M, T, J, 3)
+        poses = unflatten_poses(pred.data.reshape(-1, cfg.joints * 3, cfg.total_frames))
         out_seqs.append(MotionSequence(poses.astype(np.float32), sequences[0].fps))
     write_dataset(out_seqs, args.out)
     print(f"wrote {len(out_seqs)} predicted sequences to {args.out}")
@@ -165,13 +167,12 @@ def cmd_inspect_routing(args) -> int:
     lines = []
     mass = np.zeros(cfg.n_experts)
     count = 0
-    for hist, _ in batch_iter(sequences, 16, cfg.history_frames, cfg.total_frames,
-                              shuffle_seed=None):
+    for hist, _ in scene_batches(cfg, sequences, 16):
         if args.limit and count >= args.limit:
             break
         if args.limit:
-            hist = hist[:max(0, args.limit - count)]
-        _, decisions = model.forward(Tensor(hist))
+            hist = hist[:args.limit - count]
+        _, decisions = model.forward(hist)
         for layer_index, decision in enumerate(decisions):
             lines.extend(decision.to_lines(sample_offset=count, layer=layer_index))
             mass += decision.weights.data.sum(axis=0)
@@ -190,39 +191,30 @@ def cmd_export_features(args) -> int:
     first stages as the mixture layer does."""
     model, sequences = _read_eval_pair(args)
     cfg = model.config
-    d, t_total = cfg.pose_dim, cfg.total_frames
-    width = d + t_total
+    width = cfg.pose_dim + cfg.total_frames
     pool = cfg.expert_pool
     layer = model.layers[0]
 
     rows = []
     count = 0
-    for hist, _ in batch_iter(sequences, 16, cfg.history_frames, cfg.total_frames,
-                              shuffle_seed=None):
+    for hist, _ in scene_batches(cfg, sequences, 16):
         if count >= args.samples:
             break
-        hist = hist[:max(0, args.samples - count)]
-        features = model.codec.encode(
-            dct_forward(pad_sequence(Tensor(hist), t_total), model.basis))
-        outs = expert_outputs(pool, layer.spatial, layer.temporal, features,
+        hist = hist[:args.samples - count]
+        outs = expert_outputs(pool, layer.spatial, layer.temporal, model.encode(hist),
                               cfg.scan_mode, cfg.flip_back)
         for kind in pool:
             out = outs[kind].data
             pooled = np.concatenate([out.mean(axis=2), out.mean(axis=1)], axis=1)
-            rows.append((kind, pooled))
+            rows.append(np.ascontiguousarray(pooled, dtype="<f4").tobytes())
         count += hist.shape[0]
 
-    n_samples = count
-    header = json.dumps({"magic": FEATURE_MAGIC, "samples": n_samples,
+    header = json.dumps({"magic": FEATURE_MAGIC, "samples": count,
                          "experts": list(pool), "width": width,
                          "layout": "batch-major, expert-minor within batch"},
                         sort_keys=True)
-    with open(args.out, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        for _, pooled in rows:
-            fh.write(np.ascontiguousarray(pooled, dtype="<f4").tobytes())
-    total_rows = n_samples * len(pool)
-    print(f"wrote {total_rows} feature rows of width {width} to {args.out}")
+    write_atomic(args.out, [header.encode() + b"\n", *rows])
+    print(f"wrote {count * len(pool)} feature rows of width {width} to {args.out}")
     return 0
 
 
@@ -276,6 +268,12 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="motionmoe",
@@ -316,14 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--limit", type=int, default=0, help="max samples, 0 = all")
+    p.add_argument("--limit", type=_count, default=0, help="max samples, 0 = all")
     p.set_defaults(func=cmd_inspect_routing)
 
     p = sub.add_parser("export-features", help="pooled per-expert features for embedding")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--samples", type=int, default=300)
+    p.add_argument("--samples", type=_count, default=300)
     p.set_defaults(func=cmd_export_features)
 
     p = sub.add_parser("bench", help="time the scan-dominated block across lengths")

@@ -13,26 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (ShapeError, Tensor, add, concat, matmul, mul,
-                       slice_axis, tanh)
+from .autodiff import ShapeError, Tensor, add, matmul, mul, tanh
 
 
-def pad_sequence(history: Tensor, total_frames: int) -> Tensor:
-    """Extend (batch, D, t) to (batch, D, T) by repeating the last frame.
-
-    Differentiable: the replicated frames route gradient back to frame t-1.
-    """
-    if history.ndim != 3:
-        raise ShapeError(f"pad_sequence: expected (batch, D, t), got {history.shape}")
-    t = history.shape[-1]
-    if t < 1:
-        raise ShapeError("pad_sequence: history must contain at least one frame")
-    if t > total_frames:
-        raise ShapeError(f"pad_sequence: history length {t} exceeds total frames {total_frames}")
-    if t == total_frames:
-        return history
-    last = slice_axis(history, axis=2, start=t - 1, stop=t)
-    return concat([history] + [last] * (total_frames - t), axis=2)
+def padding_matrix(history: int, total_frames: int) -> np.ndarray:
+    """(t, T) 0/1 matrix P: x P extends x from t to T frames by repeating the
+    last one.  Each output frame is one input frame times 1 plus zeros, so
+    the padding is exact for finite x, and gradient sums onto frame t-1."""
+    if not 1 <= history <= total_frames:
+        raise ShapeError(f"padding_matrix: need 1 <= history <= total frames, "
+                         f"got {history}/{total_frames}")
+    pad = np.eye(history, total_frames)
+    pad[-1, history:] = 1.0
+    return pad
 
 
 def apply_dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

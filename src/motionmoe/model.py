@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, add
-from .codec import PoseCodec, init_pose_codec, pad_sequence
+from .autodiff import ShapeError, Tensor, add, matmul
+from .codec import init_pose_codec, padding_matrix
 from .dct import DctBasis, dct_forward, dct_inverse
 from .moe import (EXPERT_KINDS, GateDecision, RouterParams, init_router,
                   moe_layer_forward)
@@ -92,13 +92,14 @@ class MixtureLayer:
 
 
 class MotionMoE:
-    """Owns the codec, the DCT basis and the mixture layers."""
+    """Owns the front end (``encode``), the codec, the DCT basis and the mixture layers."""
 
     def __init__(self, config: ModelConfig):
         self.config = config
         rng = np.random.default_rng(config.seed)
         d, t_total = config.pose_dim, config.total_frames
         self.basis = DctBasis(t_total)
+        self.pad = Tensor(padding_matrix(config.history_frames, t_total))
         self.codec = init_pose_codec(rng, d, t_total, config.codec_hidden, config.dropout)
         dt_rank = config.dt_rank if config.dt_rank > 0 else None
         self.layers: list[MixtureLayer] = []
@@ -111,21 +112,18 @@ class MotionMoE:
                                        config.conv_width, dt_rank),
             ))
 
-    def forward(self, history: Tensor, train_mode: bool = False,
-                rng: np.random.Generator | None = None
-                ) -> tuple[Tensor, list[GateDecision]]:
-        """(batch, D, t) observed frames -> (batch, D, T) full trajectory.
-
-        The first t output frames are reconstructions, not copies; the
-        remaining T - t frames are the forecast.  A history row holding NaN
-        or inf raises ValueError naming the row.
-        """
+    def encode(self, history: Tensor | np.ndarray, train_mode: bool = False,
+               rng: np.random.Generator | None = None) -> Tensor:
+        """(batch, D, t) observed frames, exactly t of them -> (batch, D, T)
+        encoder features: padded to T by repeating the last frame (a matmul
+        by the constant ``pad``), then DCT, then the codec's encoder.  A
+        history row holding NaN or inf raises ValueError naming the row."""
         cfg = self.config
         if not isinstance(history, Tensor):
             history = Tensor(history)
         if history.ndim != 3 or history.shape[1] != cfg.pose_dim:
             raise ShapeError(
-                f"forward: expected (batch, {cfg.pose_dim}, t<= {cfg.total_frames}), "
+                f"forward: expected (batch, {cfg.pose_dim}, {cfg.history_frames}), "
                 f"got {history.shape}")
         if history.shape[2] != cfg.history_frames:
             raise ShapeError(
@@ -136,11 +134,20 @@ class MotionMoE:
                 f"forward: non-finite history in batch row(s) {', '.join(map(str, bad_rows))}")
         if train_mode and cfg.dropout > 0.0 and rng is None:
             raise ValueError("train-mode forward with dropout needs an explicit rng")
+        coeffs = dct_forward(matmul(history, self.pad), self.basis)
+        return self.codec.encode(coeffs, train_mode, rng)
 
-        padded = pad_sequence(history, cfg.total_frames)
-        coeffs = dct_forward(padded, self.basis)
-        f_input = self.codec.encode(coeffs, train_mode, rng)
+    def forward(self, history: Tensor | np.ndarray, train_mode: bool = False,
+                rng: np.random.Generator | None = None
+                ) -> tuple[Tensor, list[GateDecision]]:
+        """(batch, D, t) observed frames -> (batch, D, T) full trajectory.
 
+        The first t output frames are reconstructions, not copies; the
+        remaining T - t frames are the forecast.  Inputs are checked by
+        ``encode``.
+        """
+        cfg = self.config
+        f_input = self.encode(history, train_mode, rng)
         features = f_input
         decisions: list[GateDecision] = []
         for layer in self.layers:

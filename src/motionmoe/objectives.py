@@ -114,14 +114,26 @@ class MetricReport:
                           arow + f"\t{self.avg_ape:.2f}"])
 
 
+def horizon_frames(horizons: tuple[float, ...], fps: float, window: int) -> list[int]:
+    """The 1-based forecast-window frame of each horizon in seconds; raises
+    ValueError unless each lands on a whole frame inside the window."""
+    offsets = [round(h * fps) for h in horizons]
+    for h, offset in zip(horizons, offsets):
+        if abs(h * fps - offset) > 1e-9 or offset < 1:
+            raise ValueError(f"horizon {h}s does not map to a whole predicted frame at {fps} fps")
+        if offset > window:
+            raise ValueError(
+                f"horizon {h}s (frame {offset}) exceeds the {window}-frame forecast window")
+    return offsets
+
+
 def report_at_horizons(pred, gt, history_frames: int, fps: float,
                        horizons: tuple[float, ...],
                        root_index: int = 0) -> MetricReport:
     """JPE/APE at each horizon plus the average over every predicted frame.
 
     pred/gt: (M, J, 3, T).  A horizon h seconds maps to the (h * fps)-th
-    predicted frame, 1-based within the forecast window; it must land on an
-    integer frame inside the window.
+    predicted frame, 1-based within the forecast window (``horizon_frames``).
     """
     p, g = _as_array(pred), _as_array(gt)
     if p.shape != g.shape or p.ndim != 4 or p.shape[2] != 3:
@@ -132,15 +144,8 @@ def report_at_horizons(pred, gt, history_frames: int, fps: float,
         raise ShapeError(f"report_at_horizons: history_frames {t} outside (0, {t_total})")
 
     report = MetricReport(horizons=tuple(horizons))
-    for h in report.horizons:
-        frames = h * fps
-        offset = round(frames)
-        if abs(frames - offset) > 1e-9 or offset < 1:
-            raise ValueError(f"horizon {h}s does not map to a whole predicted frame at {fps} fps")
+    for h, offset in zip(report.horizons, horizon_frames(report.horizons, fps, t_total - t)):
         idx = t + offset - 1
-        if idx >= t_total:
-            raise ValueError(
-                f"horizon {h}s (frame {offset}) exceeds the {t_total - t}-frame forecast window")
         report.jpe_at[h] = jpe(p[..., idx], g[..., idx])
         report.ape_at[h] = ape(p[..., idx], g[..., idx], root_index)
     future = range(t, t_total)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, backward, get_default_dtype, reshape
-from .data import MotionSequence, batch_iter, unflatten_poses, write_atomic
+from .autodiff import Tape, Tensor, backward, reshape
+from .data import DataError, MotionSequence, batch_iter, write_atomic
 from .model import ModelConfig, MotionMoE
 from .objectives import LossWeights, report_at_horizons, total_loss
 
@@ -93,12 +93,23 @@ def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
             g *= scale
 
 
-def _batch_to_pose4d(flat: np.ndarray | Tensor, scene_persons: int):
-    """(B, D, T) with D = P*J*3 -> ndarray view (B*P, J, 3, T) for metrics."""
-    arr = flat.data if isinstance(flat, Tensor) else flat
-    b, d, t = arr.shape
-    j3 = d // scene_persons
-    return arr.reshape(b * scene_persons, j3 // 3, 3, t)
+def scene_batches(config: ModelConfig, sequences: list[MotionSequence],
+                  batch_size: int, shuffle_seed: int | None = None):
+    """Yield (history, target) of shape (scenes, pose_dim, t / T) for batches
+    of batch_size sequences.  A scene is scene_persons consecutive persons of
+    one sequence on the pose axis; ``reshape(-1, joints, 3, T)`` splits it
+    back into persons.  Mismatched joints, or persons that do not divide into
+    scenes, raise DataError before the first batch."""
+    for i, seq in enumerate(sequences):
+        if seq.joints != config.joints:
+            raise DataError(f"sequence {i} has {seq.joints} joints, the model {config.joints}")
+        if seq.persons % config.scene_persons:
+            raise DataError(f"sequence {i} has {seq.persons} person(s), not a multiple of "
+                            f"scene_persons={config.scene_persons}")
+    for hist, target in batch_iter(sequences, batch_size, config.history_frames,
+                                   config.total_frames, shuffle_seed):
+        yield (hist.reshape(-1, config.pose_dim, config.history_frames),
+               target.reshape(-1, config.pose_dim, config.total_frames))
 
 
 def run_epoch(model: MotionMoE, sequences: list[MotionSequence],
@@ -110,16 +121,14 @@ def run_epoch(model: MotionMoE, sequences: list[MotionSequence],
     shuffle_seed = int(rng.integers(0, 2 ** 63 - 1))
     params = model.parameters()
     losses = []
+    persons = (-1, cfg.joints, 3, cfg.total_frames)
     for batch_index, (hist, target) in enumerate(
-            batch_iter(sequences, settings.batch_size, cfg.history_frames,
-                       cfg.total_frames, shuffle_seed)):
-        hist, target = _regroup_scene(hist, target, cfg.scene_persons)
+            scene_batches(cfg, sequences, settings.batch_size, shuffle_seed)):
         model.zero_grad()
         with Tape() as tape:
             pred, _ = model.forward(Tensor(hist), train_mode=True, rng=rng)
-            b, d, t_total = pred.shape
-            pred4 = reshape(pred, (b * cfg.scene_persons, d // (3 * cfg.scene_persons), 3, t_total))
-            gt4 = Tensor(_batch_to_pose4d(target, cfg.scene_persons))
+            pred4 = reshape(pred, persons)
+            gt4 = Tensor(target.reshape(persons))
             loss = total_loss(pred4, gt4, cfg.history_frames, settings.loss)
             value = loss.item()
             if not np.isfinite(value):
@@ -136,31 +145,16 @@ def run_epoch(model: MotionMoE, sequences: list[MotionSequence],
     return float(np.mean(losses)) if losses else 0.0
 
 
-def _regroup_scene(hist: np.ndarray, target: np.ndarray, scene_persons: int):
-    """Concatenate groups of scene_persons consecutive rows along the pose
-    axis; rows are sequence-major so each group is one scene."""
-    if scene_persons == 1:
-        return hist, target
-    b, d, t = hist.shape
-    if b % scene_persons:
-        raise TrainingError(
-            f"batch of {b} person rows does not divide into scenes of {scene_persons}")
-    g = b // scene_persons
-    return (hist.reshape(g, scene_persons * d, t),
-            target.reshape(g, scene_persons * d, target.shape[2]))
-
-
 def evaluate(model: MotionMoE, sequences: list[MotionSequence],
              settings: TrainSettings, batch_size: int = 16):
     """Forecast every sequence in file order and score the forecast window."""
     cfg = model.config
+    persons = (-1, cfg.joints, 3, cfg.total_frames)
     preds, gts = [], []
-    for hist, target in batch_iter(sequences, batch_size, cfg.history_frames,
-                                   cfg.total_frames, shuffle_seed=None):
-        hist, target = _regroup_scene(hist, target, cfg.scene_persons)
+    for hist, target in scene_batches(cfg, sequences, batch_size):
         pred, _ = model.forward(Tensor(hist))
-        preds.append(_batch_to_pose4d(pred, cfg.scene_persons))
-        gts.append(_batch_to_pose4d(target, cfg.scene_persons))
+        preds.append(pred.data.reshape(persons))
+        gts.append(target.reshape(persons))
     pred = np.concatenate(preds, axis=0)
     gt = np.concatenate(gts, axis=0)
     return report_at_horizons(pred, gt, cfg.history_frames, settings.fps,
@@ -323,10 +317,7 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
         raise TrainingError("checkpoint checksum mismatch: the file is damaged")
 
     config = ModelConfig.from_dict(header["config"])
-    if expected_config is not None and config != expected_config:
-        stored, wanted = config.to_dict(), expected_config.to_dict()
-        diverging = sorted(k for k in wanted if stored.get(k) != wanted[k])
-        raise TrainingError(f"checkpoint config mismatch on field(s): {', '.join(diverging)}")
+    _check_config(config, expected_config)
 
     tensors = {}
     for name, dtype, shape, count, lo in layout:
@@ -336,11 +327,15 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
                       adam_meta=header["adam"], rng_state=_decode_rng(header["rng_state"]))
 
 
-def restore_into(model: MotionMoE, ckpt: Checkpoint) -> None:
-    if model.config != ckpt.config:
-        stored, wanted = ckpt.config.to_dict(), model.config.to_dict()
-        diverging = sorted(k for k in wanted if stored.get(k) != wanted[k])
+def _check_config(stored: ModelConfig, wanted: ModelConfig | None) -> None:
+    if wanted is not None and stored != wanted:
+        have, want = stored.to_dict(), wanted.to_dict()
+        diverging = sorted(k for k in want if have.get(k) != want[k])
         raise TrainingError(f"checkpoint config mismatch on field(s): {', '.join(diverging)}")
+
+
+def restore_into(model: MotionMoE, ckpt: Checkpoint) -> None:
+    _check_config(ckpt.config, model.config)
     params = model.parameters()
     for name, p in params.items():
         key = f"param/{name}"

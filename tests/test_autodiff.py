@@ -328,6 +328,16 @@ class TestTapeMechanics:
             ad.matmul(a, b)
         with pytest.raises(ad.ShapeError):
             ad.add(a, b)
+        with pytest.raises(ad.ShapeError, match="reshape"):
+            ad.reshape(a, (4, -1))
+
+    def test_reshape_infers_one_axis(self):
+        x = ad.Tensor(np.arange(12.0).reshape(2, 6), requires_grad=True)
+        with ad.Tape():
+            out = ad.reshape(x, (-1, 2, 3))
+            ad.backward(ad.reduce_sum(out))
+        assert out.shape == (2, 2, 3)
+        np.testing.assert_array_equal(x.grad, np.ones((2, 6)))
 
     def test_no_grad_leaf_never_differentiated(self):
         x = ad.Tensor(np.ones(2), requires_grad=True)

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from motionmoe import autodiff as ad
-from motionmoe import cli
+from motionmoe import cli, training
 from motionmoe.cli import main, read_feature_export
-from motionmoe.codec import pad_sequence
-from motionmoe.data import MAGIC, batch_iter, read_dataset
+from motionmoe.data import MAGIC, batch_iter, flatten_poses, read_dataset
 from motionmoe.dct import dct_forward
 from motionmoe.moe import expert_forward
 from motionmoe.training import load_checkpoint, model_from_checkpoint
@@ -48,6 +47,20 @@ def trained(tmp_path_factory):
     assert code == 0
     return {"data": data, "out": out_dir,
             "checkpoint": out_dir / "checkpoint_00002.stmc"}
+
+
+@pytest.fixture(scope="module")
+def scene_trained(tmp_path_factory):
+    """A tiny run with scene_persons=2 on two-person data: each model sample
+    is one scene of both persons."""
+    root = tmp_path_factory.mktemp("scenerun")
+    data = synth(root, persons=2)
+    out_dir = root / "run"
+    assert main(["train", *MICRO_SET, "--set", "scene_persons=2",
+                 "--set", f"train_data={data}", "--set", f"out_dir={out_dir}",
+                 "--set", "epochs=1"]) == 0
+    return {"data": data, "checkpoint": out_dir / "checkpoint_00001.stmc",
+            "three": synth(root, "three.mmp1", persons=3)}
 
 
 class TestSynth:
@@ -160,7 +173,7 @@ class TestPredict:
                     hist[0, 1, 1] = bad
                 yield hist, target
 
-        monkeypatch.setattr(cli, "batch_iter", poisoned)
+        monkeypatch.setattr(training, "batch_iter", poisoned)
         out = tmp_path / "pred.mmp1"
         code = main(["predict", "--checkpoint", str(trained["checkpoint"]),
                      "--data", str(trained["data"]), "--out", str(out)])
@@ -214,8 +227,8 @@ class TestExportFeatures:
         cfg, layer = model.config, model.layers[0]
         hist, _ = next(batch_iter(read_dataset(trained["data"]), 16, cfg.history_frames,
                                   cfg.total_frames, shuffle_seed=None))
-        features = model.codec.encode(dct_forward(
-            pad_sequence(ad.Tensor(hist[:5]), cfg.total_frames), model.basis))
+        padded = np.concatenate([hist[:5], np.repeat(hist[:5, :, -1:], 3, axis=-1)], axis=-1)
+        features = model.codec.encode(dct_forward(ad.Tensor(padded), model.basis))
         expected = []
         for kind in cfg.expert_pool:
             out = expert_forward(kind, layer.spatial, layer.temporal, features,
@@ -271,3 +284,72 @@ class TestParser:
         assert main(["--help"]) == 0
         text = capsys.readouterr().out
         assert "run config keys" in text and "synth spec keys" in text
+
+
+class TestScenes:
+    """Every checkpoint-consuming command groups persons into scenes as
+    training does."""
+
+    def run(self, scene_trained, command, out, *extra, data="data"):
+        return main([command, "--checkpoint", str(scene_trained["checkpoint"]),
+                     "--data", str(scene_trained[data]), "--out", str(out), *extra])
+
+    def test_eval(self, scene_trained, tmp_path):
+        assert self.run(scene_trained, "eval", tmp_path / "m.tsv", "--horizons", "0.04,0.12") == 0
+
+    def test_predict_splits_each_scene_forecast_into_persons(self, scene_trained, tmp_path):
+        out = tmp_path / "pred.mmp1"
+        assert self.run(scene_trained, "predict", out) == 0
+        preds, originals = read_dataset(out), read_dataset(scene_trained["data"])
+        assert len(preds) == len(originals)
+        model = model_from_checkpoint(load_checkpoint(scene_trained["checkpoint"]))
+        cfg = model.config
+        for pred, seq in zip(preds, originals):
+            assert pred.positions.shape == (2, 8, 3, 3)
+            scene = flatten_poses(seq.positions.astype(np.float64)).reshape(1, cfg.pose_dim, 8)
+            want, _ = model.forward(scene[:, :, :cfg.history_frames])
+            persons = want.data.reshape(2, 3, 3, 8).transpose(0, 3, 1, 2)
+            np.testing.assert_allclose(pred.positions, persons, rtol=1e-6, atol=1e-4)
+
+    def test_inspect_routing_counts_scenes(self, scene_trained, tmp_path):
+        out = tmp_path / "routing.txt"
+        assert self.run(scene_trained, "inspect-routing", out) == 0
+        assert sum(l.startswith("sample=") for l in out.read_text().splitlines()) == 6
+
+    def test_export_features_counts_scenes(self, scene_trained, tmp_path):
+        out = tmp_path / "features.bin"
+        assert self.run(scene_trained, "export-features", out) == 0
+        header, rows = read_feature_export(out)
+        assert header["samples"] == 6
+        assert header["width"] == 2 * 9 + 8
+        assert rows.shape == (6 * 4, 26)
+
+    def test_persons_not_dividing_into_scenes_exit_1(self, scene_trained, tmp_path, capsys):
+        out = tmp_path / "pred.mmp1"
+        assert self.run(scene_trained, "predict", out, data="three") == 1
+        assert "3 person(s), not a multiple of scene_persons=2" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestArgumentErrors:
+    """Bad argument values exit 2 with a message, before any forecast."""
+
+    @pytest.mark.parametrize("horizons", ["0.03", "abc", "0.04,1.0"])
+    def test_bad_horizons_exit_2_before_forecasting(self, trained, tmp_path, monkeypatch,
+                                                    capsys, horizons):
+        def no_forecast(*args, **kwargs):
+            raise AssertionError("evaluate ran")
+
+        monkeypatch.setattr(cli, "evaluate", no_forecast)
+        assert main(["eval", "--checkpoint", str(trained["checkpoint"]),
+                     "--data", str(trained["data"]), "--horizons", horizons]) == 2
+        assert "config error: --horizons" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [("inspect-routing", "--limit"),
+                                               ("export-features", "--samples")])
+    def test_negative_count_exits_2(self, trained, tmp_path, capsys, command, flag):
+        out = tmp_path / "out"
+        assert main([command, "--checkpoint", str(trained["checkpoint"]),
+                     "--data", str(trained["data"]), "--out", str(out), flag, "-1"]) == 2
+        assert "must be >= 0" in capsys.readouterr().err
+        assert not out.exists()

@@ -6,7 +6,7 @@ import pytest
 
 from motionmoe import autodiff as ad
 from motionmoe.codec import (GcnLayer, PoseCodec, apply_dropout,
-                             init_gcn_layer, init_pose_codec, pad_sequence)
+                             init_gcn_layer, init_pose_codec, padding_matrix)
 
 
 def loop_gcn(a, x, w, b, activation):
@@ -25,30 +25,52 @@ def loop_gcn(a, x, w, b, activation):
     return np.tanh(out) if activation == "tanh" else out
 
 
+def pad(x: ad.Tensor, total_frames: int) -> ad.Tensor:
+    return ad.matmul(x, ad.Tensor(padding_matrix(x.shape[-1], total_frames)))
+
+
 class TestPadding:
     def test_repeats_last_frame(self):
         x = ad.Tensor(np.arange(6, dtype=np.float64).reshape(1, 2, 3))
-        out = pad_sequence(x, 5)
+        out = pad(x, 5)
         assert out.shape == (1, 2, 5)
         np.testing.assert_array_equal(out.data[0, 0], [0, 1, 2, 2, 2])
         np.testing.assert_array_equal(out.data[0, 1], [3, 4, 5, 5, 5])
 
     def test_full_length_is_identity(self):
         x = ad.Tensor(np.random.default_rng(0).standard_normal((2, 4, 7)))
-        out = pad_sequence(x, 7)
+        out = pad(x, 7)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_too_long_raises(self):
-        x = ad.Tensor(np.zeros((1, 2, 9)))
-        with pytest.raises(ad.ShapeError, match="exceeds"):
-            pad_sequence(x, 8)
+        with pytest.raises(ad.ShapeError, match="got 9/8"):
+            padding_matrix(9, 8)
+        with pytest.raises(ad.ShapeError):
+            padding_matrix(0, 8)
 
     def test_gradient_accumulates_on_last_frame(self):
         x = ad.Tensor(np.zeros((1, 1, 3)), requires_grad=True)
         with ad.Tape():
-            ad.backward(ad.reduce_sum(pad_sequence(x, 6)))
+            ad.backward(ad.reduce_sum(pad(x, 6)))
         # three padded copies plus the original frame
         np.testing.assert_array_equal(x.grad[0, 0], [1.0, 1.0, 4.0])
+
+    @pytest.mark.parametrize("t, total", [(1, 2), (5, 8), (50, 75)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_numpy_pad_bit_for_bit(self, t, total, dtype):
+        # exact, so padding as a matmul leaves every later rounding unchanged
+        x = 3000.0 * np.random.default_rng(t).standard_normal((3, 6, t))
+        previous = ad.get_default_dtype()
+        ad.set_default_dtype(dtype)
+        try:
+            out = pad(ad.Tensor(x), total).data
+        finally:
+            ad.set_default_dtype(previous)
+        expected = x.astype(dtype)
+        expected = np.concatenate(
+            [expected, np.repeat(expected[..., -1:], total - t, axis=-1)], axis=-1)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, expected)
 
 
 class TestGcnLayer:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from motionmoe import autodiff as ad
+from motionmoe.dct import dct_forward
 from motionmoe.model import ModelConfig, MotionMoE, audit_parameters
 
 MICRO = dict(joints=3, history_frames=5, total_frames=8, state_dim=4,
@@ -123,6 +124,34 @@ class TestForward:
             return ad.reduce_sum(ad.mul(pred, ad.Tensor(w)))
 
         assert ad.finite_difference_check(f, x) < 1e-4
+
+    def test_encode_is_numpy_pad_then_dct_then_codec(self):
+        model = micro_model()
+        x = np.random.default_rng(9).standard_normal((3, 9, 5))
+        padded = np.concatenate([x, np.repeat(x[..., -1:], 3, axis=-1)], axis=-1)
+        expected = model.codec.encode(dct_forward(ad.Tensor(padded), model.basis)).data
+        np.testing.assert_array_equal(model.encode(x).data, expected)
+
+    def test_gradient_reaches_last_history_frame(self):
+        model = micro_model()
+        rng = np.random.default_rng(10)
+        x = ad.Tensor(rng.standard_normal((2, 9, 5)), requires_grad=True)
+        w = rng.uniform(0.5, 1.5, (2, 9, 8))
+
+        def f(t):
+            return ad.reduce_sum(ad.mul(model.encode(t), ad.Tensor(w)))
+
+        assert ad.finite_difference_check(f, x) < 1e-6
+        # the last frame collects the gradient of the three frames padded from it
+        padded = ad.Tensor(np.concatenate([x.data, np.repeat(x.data[..., -1:], 3, axis=-1)],
+                                          axis=-1), requires_grad=True)
+        with ad.Tape():
+            ad.backward(f(x))
+            coeffs = dct_forward(padded, model.basis)
+            ad.backward(ad.reduce_sum(ad.mul(model.codec.encode(coeffs), ad.Tensor(w))))
+        np.testing.assert_allclose(x.grad[..., :-1], padded.grad[..., :4], rtol=1e-12)
+        np.testing.assert_allclose(x.grad[..., -1], padded.grad[..., 4:].sum(axis=-1),
+                                   rtol=1e-12)
 
     def test_directional_derivative_over_parameters(self):
         model = micro_model()

@@ -11,12 +11,14 @@ import pytest
 
 from motionmoe import autodiff as ad
 from motionmoe import data, training
-from motionmoe.data import GeneratorSpec, synth_generate, write_dataset
+from motionmoe.data import (DataError, GeneratorSpec, flatten_poses, synth_generate,
+                            write_dataset)
 from motionmoe.model import ModelConfig, MotionMoE
 from motionmoe.training import (AdamState, TrainingError, TrainSettings,
                                 adam_step, evaluate, fit, load_checkpoint,
                                 lr_at_epoch, model_from_checkpoint,
-                                restore_into, run_epoch, save_checkpoint)
+                                restore_into, run_epoch, save_checkpoint,
+                                scene_batches)
 
 MICRO_MODEL = dict(joints=3, history_frames=5, total_frames=8, state_dim=4,
                    conv_width=2, codec_hidden=12, dropout=0.0)
@@ -152,6 +154,42 @@ class TestEpochs:
             np.testing.assert_array_equal(p.data, before[n])
 
 
+class TestScenes:
+    def test_a_scene_holds_the_persons_of_one_sequence(self):
+        cfg = ModelConfig(**MICRO_MODEL, scene_persons=2)
+        seqs = synth_generate(GeneratorSpec(**{**MICRO_DATA, "sequences": 5, "persons": 4}))
+        scenes = {}
+        for hist, target in scene_batches(cfg, seqs, 2, shuffle_seed=3):
+            assert hist.shape[1:] == (18, 5) and target.shape[1:] == (18, 8)
+            for h, g in zip(hist, target):
+                scenes[g.tobytes()] = h
+        # sequence i gives scenes (persons 0, 1) and (persons 2, 3), in any order
+        assert len(scenes) == 10
+        for seq in seqs:
+            flat = flatten_poses(seq.positions.astype(np.float64))
+            for pair in (flat[:2], flat[2:]):
+                scene = pair.reshape(18, 8)
+                np.testing.assert_array_equal(scenes[scene.tobytes()], scene[:, :5])
+
+    def test_persons_not_dividing_into_scenes_raise_before_a_step(self):
+        # with batch_size 2 the 6 person rows of a batch would divide into
+        # scenes of 2, pairing persons of different sequences
+        model = MotionMoE(ModelConfig(**MICRO_MODEL, scene_persons=2))
+        seqs = synth_generate(GeneratorSpec(**{**MICRO_DATA, "persons": 3}))
+        before = {n: p.data.copy() for n, p in model.parameters().items()}
+        settings = TrainSettings(epochs=1, batch_size=2, horizons=(0.04,))
+        with pytest.raises(DataError, match=r"sequence 0 has 3 person\(s\), not a multiple"):
+            fit(model, seqs, None, settings)
+        for n, p in model.parameters().items():
+            np.testing.assert_array_equal(p.data, before[n])
+
+    def test_other_joint_count_raises(self):
+        model, _, settings = micro_setup()
+        seqs = synth_generate(GeneratorSpec(**{**MICRO_DATA, "joints": 4}))
+        with pytest.raises(DataError, match="4 joints, the model 3"):
+            evaluate(model, seqs, settings)
+
+
 class TestCheckpoints:
     def test_save_load_round_trip(self, tmp_path):
         model, seqs, settings = micro_setup(epochs=2)
@@ -206,6 +244,27 @@ class TestCheckpoints:
         reference = [r["train_loss"] for r in straight]
         assert resumed == reference
         for name, p in model3.parameters().items():
+            np.testing.assert_array_equal(p.data, model.parameters()[name].data)
+
+    def test_float32_resume_matches_uninterrupted_run(self, tmp_path):
+        previous = ad.get_default_dtype()
+        ad.set_default_dtype(np.float32)
+        try:
+            model, seqs, settings = micro_setup(epochs=5)
+            straight = fit(model, seqs, None, settings)
+            model2, _, settings2 = micro_setup(epochs=3)
+            settings2.out_dir = str(tmp_path)
+            first_leg = fit(model2, seqs, None, settings2)
+            ckpt = load_checkpoint(tmp_path / "checkpoint_00003.stmc")
+            model3, _, settings3 = micro_setup(epochs=5)
+            second_leg = fit(model3, seqs, None, settings3, resume=ckpt)
+        finally:
+            ad.set_default_dtype(previous)
+        assert all(arr.dtype == np.float32 for arr in ckpt.tensors.values())
+        resumed = [r["train_loss"] for r in first_leg + second_leg]
+        assert resumed == [r["train_loss"] for r in straight]
+        for name, p in model3.parameters().items():
+            assert p.data.dtype == np.float32
             np.testing.assert_array_equal(p.data, model.parameters()[name].data)
 
     def test_config_mismatch_names_fields(self, tmp_path):
