@@ -589,6 +589,22 @@ def _p_concat(inputs, attrs):
     return out, bwd
 
 
+def _p_take_rows(inputs, attrs):
+    (x,) = inputs
+    rows = np.asarray(attrs["rows"])
+    if (x.ndim == 0 or rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer)
+            or (rows.size and not 0 <= rows.min() <= rows.max() < x.shape[0])):
+        raise ShapeError(f"take_rows: rows must be 1-D integers inside axis 0 of {x.shape}, "
+                         f"got {rows.dtype} rows of shape {rows.shape}")
+
+    def bwd(g):
+        gx = np.zeros_like(x)
+        np.add.at(gx, rows, g)  # a row taken twice gathers both adjoints
+        return (gx,)
+
+    return x[rows], bwd
+
+
 def _p_topk_mask(inputs, attrs):
     (x,) = inputs
     k = attrs["k"]
@@ -628,6 +644,7 @@ _PRIMITIVES: dict[str, Callable] = {
     "broadcast": _p_broadcast,
     "slice": _p_slice,
     "concat": _p_concat,
+    "take_rows": _p_take_rows,
     "topk_mask": _p_topk_mask,
 }
 
@@ -726,6 +743,11 @@ def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:
 
 def concat(tensors: Sequence, axis: int) -> Tensor:
     return apply_primitive("concat", tuple(tensors), {"axis": axis})
+
+
+def take_rows(x, rows) -> Tensor:
+    """``x[rows]`` along axis 0 for a 1-D integer index array."""
+    return apply_primitive("take_rows", (x,), {"rows": rows})
 
 
 def topk_mask(x, k: int) -> Tensor:

@@ -82,6 +82,11 @@ def _set_dtype(values: dict) -> None:
     set_default_dtype(np.float32 if name == "float32" else np.float64)
 
 
+def _check_root_joint(name: str, root_joint: int, joints: int) -> None:
+    if not 0 <= root_joint < joints:
+        raise ConfigError(f"{name} {root_joint} is not a joint index in [0, {joints})")
+
+
 def cmd_train(args) -> int:
     values = _load_run_config(args)
     if not values["train_data"]:
@@ -89,6 +94,7 @@ def cmd_train(args) -> int:
     _set_dtype(values)
     config = model_config_from(values)
     settings = train_settings_from(values)
+    _check_root_joint("root_joint", settings.root_joint, config.joints)
 
     train_seqs = read_dataset(values["train_data"])
     if not train_seqs:
@@ -134,6 +140,7 @@ def cmd_eval(args) -> int:
         horizon_frames(horizons, args.fps, cfg.total_frames - cfg.history_frames)
     except ValueError as exc:
         raise ConfigError(f"--horizons: {exc}") from None
+    _check_root_joint("--root-joint", args.root_joint, cfg.joints)
     settings = TrainSettings(fps=args.fps, horizons=horizons, root_joint=args.root_joint)
     report = evaluate(model, sequences, settings)
     table = report.to_table()
@@ -166,6 +173,7 @@ def cmd_inspect_routing(args) -> int:
     pool = cfg.expert_pool
     lines = []
     mass = np.zeros(cfg.n_experts)
+    routed = np.zeros(cfg.n_experts, dtype=int)
     count = 0
     for hist, _ in scene_batches(cfg, sequences, 16):
         if args.limit and count >= args.limit:
@@ -176,8 +184,10 @@ def cmd_inspect_routing(args) -> int:
         for layer_index, decision in enumerate(decisions):
             lines.extend(decision.to_lines(sample_offset=count, layer=layer_index))
             mass += decision.weights.data.sum(axis=0)
+            routed += np.count_nonzero(decision.weights.data, axis=0)
         count += hist.shape[0]
-    histogram = [f"expert={kind} mass={mass[i]:.6f}" for i, kind in enumerate(pool)]
+    histogram = [f"expert={kind} rows={routed[i]} mass={mass[i]:.6f}"
+                 for i, kind in enumerate(pool)]
     text = "\n".join(lines + histogram) + "\n"
     Path(args.out).write_text(text)
     print("\n".join(histogram))

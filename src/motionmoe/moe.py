@@ -16,9 +16,12 @@ With the full pool that is six block applications per layer, not eight.
 
 The gate reduces each sample's feature map by a temporal mean, applies one
 linear layer, keeps the top-k logits (ties to the lowest index), masks the
-rest to -inf and softmaxes.  Experts whose weight is zero for every sample
-in the batch are skipped; skipping is numerically identical to evaluating
-and multiplying by zero.  There is no auxiliary load-balancing loss.
+rest to -inf and softmaxes.  Each expert runs only on the batch rows that
+give it a nonzero weight: a first stage runs on the rows of the experts
+that start with it, and each weighted expert output is scattered back into
+the batch, with zeros in every other row.  Skipping a row is numerically
+identical to evaluating it and multiplying by zero.  There is no auxiliary
+load-balancing loss.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (ShapeError, Tensor, add, matmul, mul, reduce_mean,
-                       reshape, slice_axis, softmax_lastaxis, topk_mask,
-                       transpose)
+from .autodiff import (ShapeError, Tensor, add, concat, matmul, mul,
+                       reduce_mean, reshape, slice_axis, softmax_lastaxis,
+                       take_rows, topk_mask, transpose)
 from .ssm import BiBlockParams, bidirectional_forward
 
 EXPERT_KINDS = ("ST", "TT", "TS", "SS")
@@ -111,23 +114,35 @@ def _stage(name: str, shared_s: BiBlockParams, shared_t: BiBlockParams,
 
 def expert_outputs(kinds, shared_s: BiBlockParams, shared_t: BiBlockParams,
                    features: Tensor, scan_mode: str = "bidirectional",
-                   flip_back: bool = True) -> dict[str, Tensor]:
+                   flip_back: bool = True, rows=None) -> dict[str, Tensor]:
     """Each distinct kind in ``kinds`` applied to (batch, D, T) features.
 
     A kind names its stages, first stage first.  Each first stage is
     computed once and shared by every kind that starts with it, so the full
-    pool makes six block applications, not eight.
+    pool makes six block applications, not eight.  ``rows`` maps each kind
+    to its sorted batch rows, and that kind's output holds only those rows;
+    a first stage then runs on the union of its kinds' rows.  ``None`` means
+    every row.  A stage whose rows are the whole batch is not gathered.
     """
-    firsts: dict[str, Tensor] = {}
-    outs: dict[str, Tensor] = {}
+    kinds = list(dict.fromkeys(kinds))
     for kind in kinds:
         if kind not in EXPERT_KINDS:
             raise ValueError(f"unknown expert kind {kind!r}, expected one of {EXPERT_KINDS}")
-        if kind in outs:
-            continue
+    bsz = features.shape[0]
+    want = {kind: np.arange(bsz) if rows is None else np.asarray(rows[kind]) for kind in kinds}
+    firsts: dict[str, tuple[np.ndarray, Tensor]] = {}
+    outs: dict[str, Tensor] = {}
+    for kind in kinds:
         if kind[0] not in firsts:
-            firsts[kind[0]] = _stage(kind[0], shared_s, shared_t, features, scan_mode, flip_back)
-        outs[kind] = _stage(kind[1], shared_s, shared_t, firsts[kind[0]], scan_mode, flip_back)
+            # np.unique would import numpy.ma on first use: 6 ms and 1.7 MB
+            head = np.flatnonzero(np.bincount(np.concatenate(
+                [want[k] for k in kinds if k[0] == kind[0]]), minlength=bsz))
+            x = features if len(head) == bsz else take_rows(features, head)
+            firsts[kind[0]] = head, _stage(kind[0], shared_s, shared_t, x, scan_mode, flip_back)
+        head, first = firsts[kind[0]]
+        if len(want[kind]) < len(head):
+            first = take_rows(first, np.searchsorted(head, want[kind]))
+        outs[kind] = _stage(kind[1], shared_s, shared_t, first, scan_mode, flip_back)
     return outs
 
 
@@ -142,18 +157,33 @@ def moe_layer_forward(router: RouterParams, shared_s: BiBlockParams,
                       shared_t: BiBlockParams, pool: tuple[str, ...],
                       features: Tensor, scan_mode: str = "bidirectional",
                       flip_back: bool = True) -> tuple[Tensor, GateDecision]:
-    """Weighted sum of expert outputs under the gate's sparse decision."""
+    """Weighted sum of expert outputs under the gate's sparse decision; each
+    expert runs only on the batch rows that give it a nonzero weight."""
     if len(pool) != router.n_experts:
         raise ShapeError(f"pool size {len(pool)} != router width {router.n_experts}")
     decision = gate(router, features)
-    used = [e for e in range(len(pool)) if np.any(decision.weights.data[:, e] != 0.0)]
-    outs = expert_outputs([pool[e] for e in used], shared_s, shared_t, features,
-                          scan_mode, flip_back)
     bsz = features.shape[0]
+    routed = decision.weights.data != 0.0
+    used = [e for e in range(len(pool)) if routed[:, e].any()]
+    # a kind listed twice in the pool runs on the rows of both its experts
+    kind_rows = {pool[e]: np.flatnonzero(routed[:, [i for i in used if pool[i] == pool[e]]]
+                                         .any(axis=1)) for e in used}
+    outs = expert_outputs(list(kind_rows), shared_s, shared_t, features, scan_mode,
+                          flip_back, rows=kind_rows)
     out = None
     for e in used:
+        rows = kind_rows[pool[e]]
         w_col = reshape(slice_axis(decision.weights, axis=1, start=e, stop=e + 1),
                         (bsz, 1, 1))
-        term = mul(outs[pool[e]], w_col)
+        if len(rows) == bsz:
+            term = mul(outs[pool[e]], w_col)
+        else:
+            # weight the routed rows, then scatter them back: every other
+            # batch row gathers the appended zero row
+            term = mul(outs[pool[e]], take_rows(w_col, rows))
+            zero = Tensor(np.zeros((1,) + term.shape[1:], dtype=term.data.dtype))
+            slot = np.full(bsz, len(rows))
+            slot[rows] = np.arange(len(rows))
+            term = take_rows(concat([term, zero], axis=0), slot)
         out = term if out is None else add(out, term)
     return out, decision

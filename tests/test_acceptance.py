@@ -151,6 +151,13 @@ def primitive_cases(name, rng):
         w = well_scaled(rng, tuple(cat_shape))
         return [(lambda t: weighted_sum(ad.concat([t, other], axis), w), x),
                 (lambda t: weighted_sum(ad.concat([other, t], axis), w), x)]
+    if name == "take_rows":
+        shape = rand_shape(rng)
+        # repeated and unordered rows, so adjoints of one row accumulate
+        rows = rng.integers(0, shape[0], size=int(rng.integers(1, 2 * shape[0] + 2)))
+        x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+        w = well_scaled(rng, (len(rows),) + shape[1:])
+        return [(lambda t: weighted_sum(ad.take_rows(t, rows), w), x)]
     if name == "topk_mask":
         shape = rand_shape(rng)
         x = ad.Tensor(spaced_values(rng, shape), requires_grad=True)

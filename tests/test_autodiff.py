@@ -200,6 +200,15 @@ class TestPrimitiveGradients:
         # exp turns the -inf fill into an exact 0 so the objective stays finite
         check(lambda t: weighted_sum(ad.exp(ad.topk_mask(t, k)), w), x)
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_take_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = rand_shape(rng)
+        rows = rng.integers(0, shape[0], size=int(rng.integers(1, 2 * shape[0] + 2)))
+        x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+        w = well_scaled(rng, (len(rows),) + shape[1:])
+        check(lambda t: weighted_sum(ad.take_rows(t, rows), w), x)
+
 
 class TestFrozenDerivatives:
     def test_silu_derivative_at_zero(self):
@@ -330,6 +339,30 @@ class TestTapeMechanics:
             ad.add(a, b)
         with pytest.raises(ad.ShapeError, match="reshape"):
             ad.reshape(a, (4, -1))
+
+    def test_take_rows_accumulates_repeated_rows(self):
+        x = ad.Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
+        rows = np.array([2, 0, 2, 3, 2])
+        w = ad.Tensor(np.arange(10.0).reshape(5, 2))
+        with ad.Tape():
+            out = ad.take_rows(x, rows)
+            ad.backward(ad.reduce_sum(ad.mul(out, w)))
+        np.testing.assert_array_equal(out.data, x.data[rows])
+        # row 2 is taken three times, row 1 never
+        np.testing.assert_array_equal(x.grad, [[2.0, 3.0], [0.0, 0.0],
+                                               [0.0 + 4.0 + 8.0, 1.0 + 5.0 + 9.0],
+                                               [6.0, 7.0]])
+
+    @pytest.mark.parametrize("rows", [np.array([[0, 1]]), np.array([0.0, 1.0]),
+                                      np.array([True, False, True]), np.array([0, 3]),
+                                      np.array([-1]), np.array(1)])
+    def test_take_rows_rejects_bad_rows(self, rows):
+        with pytest.raises(ad.ShapeError, match="take_rows"):
+            ad.take_rows(ad.Tensor(np.ones((3, 2))), rows)
+
+    def test_take_rows_rejects_scalar_input(self):
+        with pytest.raises(ad.ShapeError, match="take_rows"):
+            ad.take_rows(ad.Tensor(np.float64(1.0)), np.array([0]))
 
     def test_reshape_infers_one_axis(self):
         x = ad.Tensor(np.arange(12.0).reshape(2, 6), requires_grad=True)

@@ -13,8 +13,10 @@ from motionmoe import cli, training
 from motionmoe.cli import main, read_feature_export
 from motionmoe.data import MAGIC, batch_iter, flatten_poses, read_dataset
 from motionmoe.dct import dct_forward
+from motionmoe.model import ModelConfig, MotionMoE
 from motionmoe.moe import expert_forward
-from motionmoe.training import load_checkpoint, model_from_checkpoint
+from motionmoe.training import (AdamState, load_checkpoint, model_from_checkpoint,
+                                save_checkpoint)
 
 MICRO_SET = ["--set", "joints=3", "--set", "history_frames=5",
              "--set", "total_frames=8", "--set", "state_dim=4",
@@ -196,6 +198,29 @@ class TestInspectRouting:
         total = sum(float(l.rpartition("=")[2]) for l in mass_lines)
         assert total == pytest.approx(6.0, abs=1e-3)
 
+    def test_row_counts_sum_to_k_per_sample_and_layer(self, trained, tmp_path):
+        # an untrained top-2 model with two layers, saved without training
+        model = MotionMoE(ModelConfig(joints=3, history_frames=5, total_frames=8,
+                                      state_dim=4, conv_width=2, codec_hidden=12,
+                                      active_experts=2, moe_layers=2, seed=1))
+        ckpt = tmp_path / "top2.stmc"
+        save_checkpoint(ckpt, model, AdamState(), 0, np.random.default_rng(0))
+        out = tmp_path / "routing.txt"
+        assert main(["inspect-routing", "--checkpoint", str(ckpt),
+                     "--data", str(trained["data"]), "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        kept = [l.split("kept=")[1].split()[0].split(",") for l in lines
+                if l.startswith("sample=")]
+        histogram = [dict(f.split("=") for f in l.split()) for l in lines
+                     if l.startswith("expert=")]
+        assert [h["expert"] for h in histogram] == ["ST", "TT", "TS", "SS"]
+        rows = [int(h["rows"]) for h in histogram]
+        assert sum(rows) == 2 * 6 * 2  # k x samples x layers
+        assert rows == [sum(str(e) in picks for picks in kept) for e in range(4)]
+        # mass stays the last field
+        assert all(l.rpartition(" ")[2].startswith("mass=") for l in lines
+                   if l.startswith("expert="))
+
     def test_limit(self, trained, tmp_path):
         out = tmp_path / "routing.txt"
         main(["inspect-routing", "--checkpoint", str(trained["checkpoint"]),
@@ -344,6 +369,29 @@ class TestArgumentErrors:
         assert main(["eval", "--checkpoint", str(trained["checkpoint"]),
                      "--data", str(trained["data"]), "--horizons", horizons]) == 2
         assert "config error: --horizons" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("root_joint", ["3", "-1"])
+    def test_eval_root_joint_outside_skeleton_exits_2_before_forecasting(
+            self, trained, monkeypatch, capsys, root_joint):
+        def no_forecast(*args, **kwargs):
+            raise AssertionError("evaluate ran")
+
+        monkeypatch.setattr(cli, "evaluate", no_forecast)
+        assert main(["eval", "--checkpoint", str(trained["checkpoint"]),
+                     "--data", str(trained["data"]), "--horizons", "0.04,0.12",
+                     "--root-joint", root_joint]) == 2
+        assert f"config error: --root-joint {root_joint}" in capsys.readouterr().err
+
+    def test_train_root_joint_outside_skeleton_exits_2_before_epoch_1(
+            self, trained, tmp_path, monkeypatch, capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("fit ran")
+
+        monkeypatch.setattr(cli, "fit", no_training)
+        assert main(["train", *MICRO_SET, "--set", f"train_data={trained['data']}",
+                     "--set", f"val_data={trained['data']}", "--set", "root_joint=7",
+                     "--set", f"out_dir={tmp_path / 'run'}"]) == 2
+        assert "config error: root_joint 7" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flag", [("inspect-routing", "--limit"),
                                                ("export-features", "--samples")])

@@ -6,6 +6,7 @@ import pytest
 
 from motionmoe import autodiff as ad
 from motionmoe import ssm
+from motionmoe.model import ModelConfig, MotionMoE
 from motionmoe.moe import (EXPERT_KINDS, GateDecision, RouterParams,
                            expert_forward, gate, init_router,
                            moe_layer_forward)
@@ -32,6 +33,22 @@ def rigged_gate(logit_rows, k):
         router.gate_bias.data[:] = row
         out.append(gate(router, ad.Tensor(np.zeros((1, 3, 2)))))
     return out
+
+
+def pin_routing(router, x_data, picks):
+    """Make batch row i of ``x_data`` keep exactly the experts ``picks[i]``:
+    the gate reads its first N feature channels through an identity, and
+    those channels get a temporal mean that ranks the picked experts first."""
+    n = router.n_experts
+    router.gate_weight.data[:] = 0.0
+    router.gate_weight.data[:n, :n] = np.eye(n)
+    router.gate_bias.data[:] = 0.0
+    logits = np.full((len(picks), n), -1.0)
+    for i, kept in enumerate(picks):
+        logits[i, list(kept)] = 1.0 + 0.25 * np.arange(len(kept))
+    pinned = x_data - x_data.mean(axis=2, keepdims=True)
+    pinned[:, :n, :] += logits[:, :, None]
+    return pinned
 
 
 class TestGate:
@@ -272,7 +289,30 @@ class TestSharedComputation:
         router, shared_s, shared_t, params = self.make_layer(pool, k)
         rng = np.random.default_rng(21)
         x_data = rng.standard_normal((4, 5, 7))
-        w = ad.Tensor(rng.standard_normal((4, 5, 7)))
+        w_data = rng.standard_normal((4, 5, 7))
+        self.assert_matches_unshared(router, shared_s, shared_t, params, pool, x_data,
+                                     w_data, scan_mode, flip_back)
+
+    @pytest.mark.parametrize("picks", [
+        # T first serves row 2 alone (TT); S first serves every row
+        [(0, 3), (0, 3), (0, 1), (0, 3)],
+        # S first serves row 0 alone (SS); T first serves every row
+        [(2, 3), (1, 2), (1, 2), (1, 2)],
+    ])
+    def test_single_row_first_stage_matches_unshared(self, picks):
+        router, shared_s, shared_t, params = self.make_layer(EXPERT_KINDS, 2)
+        rng = np.random.default_rng(24)
+        x_data = pin_routing(router, rng.standard_normal((4, 5, 7)), picks)
+        w_data = rng.standard_normal((4, 5, 7))
+        decision = gate(router, ad.Tensor(x_data))
+        np.testing.assert_array_equal(decision.kept, picks)
+        self.assert_matches_unshared(router, shared_s, shared_t, params, EXPERT_KINDS,
+                                     x_data, w_data, "bidirectional", True)
+
+    @staticmethod
+    def assert_matches_unshared(router, shared_s, shared_t, params, pool, x_data,
+                                w_data, scan_mode, flip_back):
+        w = ad.Tensor(w_data)
 
         def run(mixture):
             for p in params:
@@ -331,3 +371,53 @@ class TestSharedComputation:
         x = ad.Tensor(np.random.default_rng(23).standard_normal((2, 5, 7)))
         moe_layer_forward(router, shared_s, shared_t, EXPERT_KINDS, x)
         assert blocks == [shared_s.mamba, shared_s.mamba]
+
+
+class TestRowDispatch:
+    def make_layer(self, k):
+        return TestSharedComputation().make_layer(EXPERT_KINDS, k)[:3]
+
+    def block_calls(self, router, shared_s, shared_t, x_data, monkeypatch):
+        """(block, rows) of each stacked Mamba call of one mixture layer."""
+        names = {id(shared_s.mamba): "S", id(shared_t.mamba): "T"}
+        calls = []
+        original = ssm.mamba_block_forward
+
+        def counting(params, x):
+            calls.append((names[id(params)], x.shape[0]))
+            return original(params, x)
+
+        monkeypatch.setattr(ssm, "mamba_block_forward", counting)
+        moe_layer_forward(router, shared_s, shared_t, EXPERT_KINDS, ad.Tensor(x_data))
+        return calls
+
+    def test_each_stage_runs_on_its_routed_rows(self, monkeypatch):
+        router, shared_s, shared_t = self.make_layer(2)
+        # rows 0 and 3 keep ST and TT, row 1 ST and SS, row 2 TT and TS
+        x_data = pin_routing(router, np.random.default_rng(25).standard_normal((4, 5, 7)),
+                             [(0, 1), (0, 3), (1, 2), (0, 1)])
+        calls = self.block_calls(router, shared_s, shared_t, x_data, monkeypatch)
+        # each call stacks both directions, so it gets 2x the routed rows:
+        # S first on rows {0, 1, 3}, ST's second stage on {0, 1, 3}, T first
+        # on {0, 2, 3}, TT's second stage on {0, 2, 3}, TS's on {2}, SS's on {1}
+        assert calls == [("S", 6), ("T", 6), ("T", 6), ("T", 6), ("S", 2), ("S", 2)]
+
+    def test_first_stage_no_routed_kind_needs_is_never_called(self, monkeypatch):
+        router, shared_s, shared_t = self.make_layer(1)
+        x_data = pin_routing(router, np.random.default_rng(26).standard_normal((3, 5, 7)),
+                             [(0,), (3,), (0,)])
+        calls = self.block_calls(router, shared_s, shared_t, x_data, monkeypatch)
+        # S first on every row, ST's temporal stage on rows {0, 2}, SS's
+        # spatial stage on row 1; no kind starting with T is routed
+        assert calls == [("S", 6), ("T", 4), ("S", 2)]
+
+    def test_full_pool_records_no_gather(self):
+        # a train_overfit-shaped forward with k == n: every stage's rows are
+        # the whole batch, so the tape holds the dense layer's nodes exactly
+        model = MotionMoE(ModelConfig(joints=3, history_frames=5, total_frames=8,
+                                      active_experts=4, moe_layers=1, dropout=0.0, seed=0))
+        hist = np.random.default_rng(0).standard_normal((8, 9, 5)) * 30.0
+        with ad.Tape() as tape:
+            model.forward(ad.Tensor(hist), train_mode=True, rng=np.random.default_rng(0))
+        assert len(tape.nodes) == 262
+        assert "take_rows" not in {node.op for node in tape.nodes}
