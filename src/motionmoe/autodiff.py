@@ -263,12 +263,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp of a non-positive argument only, so no overflow on either branch:
-    # 1 / (1 + z) for x >= 0 and z / (1 + z) below, with z = exp(-|x|),
-    # formed in place so that two arrays of x's size are live, not six
-    z = np.abs(x)
+    # 1 / (1 + z) for x >= 0 and z / (1 + z) below, with z = exp(-|x|) <= 1,
+    # so the numerator is max(sign(x), z).  Formed in place, two arrays of
+    # x's size live; out= keeps a 0-d input an array.
+    z = np.abs(x, out=np.empty_like(x))
     np.negative(z, out=z)
     np.exp(z, out=z)
-    out = np.where(x >= 0, 1.0, z)
+    out = np.sign(x, out=np.empty_like(x))
+    np.maximum(out, z, out=out)
     z += 1.0
     out /= z
     return out
@@ -347,7 +349,13 @@ def _p_exp(inputs, attrs):
 
 def _p_softplus(inputs, attrs):
     (x,) = inputs
-    out = np.logaddexp(0.0, x)
+    # log1p(exp(-|x|)) + max(x, 0), formed in one array of x's size: the
+    # second term is added only where it is not zero
+    out = np.abs(x, out=np.empty_like(x))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    np.add(out, x, out=out, where=x > 0.0)
 
     def bwd(g):
         return (g * _sigmoid(x),)
@@ -517,17 +525,22 @@ def _p_depthwise_causal_conv1d(inputs, attrs):
     if kernel.ndim != 2 or kernel.shape[0] != x.shape[2]:
         raise ShapeError(
             f"depthwise_causal_conv1d: kernel must be (channels={x.shape[2]}, width), got {kernel.shape}")
-    w = kernel.shape[1]
-    padded = np.pad(x, ((0, 0), (w - 1, 0), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, w, axis=1)  # (B, L, C, W)
-    out = np.einsum("blcw,cw->blc", windows, kernel)
+    w, length = kernel.shape[1], x.shape[1]
+    # tap w - 1 - shift reads x shifted right by shift.  Taps add up from
+    # zero in ascending order, the order of a window sum over the padded
+    # input, so results match that sum bit for bit
+    out = np.zeros_like(x, dtype=np.result_type(x, kernel))
+    for shift in reversed(range(min(w, length))):
+        out[:, shift:] += x[:, :length - shift] * kernel[:, w - 1 - shift]
 
     def bwd(g):
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.pad(x, ((0, 0), (w - 1, 0), (0, 0))), w, axis=1)  # (B, L, C, W)
         gk = np.einsum("blc,blcw->cw", g, windows)
-        g_padded = np.pad(g, ((0, 0), (0, w - 1), (0, 0)))
-        g_windows = np.lib.stride_tricks.sliding_window_view(g_padded, w, axis=1)
-        gx = np.einsum("blcw,cw->blc", g_windows, kernel[:, ::-1])
-        return np.ascontiguousarray(gx), gk
+        gx = np.zeros_like(g)
+        for shift in range(min(w, length)):
+            gx[:, :length - shift] += g[:, shift:] * kernel[:, w - 1 - shift]
+        return gx, gk
 
     return out, bwd
 

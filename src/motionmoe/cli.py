@@ -95,6 +95,11 @@ def cmd_train(args) -> int:
     config = model_config_from(values)
     settings = train_settings_from(values)
     _check_root_joint("root_joint", settings.root_joint, config.joints)
+    try:
+        horizon_frames(settings.horizons, settings.fps,
+                       config.total_frames - config.history_frames)
+    except ValueError as exc:
+        raise ConfigError(f"horizons: {exc}") from None
 
     train_seqs = read_dataset(values["train_data"])
     if not train_seqs:
@@ -154,14 +159,24 @@ def cmd_predict(args) -> int:
     model, sequences = _read_eval_pair(args)
     cfg = model.config
     out_seqs = []
-    for hist, _ in scene_batches(cfg, sequences, 1):
+    batch = 16
+    for hist, _ in scene_batches(cfg, sequences, batch):
+        first = len(out_seqs)
+        persons = [seq.persons for seq in sequences[first:first + batch]]
         try:
             pred, _ = model.forward(hist)
-        except ValueError as exc:  # non-finite history
-            raise DataError(f"sequence {len(out_seqs)}: {exc}") from None
-        # one row per person: (M, T, J, 3)
+        except ValueError:  # non-finite history: find its sequence's rows
+            rows = np.cumsum([0] + persons) // cfg.scene_persons
+            for i, (lo, hi) in enumerate(zip(rows[:-1], rows[1:])):
+                try:
+                    model.encode(hist[lo:hi])
+                except ValueError as exc:
+                    raise DataError(f"sequence {first + i}: {exc}") from None
+            raise
+        # one row per person: (M, T, J, 3) for each sequence
         poses = unflatten_poses(pred.data.reshape(-1, cfg.joints * 3, cfg.total_frames))
-        out_seqs.append(MotionSequence(poses.astype(np.float32), sequences[0].fps))
+        for part in np.split(poses, np.cumsum(persons)[:-1]):
+            out_seqs.append(MotionSequence(part.astype(np.float32), sequences[0].fps))
     write_dataset(out_seqs, args.out)
     print(f"wrote {len(out_seqs)} predicted sequences to {args.out}")
     return 0

@@ -15,9 +15,12 @@ The discretization is exact (zero-order hold) on the state path and Euler
 on the input path.  ``selective_scan`` fuses it into the scan: one tape op
 that forms exp(delta_i A) and delta_i B_i one step at a time, keeps only the
 hidden states, and recomputes the discretization in its hand-written
-reverse recurrence (Gu & Dao 2023, section 3.3).  ``selective_scan_reference``
-is the naive per-step oracle it is tested against, fed the discretization
-computed in plain numpy.  A tape-free block call holds no activation it no
+reverse recurrence (Gu & Dao 2023, section 3.3).  The state is held as
+(B, N, E*C), channels innermost, in both directions, so that each per-step
+product runs over E*C contiguous values rather than N = 16.
+``selective_scan_reference`` is the naive per-step oracle it is tested
+against, fed the discretization computed in plain numpy, with the state as
+(E*C, N).  A tape-free block call holds no activation it no
 longer needs: z is formed after the scan, and the scan's inputs are freed
 when it returns.
 
@@ -128,8 +131,8 @@ def selective_scan(delta: Tensor, a: Tensor, b: Tensor, c: Tensor, u: Tensor) ->
     delta: (B, L, EC) positive; a: (EC, N) negative; b, c: (B, L, N);
     u: (B, L, EC) -> (B, L, EC).  The discretized factors are formed one step
     at a time and never stored; the reverse recurrence recomputes
-    exp(delta_i x a).  The hidden states are the only 4-D array kept, and
-    only when the op is recorded on a tape.
+    exp(delta_i x a).  The hidden states, (L, B, N, EC), are the only 4-D
+    array kept, and only when the op is recorded on a tape.
     """
     dd, a_, bd, cd, ud = (t.data for t in (delta, a, b, c, u))
     if dd.ndim != 3:
@@ -147,37 +150,42 @@ def selective_scan(delta: Tensor, a: Tensor, b: Tensor, c: Tensor, u: Tensor) ->
 
     inputs = (delta, a, b, c, u)
     keep = is_recording(inputs)
-    states = np.empty((length, bsz, inner, n), dtype=dd.dtype) if keep else None
+    a_t = np.ascontiguousarray(a_.T)  # (N, EC), for the channel-innermost state
+    states = np.empty((length, bsz, n, inner), dtype=dd.dtype) if keep else None
     ys = np.empty((bsz, length, inner), dtype=dd.dtype)
-    h = np.zeros((bsz, inner, n), dtype=dd.dtype)
+    h = np.zeros((bsz, n, inner), dtype=dd.dtype)
+    # one scratch array for exp(delta_i x a), then for the input term, so
+    # that no step allocates a state-sized array
+    step = np.empty_like(h)
     for i in range(length):
-        a_bar = np.exp(dd[:, i, :, None] * a_)
-        h = np.multiply(a_bar, h, out=states[i] if keep else a_bar)
-        h += (dd[:, i] * ud[:, i])[:, :, None] * bd[:, i, None, :]
+        np.exp(np.multiply(dd[:, i, None, :], a_t, out=step), out=step)
+        h = np.multiply(step, h, out=states[i] if keep else h)
+        h += np.multiply((dd[:, i] * ud[:, i])[:, None, :], bd[:, i, :, None], out=step)
         if _debug_checks and not np.all(np.isfinite(h)):
             raise AutodiffError("selective_scan: non-finite hidden state")
-        np.matmul(h, cd[:, i, :, None], out=ys[:, i, :, None])
+        np.matmul(cd[:, i, None, :], h, out=ys[:, i, None, :])
 
     def bwd(g):
         # step-major copies, so that every per-step slice is contiguous
         g_t, d_t, b_t, c_t, u_t = (np.ascontiguousarray(x.swapaxes(0, 1))
                                    for x in (g, dd, bd, cd, ud))
         du_t = d_t * u_t
-        gc = np.matmul(g_t[:, :, None, :], states)[:, :, 0, :]
+        gc = np.matmul(states, g_t[:, :, :, None])[:, :, :, 0]
         gb = np.empty_like(b_t)
         gdu = np.empty_like(du_t)
-        # s_i = dL/d(delta_i x a); s_0 = 0 because h_0 = 0
+        # s_i = dL/d(delta_i x a), stored (B, N, EC); s_0 = 0 because h_0 = 0
         s = np.zeros_like(states)
-        gh = np.zeros((bsz, inner, n), dtype=dd.dtype)
+        gh = np.zeros((bsz, n, inner), dtype=dd.dtype)
+        step = np.empty_like(gh)
         for i in range(length - 1, -1, -1):
-            gh += g_t[i, :, :, None] * c_t[i, :, None, :]
-            np.matmul(gh, b_t[i, :, :, None], out=gdu[i, :, :, None])
-            np.matmul(du_t[i, :, None, :], gh, out=gb[i, :, None, :])
+            gh += np.multiply(c_t[i, :, :, None], g_t[i, :, None, :], out=step)
+            np.matmul(b_t[i, :, None, :], gh, out=gdu[i, :, None, :])
+            np.matmul(gh, du_t[i, :, :, None], out=gb[i, :, :, None])
             if i:
-                gh *= np.exp(d_t[i, :, :, None] * a_)
+                gh *= np.exp(np.multiply(d_t[i, :, None, :], a_t, out=step), out=step)
                 np.multiply(gh, states[i - 1], out=s[i])
-        gdelta = np.einsum("lbcn,cn->lbc", s, a_) + gdu * u_t
-        ga = np.einsum("lbcn,lbc->cn", s, d_t)
+        gdelta = np.einsum("lbnc,nc->lbc", s, a_t) + gdu * u_t
+        ga = np.einsum("lbnc,lbc->cn", s, d_t)
         gdelta, gb, gc, gu = (np.ascontiguousarray(x.swapaxes(0, 1))
                               for x in (gdelta, gb, gc, gdu * d_t))
         return gdelta, ga, gb, gc, gu

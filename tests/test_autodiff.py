@@ -2,6 +2,7 @@
 randomized shapes, plus tape bookkeeping invariants."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -95,6 +96,12 @@ class TestPrimitiveGradients:
         x = ad.Tensor(rng.uniform(-2.0, 2.0, shape), requires_grad=True)
         w = well_scaled(rng, shape)
         check(lambda t: weighted_sum(ad.apply_primitive(name, (t,)), w), x)
+
+    @pytest.mark.parametrize("value", [-1.3, 0.0, 0.7])
+    @pytest.mark.parametrize("name", ["softplus", "silu"])
+    def test_elementwise_unary_zero_d(self, name, value):
+        x = ad.Tensor(np.array(value), requires_grad=True)
+        check(lambda t: ad.mul(ad.apply_primitive(name, (t,)), ad.Tensor(np.array(1.5))), x)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_transpose_reverse_reshape(self, seed):
@@ -227,6 +234,115 @@ class TestFrozenDerivatives:
         out = ad.matmul(a, b)
         assert out.shape == (2, 2)
         np.testing.assert_allclose(out.data, a.data @ b.data)
+
+
+def where_sigmoid(x):
+    """The sigmoid with its numerator picked by np.where: the reference
+    that the max(sign(x), z) numerator matches bit for bit."""
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, z) / (1.0 + z)
+
+
+def window_conv(x, kernel):
+    """The causal conv as a window einsum over the left-padded input."""
+    w = kernel.shape[1]
+    padded = np.pad(x, ((0, 0), (w - 1, 0), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, w, axis=1)
+    return np.einsum("blcw,cw->blc", windows, kernel)
+
+
+def same_bits(a, b):
+    """Equal bit for bit, the sign of zero included; NaNs need only match
+    in position."""
+    nan = np.isnan(a)
+    if not np.array_equal(nan, np.isnan(b)):
+        return False
+    uint = np.uint64 if a.dtype == np.float64 else np.uint32
+    return a.dtype == b.dtype and np.array_equal(a[~nan].view(uint), b[~nan].view(uint))
+
+
+class TestBlockKernels:
+    """The elementwise kernels and the conv against the forms they replaced."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sigmoid_bit_identical_to_where_form(self, dtype):
+        info = np.finfo(dtype)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, info.tiny, -info.tiny,
+                   info.max, -info.max, 1e-30, -1e-30, 80.0, -80.0, 800.0, -800.0]
+        x = np.concatenate([np.random.default_rng(0).uniform(-60.0, 60.0, 20_000),
+                            np.random.default_rng(1).standard_normal(5_000) * 1e-3,
+                            special]).astype(dtype)
+        with np.errstate(over="ignore"):
+            assert same_bits(ad._sigmoid(x), where_sigmoid(x))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_softplus_matches_logaddexp(self, dtype):
+        # the rewrite is within 2.5 epsilons of logaddexp on this sample;
+        # the bound is 4 epsilons of the dtype, relative
+        info = np.finfo(dtype)
+        x = np.concatenate([np.random.default_rng(2).uniform(-60.0, 60.0, 20_000),
+                            np.random.default_rng(3).uniform(-1e4, 1e4, 500),
+                            [0.0, -0.0, info.tiny, -info.tiny, info.max, -info.max]]).astype(dtype)
+        got = ad.softplus(ad.Tensor(x, dtype=dtype)).data
+        want = np.logaddexp(dtype(0.0), x)
+        assert got.dtype == dtype
+        nonzero = want != 0.0
+        assert np.array_equal(got[~nonzero], want[~nonzero])
+        rel = np.abs(got[nonzero] - want[nonzero]) / want[nonzero]
+        assert rel.max() <= 4 * info.eps
+        np.testing.assert_array_equal(ad.softplus(ad.Tensor([np.inf, -np.inf], dtype=dtype)).data,
+                                      [np.inf, 0.0])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_conv_sums_taps_in_ascending_order(self, dtype):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            b, l, c = (int(rng.integers(1, 7)) for _ in range(3))
+            w = int(rng.integers(1, 6))
+            x = rng.standard_normal((b, l, c)).astype(dtype)
+            k = rng.standard_normal((c, w)).astype(dtype)
+            want = np.zeros_like(x)
+            for i in range(l):
+                for j in range(w):  # tap j reads frame i - (w - 1 - j)
+                    if i - (w - 1 - j) >= 0:
+                        want[:, i] += x[:, i - (w - 1 - j)] * k[:, j]
+            got = ad.depthwise_causal_conv1d(ad.Tensor(x, dtype=dtype), ad.Tensor(k, dtype=dtype))
+            assert same_bits(got.data, want), seed
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_conv_bit_identical_to_window_einsum(self, dtype):
+        # two or more channels, as every block has: with one channel the
+        # window is contiguous and einsum sums the taps in another order
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            b, l = (int(rng.integers(1, 9)) for _ in range(2))
+            c, w = int(rng.integers(2, 40)), int(rng.integers(1, 6))
+            x = ad.Tensor(rng.standard_normal((b, l, c)), requires_grad=True, dtype=dtype)
+            k = ad.Tensor(rng.standard_normal((c, w)), requires_grad=True, dtype=dtype)
+            g = rng.standard_normal((b, l, c)).astype(dtype)
+            with ad.Tape():
+                out = ad.depthwise_causal_conv1d(x, k)
+                ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(g, dtype=dtype))))
+            assert same_bits(out.data, window_conv(x.data, k.data)), seed
+            # the input gradient: windows of g padded at the end, taps reversed
+            g_windows = np.lib.stride_tricks.sliding_window_view(
+                np.pad(g, ((0, 0), (0, w - 1), (0, 0))), w, axis=1)
+            gx = np.einsum("blcw,cw->blc", g_windows, k.data[:, ::-1])
+            assert same_bits(x.grad, gx), seed
+
+    @pytest.mark.parametrize("name", ["silu", "softplus"])
+    def test_tape_free_peak_memory(self, name):
+        # a forecast's tape-free peak sits in these kernels: each holds at
+        # most two arrays of x's size besides x
+        x = ad.Tensor(np.random.default_rng(4).standard_normal((32, 90, 150)))
+        ad.apply_primitive(name, (x,))
+        tracemalloc.start()
+        try:
+            ad.apply_primitive(name, (x,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * x.data.nbytes
 
 
 class TestTapeMechanics:

@@ -167,12 +167,15 @@ class TestPredict:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_history_exits_1(self, trained, tmp_path, monkeypatch, capsys, bad):
         # the .mmp1 reader already refuses non-finite payloads, so the bad
-        # value is put into a batch the reader has passed
+        # value is put into sequence 2's row of whichever batch the reader
+        # has passed holds it (one person per sequence)
         def poisoned(*args, **kwargs):
-            for i, (hist, target) in enumerate(batch_iter(*args, **kwargs)):
-                if i == 2:
+            first = 0
+            for hist, target in batch_iter(*args, **kwargs):
+                if first <= 2 < first + len(hist):
                     hist = hist.copy()
-                    hist[0, 1, 1] = bad
+                    hist[2 - first, 1, 1] = bad
+                first += len(hist)
                 yield hist, target
 
         monkeypatch.setattr(training, "batch_iter", poisoned)
@@ -182,6 +185,28 @@ class TestPredict:
         assert code == 1
         assert "sequence 2: forward: non-finite history in batch row(s) 0" in capsys.readouterr().err
         assert not out.exists()
+
+
+    def test_forecasts_sixteen_sequences_per_forward(self, trained, tmp_path, monkeypatch):
+        calls = []
+        forward = MotionMoE.forward
+
+        def counted(model, hist, *args, **kwargs):
+            calls.append(len(hist))
+            return forward(model, hist, *args, **kwargs)
+
+        monkeypatch.setattr(MotionMoE, "forward", counted)
+        data = synth(tmp_path, "many.mmp1", sequences=20)
+        out = tmp_path / "pred.mmp1"
+        assert main(["predict", "--checkpoint", str(trained["checkpoint"]),
+                     "--data", str(data), "--out", str(out)]) == 0
+        assert calls == [16, 4]
+        model = model_from_checkpoint(load_checkpoint(trained["checkpoint"]))
+        for pred, seq in zip(read_dataset(out), read_dataset(data)):
+            scene = flatten_poses(seq.positions.astype(np.float64))
+            want, _ = forward(model, scene[:, :, :model.config.history_frames])
+            persons = want.data.reshape(1, 3, 3, 8).transpose(0, 3, 1, 2)
+            np.testing.assert_allclose(pred.positions, persons, rtol=1e-6, atol=1e-4)
 
 
 class TestInspectRouting:
@@ -392,6 +417,18 @@ class TestArgumentErrors:
                      "--set", f"val_data={trained['data']}", "--set", "root_joint=7",
                      "--set", f"out_dir={tmp_path / 'run'}"]) == 2
         assert "config error: root_joint 7" in capsys.readouterr().err
+
+    def test_train_horizon_past_the_window_exits_2_before_epoch_1(
+            self, trained, tmp_path, monkeypatch, capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("fit ran")
+
+        monkeypatch.setattr(cli, "fit", no_training)
+        assert main(["train", *MICRO_SET, "--set", f"train_data={trained['data']}",
+                     "--set", f"val_data={trained['data']}", "--set", "horizons=0.04,0.2",
+                     "--set", f"out_dir={tmp_path / 'run'}"]) == 2
+        assert "config error: horizons: horizon 0.2s (frame 5) exceeds the 3-frame" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flag", [("inspect-routing", "--limit"),
                                                ("export-features", "--samples")])
