@@ -4,15 +4,21 @@ A ``Tape`` records primitive applications in execution order (which is a
 valid topological order, since every input tensor exists before the op that
 consumes it runs).  ``backward`` walks the tape once in reverse, accumulating
 adjoints per tensor id.  The primitive set is small and closed; composite
-modules build everything else out of it.  Values are stored in the process
-default dtype (float64 for gradient checking, float32 optionally for
-training) selected through ``set_default_dtype``.
+modules build everything else out of it, through the functional wrappers
+(``add``, ``matmul``, ...).  Values are stored in the process default dtype
+(float64 for gradient checking, float32 optionally for training) selected
+through ``set_default_dtype``.
+
+Kernels lean on numpy for shape checking: ``apply_primitive`` turns the
+``ValueError`` a kernel raises on incompatible operands into a
+``ShapeError`` that names the primitive.  A kernel checks shapes itself only
+where numpy would accept the input with other semantics (1-D matmul,
+clipped slices, negative or boolean row indices, broadcast scales).
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,7 +32,6 @@ class ShapeError(AutodiffError):
     """Operand shapes incompatible with the requested primitive."""
 
 
-_DTYPE_LOCK = threading.Lock()
 _default_dtype = np.float64
 
 
@@ -40,8 +45,7 @@ def set_default_dtype(dtype) -> None:
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise AutodiffError(f"unsupported default dtype {dt}, use float32 or float64")
-    with _DTYPE_LOCK:
-        _default_dtype = dt.type
+    _default_dtype = dt.type
 
 
 def get_default_dtype():
@@ -89,32 +93,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Arithmetic sugar; everything routes through apply_primitive so that
-    # recording and gradient rules live in one place.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
 
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
@@ -133,27 +111,19 @@ class _TapeNode:
         self.backward = backward
 
 
-_state = threading.local()
-
-
-def _tape_stack() -> list["Tape"]:
-    stack = getattr(_state, "stack", None)
-    if stack is None:
-        stack = []
-        _state.stack = stack
-    return stack
+_tapes: list["Tape"] = []  # entered tapes, innermost last
 
 
 def active_tape() -> "Tape | None":
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _tapes[-1] if _tapes else None
 
 
 class Tape:
     """Ordered record of primitive applications for one forward pass.
 
-    Confined to one logical thread; concurrent evaluation should use
-    disjoint tapes (the active-tape stack is thread local).
+    Entering a tape makes it the active one until it exits; tapes nest, and
+    the innermost records.  The program is single-threaded, so there is one
+    stack of active tapes for the process.
     """
 
     __slots__ = ("nodes",)
@@ -162,14 +132,13 @@ class Tape:
         self.nodes: list[_TapeNode] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
+        if not _tapes or _tapes[-1] is not self:
             raise AutodiffError("tape stack corrupted: exiting a tape that is not active")
-        stack.pop()
+        _tapes.pop()
         return False
 
 
@@ -216,7 +185,6 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
     if tape is None:
         raise AutodiffError("loss is detached: it was not produced under an active tape")
 
-    produced = {node.output.tid for node in tape.nodes}
     adjoint: dict[int, np.ndarray] = {loss.tid: np.ones((), dtype=loss.data.dtype)}
     leaves: dict[int, Tensor] = {}
     leaf_grads: dict[int, np.ndarray] = {}
@@ -232,7 +200,7 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
             if g.shape != tensor.data.shape:
                 raise AutodiffError(
                     f"{node.op}: backward produced shape {g.shape} for input of shape {tensor.data.shape}")
-            if tensor.tid in produced:
+            if tensor.tape is tape:
                 acc = adjoint.get(tensor.tid)
                 adjoint[tensor.tid] = g if acc is None else acc + g
             else:
@@ -276,20 +244,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_broadcastable(name: str, a: np.ndarray, b: np.ndarray) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast") from None
-
-
 # --- primitive implementations -------------------------------------------
 # Each returns (output array, backward closure).  Closures capture input
 # arrays, never Tensors, so tapes hold no cycles through grad buffers.
 
 def _p_add(inputs, attrs):
     a, b = inputs
-    _check_broadcastable("add", a, b)
     out = a + b
 
     def bwd(g):
@@ -300,7 +260,6 @@ def _p_add(inputs, attrs):
 
 def _p_sub(inputs, attrs):
     a, b = inputs
-    _check_broadcastable("sub", a, b)
     out = a - b
 
     def bwd(g):
@@ -311,7 +270,6 @@ def _p_sub(inputs, attrs):
 
 def _p_mul(inputs, attrs):
     a, b = inputs
-    _check_broadcastable("mul", a, b)
     out = a * b
 
     def bwd(g):
@@ -324,9 +282,6 @@ def _p_matmul(inputs, attrs):
     a, b = inputs
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must have ndim >= 2, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    _check_broadcastable("matmul (batch dims)", a[..., 0, 0], b[..., 0, 0])
     out = np.matmul(a, b)
 
     def bwd(g):
@@ -397,8 +352,6 @@ def _p_relu(inputs, attrs):
 def _p_transpose(inputs, attrs):
     (x,) = inputs
     a, b = attrs["axis_a"], attrs["axis_b"]
-    if not (-x.ndim <= a < x.ndim and -x.ndim <= b < x.ndim):
-        raise ShapeError(f"transpose: axes ({a}, {b}) out of range for shape {x.shape}")
     out = np.swapaxes(x, a, b)
 
     def bwd(g):
@@ -410,8 +363,6 @@ def _p_transpose(inputs, attrs):
 def _p_reverse_axis(inputs, attrs):
     (x,) = inputs
     axis = attrs["axis"]
-    if not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"reverse_axis: axis {axis} out of range for shape {x.shape}")
     out = np.flip(x, axis=axis)
 
     def bwd(g):
@@ -422,10 +373,7 @@ def _p_reverse_axis(inputs, attrs):
 
 def _p_reshape(inputs, attrs):
     (x,) = inputs
-    try:
-        out = x.reshape(attrs["shape"])  # numpy semantics, so one -1 is allowed
-    except ValueError:
-        raise ShapeError(f"reshape: cannot view {x.shape} as {attrs['shape']}") from None
+    out = x.reshape(attrs["shape"])  # numpy semantics, so one -1 is allowed
 
     def bwd(g):
         return (g.reshape(x.shape),)
@@ -547,11 +495,7 @@ def _p_depthwise_causal_conv1d(inputs, attrs):
 
 def _p_broadcast(inputs, attrs):
     (x,) = inputs
-    shape = tuple(attrs["shape"])
-    try:
-        out = np.broadcast_to(x, shape)
-    except ValueError:
-        raise ShapeError(f"broadcast: cannot broadcast {x.shape} to {shape}") from None
+    out = np.broadcast_to(x, attrs["shape"])
 
     def bwd(g):
         return (_unbroadcast(g, x.shape),)
@@ -581,17 +525,6 @@ def _p_slice(inputs, attrs):
 
 def _p_concat(inputs, attrs):
     axis = attrs["axis"]
-    if not inputs:
-        raise ShapeError("concat: needs at least one input")
-    ndim = inputs[0].ndim
-    if not -ndim <= axis < ndim:
-        raise ShapeError(f"concat: axis {axis} out of range for ndim {ndim}")
-    axis = axis % ndim
-    ref = list(inputs[0].shape)
-    for arr in inputs[1:]:
-        other = list(arr.shape)
-        if len(other) != ndim or other[:axis] != ref[:axis] or other[axis + 1:] != ref[axis + 1:]:
-            raise ShapeError(f"concat: shape {arr.shape} incompatible with {inputs[0].shape} on axis {axis}")
     out = np.concatenate(inputs, axis=axis)
     sizes = [arr.shape[axis] for arr in inputs]
     offsets = np.cumsum(sizes)[:-1]
@@ -672,7 +605,11 @@ def apply_primitive(name: str, inputs: Sequence[Tensor], attrs: dict | None = No
     if fn is None:
         raise AutodiffError(f"unknown primitive {name!r}")
     tensors = tuple(_as_tensor(t) for t in inputs)
-    out_data, bwd = fn(tuple(t.data for t in tensors), attrs or {})
+    try:
+        out_data, bwd = fn(tuple(t.data for t in tensors), attrs or {})
+    except ValueError as exc:  # numpy's shape checks, AxisError included
+        shapes = ", ".join(str(t.shape) for t in tensors)
+        raise ShapeError(f"{name}: {exc} (operand shapes {shapes})") from None
     return record(name, tensors, out_data, bwd)
 
 

@@ -31,8 +31,10 @@ from .training import (TrainingError, TrainSettings, append_log, evaluate, fit,
 FEATURE_MAGIC = "MMFX"
 
 
-def _apply_overrides(values: dict, overrides: list[str], schema: dict) -> dict:
-    merged = dict(values)
+def _load_values(path, overrides: list[str], schema: dict) -> dict:
+    """The config file at ``path`` (the schema's defaults when None) with
+    each ``--set KEY=VALUE`` of ``overrides`` applied."""
+    values = parse_config_file(path, schema) if path else parse_config_text("", schema)
     for item in overrides:
         key, sep, value = item.partition("=")
         key = key.strip()
@@ -41,29 +43,14 @@ def _apply_overrides(values: dict, overrides: list[str], schema: dict) -> dict:
         if key not in schema:
             raise ConfigError(f"--set: unknown key {key!r}")
         try:
-            merged[key] = schema[key][0](value.strip())
+            values[key] = schema[key][0](value.strip())
         except ValueError as exc:
             raise ConfigError(f"--set: bad value for {key!r}: {exc}") from None
-    return merged
-
-
-def _load_run_config(args) -> dict:
-    if args.config:
-        values = parse_config_file(args.config, RUN_SCHEMA)
-    else:
-        values = parse_config_text("", RUN_SCHEMA)
-    if args.set:
-        values = _apply_overrides(values, args.set, RUN_SCHEMA)
     return values
 
 
 def cmd_synth(args) -> int:
-    if args.spec:
-        values = parse_config_file(args.spec, SYNTH_SCHEMA)
-    else:
-        values = parse_config_text("", SYNTH_SCHEMA)
-    if args.set:
-        values = _apply_overrides(values, args.set, SYNTH_SCHEMA)
+    values = _load_values(args.spec, args.set, SYNTH_SCHEMA)
     try:
         spec = GeneratorSpec(**values)
     except DataError as exc:
@@ -88,7 +75,7 @@ def _check_root_joint(name: str, root_joint: int, joints: int) -> None:
 
 
 def cmd_train(args) -> int:
-    values = _load_run_config(args)
+    values = _load_values(args.config, args.set, RUN_SCHEMA)
     if not values["train_data"]:
         raise ConfigError("train_data is required (set it in the config or via --set)")
     _set_dtype(values)

@@ -46,6 +46,9 @@ class MotionSequence:
         if self.positions.ndim != 4 or self.positions.shape[-1] != 3:
             raise DataError(f"positions must be (persons, frames, joints, 3), "
                             f"got {self.positions.shape}")
+        if 0 in self.positions.shape:
+            raise DataError(f"positions need at least one person, frame and joint, "
+                            f"got {self.positions.shape}")
         if not np.all(np.isfinite(self.positions)):
             raise DataError("positions contain non-finite values")
         if self.fps <= 0:

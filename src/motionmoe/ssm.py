@@ -231,7 +231,8 @@ def _scan_inputs(params: MambaBlockParams, xr: Tensor):
     b_in = slice_axis(proj, axis=2, start=rank, stop=rank + n)
     c_in = slice_axis(proj, axis=2, start=rank + n, stop=rank + 2 * n)
     delta = softplus(add(matmul(dt_low, params.dt_proj), params.dt_bias))
-    return delta, mul(exp(params.A_log), Tensor(-1.0)), b_in, c_in, xs
+    minus_one = Tensor(-1.0, dtype=params.A_log.data.dtype)
+    return delta, mul(exp(params.A_log), minus_one), b_in, c_in, xs
 
 
 @dataclass

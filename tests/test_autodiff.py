@@ -46,6 +46,55 @@ def spaced_values(rng, shape, min_gap=1e-3):
     return ((base + jitter) * max(10 * min_gap, 0.5)).reshape(shape)
 
 
+def _t(*shape):
+    return ad.Tensor(np.ones(shape))
+
+
+# each call hands a primitive operands it cannot take
+BAD_OPERANDS = {
+    "add-no-broadcast": ("add", lambda: ad.add(_t(2, 3), _t(4, 5))),
+    "sub-no-broadcast": ("sub", lambda: ad.sub(_t(2, 3), _t(3, 2))),
+    "mul-no-broadcast": ("mul", lambda: ad.mul(_t(2, 3), _t(2,))),
+    "matmul-inner": ("matmul", lambda: ad.matmul(_t(2, 3), _t(4, 5))),
+    "matmul-batch": ("matmul", lambda: ad.matmul(_t(2, 3, 4), _t(5, 4, 2))),
+    "matmul-1d-left": ("matmul", lambda: ad.matmul(_t(3), _t(3, 2))),
+    "matmul-1d-right": ("matmul", lambda: ad.matmul(_t(2, 3), _t(3))),
+    "transpose-axis": ("transpose", lambda: ad.transpose(_t(2, 3), 0, 2)),
+    "transpose-negative-axis": ("transpose", lambda: ad.transpose(_t(2, 3), -3, 1)),
+    "reverse_axis-axis": ("reverse_axis", lambda: ad.reverse_axis(_t(2, 3), 2)),
+    "reverse_axis-negative-axis": ("reverse_axis", lambda: ad.reverse_axis(_t(2, 3), -3)),
+    "reshape-inferred": ("reshape", lambda: ad.reshape(_t(2, 3), (4, -1))),
+    "reshape-size": ("reshape", lambda: ad.reshape(_t(2, 3), (5,))),
+    "reduce_sum-duplicate-axis": ("reduce_sum", lambda: ad.reduce_sum(_t(2, 3), (0, 0))),
+    "reduce_sum-axis": ("reduce_sum", lambda: ad.reduce_sum(_t(2, 3), 2)),
+    "reduce_mean-duplicate-axis": ("reduce_mean", lambda: ad.reduce_mean(_t(2, 3), (1, -1))),
+    "reduce_mean-axis": ("reduce_mean", lambda: ad.reduce_mean(_t(2, 3), -3)),
+    "broadcast-target": ("broadcast", lambda: ad.broadcast_to(_t(2, 3), (4, 3))),
+    "broadcast-fewer-axes": ("broadcast", lambda: ad.broadcast_to(_t(2, 3), (3,))),
+    "slice-past-end": ("slice", lambda: ad.slice_axis(_t(2, 3), 1, 2, 5)),
+    "slice-reversed": ("slice", lambda: ad.slice_axis(_t(2, 3), 1, 2, 1)),
+    "slice-negative-start": ("slice", lambda: ad.slice_axis(_t(2, 3), 0, -1, 1)),
+    "slice-axis": ("slice", lambda: ad.slice_axis(_t(2, 3), 2, 0, 1)),
+    "concat-shape": ("concat", lambda: ad.concat([_t(2, 3), _t(2, 4)], axis=0)),
+    "concat-ndim": ("concat", lambda: ad.concat([_t(2, 3), _t(2, 3, 1)], axis=1)),
+    "concat-empty": ("concat", lambda: ad.concat([], axis=0)),
+    "concat-axis": ("concat", lambda: ad.concat([_t(2, 3), _t(2, 3)], axis=2)),
+    "layernorm-scale": ("layernorm_lastaxis",
+                        lambda: ad.layernorm_lastaxis(_t(2, 3), _t(1), _t(3))),
+    "layernorm-shift": ("layernorm_lastaxis",
+                        lambda: ad.layernorm_lastaxis(_t(2, 3), _t(3), _t(2, 3))),
+    "conv-channels": ("depthwise_causal_conv1d",
+                      lambda: ad.depthwise_causal_conv1d(_t(1, 4, 3), _t(2, 2))),
+    "conv-kernel-ndim": ("depthwise_causal_conv1d",
+                         lambda: ad.depthwise_causal_conv1d(_t(1, 4, 3), _t(3))),
+    "conv-input-ndim": ("depthwise_causal_conv1d",
+                        lambda: ad.depthwise_causal_conv1d(_t(4, 3), _t(3, 2))),
+    "topk-zero": ("topk_mask", lambda: ad.topk_mask(_t(2, 3), 0)),
+    "topk-too-many": ("topk_mask", lambda: ad.topk_mask(_t(2, 3), 4)),
+    "softmax-0d": ("softmax_lastaxis", lambda: ad.softmax_lastaxis(_t())),
+}
+
+
 class TestPrimitiveGradients:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_elementwise_binary(self, seed):
@@ -346,6 +395,39 @@ class TestBlockKernels:
 
 
 class TestTapeMechanics:
+    def test_active_tape_is_the_innermost_entered_tape(self):
+        assert ad.active_tape() is None
+        with ad.Tape() as outer:
+            assert ad.active_tape() is outer
+            with ad.Tape() as inner:
+                assert ad.active_tape() is inner
+            assert ad.active_tape() is outer
+        assert ad.active_tape() is None
+
+    def test_tape_subclass_with_its_own_slots_records(self):
+        # an instrumented tape (a profiler, a tracer) subclasses Tape with
+        # slots of its own and rewraps each node's backward closure
+        class Instrumented(ad.Tape):
+            __slots__ = ("serial",)
+
+        x = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        with Instrumented() as tape:
+            tape.serial = 7
+            y = ad.mul(x, x)
+            loss = ad.reduce_sum(y)
+            assert y.tape is tape and loss.tape is tape
+            assert [node.output for node in tape.nodes] == [y, loss]
+            seen = []
+            for node in tape.nodes:
+                def wrapped(g, closure=node.backward, op=node.op):
+                    seen.append(op)
+                    return closure(g)
+                node.backward = wrapped
+            ad.backward(loss)
+        assert ad.active_tape() is None
+        assert seen == ["reduce_sum", "mul"]
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
     def test_topological_order(self):
         rng = np.random.default_rng(0)
         x = ad.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
@@ -455,6 +537,12 @@ class TestTapeMechanics:
             ad.add(a, b)
         with pytest.raises(ad.ShapeError, match="reshape"):
             ad.reshape(a, (4, -1))
+
+    @pytest.mark.parametrize("name, call", list(BAD_OPERANDS.values()),
+                             ids=list(BAD_OPERANDS))
+    def test_bad_operands_raise_a_shape_error_naming_the_primitive(self, name, call):
+        with pytest.raises(ad.ShapeError, match=f"^{name}\\b"):
+            call()
 
     def test_take_rows_accumulates_repeated_rows(self):
         x = ad.Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)

@@ -3,6 +3,7 @@ disk, and the printed summaries."""
 
 import gc
 import json
+import struct
 import weakref
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 from motionmoe import autodiff as ad
 from motionmoe import cli, training
 from motionmoe.cli import main, read_feature_export
-from motionmoe.data import MAGIC, batch_iter, flatten_poses, read_dataset
+from motionmoe.data import (FORMAT_VERSION, MAGIC, batch_iter, flatten_poses,
+                            read_dataset)
 from motionmoe.dct import dct_forward
 from motionmoe.model import ModelConfig, MotionMoE
 from motionmoe.moe import expert_forward
@@ -429,6 +431,22 @@ class TestArgumentErrors:
                      "--set", f"out_dir={tmp_path / 'run'}"]) == 2
         assert "config error: horizons: horizon 0.2s (frame 5) exceeds the 3-frame" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "predict", "inspect-routing",
+                                         "export-features"])
+    def test_dataset_with_no_persons_exits_1(self, trained, tmp_path, capsys, command):
+        data = tmp_path / "no_persons.mmp1"
+        data.write_bytes(struct.pack("<4sIIIIIfI", MAGIC, FORMAT_VERSION, 2, 0, 8, 3, 25.0, 0))
+        out = tmp_path / "out"
+        if command == "train":
+            argv = ["train", *MICRO_SET, "--set", f"train_data={data}",
+                    "--set", f"out_dir={tmp_path / 'run'}"]
+        else:
+            argv = [command, "--checkpoint", str(trained["checkpoint"]), "--data", str(data)]
+            argv += ["--out", str(out)] if command != "eval" else []
+        assert main(argv) == 1
+        assert "at least one person, frame and joint" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flag", [("inspect-routing", "--limit"),
                                                ("export-features", "--samples")])

@@ -96,6 +96,20 @@ class TestSequenceValidation:
         with pytest.raises(DataError, match="non-finite"):
             MotionSequence(bad, 25.0)
 
+    @pytest.mark.parametrize("shape", [(0, 4, 3, 3), (1, 0, 3, 3), (1, 4, 0, 3)],
+                             ids=["persons", "frames", "joints"])
+    def test_zero_length_axis_rejected(self, shape):
+        with pytest.raises(DataError, match="at least one person, frame and joint"):
+            MotionSequence(np.zeros(shape, dtype=np.float32), 25.0)
+
+    @pytest.mark.parametrize("m, t, j", [(0, 4, 3), (1, 0, 3), (1, 4, 0)],
+                             ids=["persons", "frames", "joints"])
+    def test_file_with_a_zero_length_axis_rejected(self, tmp_path, m, t, j):
+        path = tmp_path / "motion.bin"
+        path.write_bytes(struct.pack("<4sIIIIIfI", MAGIC, FORMAT_VERSION, 2, m, t, j, 25.0, 0))
+        with pytest.raises(DataError, match="at least one person, frame and joint"):
+            read_dataset(path)
+
     def test_fps_guard(self):
         with pytest.raises(DataError, match="fps"):
             MotionSequence(np.zeros((1, 2, 2, 3), dtype=np.float32), 0.0)

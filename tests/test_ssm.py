@@ -481,3 +481,28 @@ class TestBidirectionalWrapper:
             assert g32[name].dtype == np.float32, name
             err = np.abs(g32[name] - g).max() / np.abs(g).max()
             assert err <= 1e-5, f"{name}: {err:.3e}"
+
+    def test_float32_block_computes_in_float32_under_a_float64_default(self):
+        # parameters made under float32, then run with the default at float64:
+        # no constant of the block may promote its arithmetic to float64
+        def gradients(run_dtype):
+            ad.set_default_dtype(np.float32)
+            try:
+                params = ssm.init_bi_block(np.random.default_rng(4), channels=8,
+                                           expand=2, state_dim=4, conv_width=3)
+                rng = np.random.default_rng(5)
+                x = ad.Tensor(rng.standard_normal((3, 12, 8)), requires_grad=True)
+                w = ad.Tensor(rng.uniform(0.5, 1.5, (3, 12, 8)))
+                ad.set_default_dtype(run_dtype)
+                with ad.Tape():
+                    out = ssm.bidirectional_forward(params, x)
+                    ad.backward(ad.reduce_sum(ad.mul(out, w)))
+            finally:
+                ad.set_default_dtype(np.float64)
+            assert out.data.dtype == np.float32
+            return {name: t.grad for name, t in {"x": x, **params.parameters()}.items()}
+
+        mixed, pure = gradients(np.float64), gradients(np.float32)
+        for name, g in mixed.items():
+            assert g.dtype == np.float32, name
+            np.testing.assert_array_equal(g, pure[name], err_msg=name)
