@@ -93,19 +93,30 @@ def cmd_train(args) -> int:
         raise ConfigError(f"training dataset {values['train_data']} is empty")
     val_seqs = read_dataset(values["val_data"]) if values["val_data"] else None
 
+    resume = load_checkpoint(args.resume, expected_config=config) if args.resume else None
+    if resume is not None:
+        # Adam's moments would stay in the checkpoint's dtype while the
+        # parameters took the run's
+        saved = sorted({str(arr.dtype) for name, arr in resume.tensors.items()
+                        if name.startswith("param/")})
+        if saved != [values["dtype"]]:
+            raise ConfigError(f"--resume: checkpoint {args.resume} holds {', '.join(saved)} "
+                              f"parameters, but this run's dtype is {values['dtype']}")
+
     out_dir = Path(settings.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(out_dir / "resolved.cfg", [format_config(values, RUN_SCHEMA).encode()])
 
-    resume = load_checkpoint(args.resume, expected_config=config) if args.resume else None
     model = MotionMoE(config)
     audit = audit_parameters(model)
     print(f"model parameters: {audit.total}")
 
+    log_path = out_dir / "train_log.jsonl"
     started = time.perf_counter()
-    log = fit(model, train_seqs, val_seqs, settings, resume=resume)
+    # one record per epoch as it ends, so a stopped run keeps its log
+    log = fit(model, train_seqs, val_seqs, settings, resume=resume,
+              hooks=(lambda _model, record: append_log(log_path, [record]),))
     elapsed = time.perf_counter() - started
-    append_log(out_dir / "train_log.jsonl", log)
     if log:
         last = log[-1]
         extra = f" val_jpe={last['val_jpe']:.3f}" if "val_jpe" in last else ""

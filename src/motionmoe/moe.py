@@ -12,7 +12,15 @@ A kind names its two stages in order, S for spatial and T for temporal:
 Experts share computation as well as weights: a mixture layer computes
 each first stage (S or T) once, and only if some expert with a nonzero
 weight starts with it, then applies each such expert's second stage to it.
-With the full pool that is six block applications per layer, not eight.
+On a tape, the kinds that end in the same stage (ST and TT, TS and SS) run
+that stage as one call on their stacked inputs, so the full pool makes four
+block calls per layer: S first, T first, T second, S second.  Off the tape
+each kind runs its own second stage, six calls in all.  The switch follows
+what the code observes, whether the stage input is recorded, and the two
+sides have different costs: a training step is dominated by per-op Python
+and tape work, which stacking halves for the second stages, while a
+tape-free forecast is dominated by the block's arithmetic, which stacking
+leaves as it is, and a stacked call only raises its peak working set.
 
 The gate reduces each sample's feature map by a temporal mean, applies one
 linear layer, keeps the top-k logits (ties to the lowest index), masks the
@@ -30,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (ShapeError, Tensor, add, concat, matmul, mul,
+from .autodiff import (ShapeError, Tensor, add, concat, is_recording, matmul, mul,
                        reduce_mean, reshape, slice_axis, softmax_lastaxis,
                        take_rows, topk_mask, transpose)
 from .ssm import BiBlockParams, bidirectional_forward
@@ -118,11 +126,16 @@ def expert_outputs(kinds, shared_s: BiBlockParams, shared_t: BiBlockParams,
     """Each distinct kind in ``kinds`` applied to (batch, D, T) features.
 
     A kind names its stages, first stage first.  Each first stage is
-    computed once and shared by every kind that starts with it, so the full
-    pool makes six block applications, not eight.  ``rows`` maps each kind
-    to its sorted batch rows, and that kind's output holds only those rows;
-    a first stage then runs on the union of its kinds' rows.  ``None`` means
-    every row.  A stage whose rows are the whole batch is not gathered.
+    computed once and shared by every kind that starts with it.  ``rows``
+    maps each kind to its sorted batch rows, and that kind's output holds
+    only those rows; a first stage then runs on the union of its kinds'
+    rows.  ``None`` means every row.  A stage whose rows are the whole batch
+    is not gathered.
+
+    When a second stage's input is recorded on a tape, the kinds ending in
+    that stage run it as one call on their stacked inputs: four block calls
+    for the full pool, against six off the tape (the module docstring says
+    why the two differ).
     """
     kinds = list(dict.fromkeys(kinds))
     for kind in kinds:
@@ -131,8 +144,8 @@ def expert_outputs(kinds, shared_s: BiBlockParams, shared_t: BiBlockParams,
     bsz = features.shape[0]
     want = {kind: np.arange(bsz) if rows is None else np.asarray(rows[kind]) for kind in kinds}
     firsts: dict[str, tuple[np.ndarray, Tensor]] = {}
-    outs: dict[str, Tensor] = {}
-    for kind in kinds:
+
+    def second_input(kind: str) -> Tensor:
         if kind[0] not in firsts:
             # np.unique would import numpy.ma on first use: 6 ms and 1.7 MB
             head = np.flatnonzero(np.bincount(np.concatenate(
@@ -142,7 +155,26 @@ def expert_outputs(kinds, shared_s: BiBlockParams, shared_t: BiBlockParams,
         head, first = firsts[kind[0]]
         if len(want[kind]) < len(head):
             first = take_rows(first, np.searchsorted(head, want[kind]))
-        outs[kind] = _stage(kind[1], shared_s, shared_t, first, scan_mode, flip_back)
+        return first
+
+    outs: dict[str, Tensor] = {}
+    for kind in kinds:
+        if kind in outs:
+            continue
+        group, xs = [kind], [second_input(kind)]
+        if is_recording(xs):
+            # every kind before this one is done, so the group starts with it
+            group = [k for k in kinds if k[1] == kind[1] and k not in outs]
+            xs += [second_input(k) for k in group[1:]]
+        x = xs[0] if len(xs) == 1 else concat(xs, axis=0)
+        y = _stage(kind[1], shared_s, shared_t, x, scan_mode, flip_back)
+        if len(xs) == 1:
+            outs[kind] = y
+            continue
+        start = 0
+        for k, part in zip(group, xs):
+            outs[k] = slice_axis(y, axis=0, start=start, stop=start + part.shape[0])
+            start += part.shape[0]
     return outs
 
 

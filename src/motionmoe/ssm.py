@@ -15,7 +15,10 @@ The discretization is exact (zero-order hold) on the state path and Euler
 on the input path.  ``selective_scan`` fuses it into the scan: one tape op
 that forms exp(delta_i A) and delta_i B_i one step at a time, keeps only the
 hidden states, and recomputes the discretization in its hand-written
-reverse recurrence (Gu & Dao 2023, section 3.3).  The state is held as
+reverse recurrence (Gu & Dao 2023, section 3.3).  That recurrence reduces
+each step's gradient with respect to delta_i A into the gradients of delta
+and A as it forms it, so the backward holds no second array of the states'
+size.  The state is held as
 (B, N, E*C), channels innermost, in both directions, so that each per-step
 product runs over E*C contiguous values rather than N = 16.
 ``selective_scan_reference`` is the naive per-step oracle it is tested
@@ -27,7 +30,9 @@ when it returns.
 The bidirectional wrapper shares ONE set of block weights between the
 forward and the reversed scan, and runs both as one block call on the
 (2B, L, C) stack of x and its time reversal.  It adds the raw input back,
-and finishes with LN(LN(core) + FFN(LN(core))).
+and finishes with LN(LN(core) + FFN(LN(core))).  On a tape the mixture
+layer stacks further, the inputs of two experts into one call, which the
+per-step backward reduction pays for in memory (see ``moe``).
 """
 
 from __future__ import annotations
@@ -132,7 +137,8 @@ def selective_scan(delta: Tensor, a: Tensor, b: Tensor, c: Tensor, u: Tensor) ->
     u: (B, L, EC) -> (B, L, EC).  The discretized factors are formed one step
     at a time and never stored; the reverse recurrence recomputes
     exp(delta_i x a).  The hidden states, (L, B, N, EC), are the only 4-D
-    array kept, and only when the op is recorded on a tape.
+    array kept, and only when the op is recorded on a tape; the backward
+    adds none, as it reduces each step's (B, N, EC) gradient at once.
     """
     dd, a_, bd, cd, ud = (t.data for t in (delta, a, b, c, u))
     if dd.ndim != 3:
@@ -173,8 +179,9 @@ def selective_scan(delta: Tensor, a: Tensor, b: Tensor, c: Tensor, u: Tensor) ->
         gc = np.matmul(states, g_t[:, :, :, None])[:, :, :, 0]
         gb = np.empty_like(b_t)
         gdu = np.empty_like(du_t)
-        # s_i = dL/d(delta_i x a), stored (B, N, EC); s_0 = 0 because h_0 = 0
-        s = np.zeros_like(states)
+        gdelta = np.empty_like(du_t)
+        gdelta[0] = 0.0  # s_0 = 0 because h_0 = 0
+        ga_t = np.zeros_like(a_t)
         gh = np.zeros((bsz, n, inner), dtype=dd.dtype)
         step = np.empty_like(gh)
         for i in range(length - 1, -1, -1):
@@ -183,9 +190,12 @@ def selective_scan(delta: Tensor, a: Tensor, b: Tensor, c: Tensor, u: Tensor) ->
             np.matmul(gh, du_t[i, :, :, None], out=gb[i, :, :, None])
             if i:
                 gh *= np.exp(np.multiply(d_t[i, :, None, :], a_t, out=step), out=step)
-                np.multiply(gh, states[i - 1], out=s[i])
-        gdelta = np.einsum("lbnc,nc->lbc", s, a_t) + gdu * u_t
-        ga = np.einsum("lbnc,lbc->cn", s, d_t)
+                # s_i = dL/d(delta_i x a), (B, N, EC), reduced as it is formed
+                s = np.multiply(gh, states[i - 1], out=step)
+                np.einsum("bnc,nc->bc", s, a_t, out=gdelta[i])
+                ga_t += np.einsum("bnc,bc->nc", s, d_t[i])
+        gdelta += gdu * u_t
+        ga = ga_t.T
         gdelta, gb, gc, gu = (np.ascontiguousarray(x.swapaxes(0, 1))
                               for x in (gdelta, gb, gc, gdu * d_t))
         return gdelta, ga, gb, gc, gu
@@ -225,7 +235,9 @@ def _scan_inputs(params: MambaBlockParams, xr: Tensor):
     """(delta, A, B, C, x') for the scan.  Returned rather than held in the
     caller's locals, so that a tape-free call frees them once the scan ends."""
     rank, n = params.dt_rank, params.state_dim
-    xs = silu(add(depthwise_causal_conv1d(xr, params.conv_kernel), params.conv_bias))
+    xs = add(depthwise_causal_conv1d(xr, params.conv_kernel), params.conv_bias)
+    del xr  # off the tape nothing else holds it: freed before the silu
+    xs = silu(xs)
     proj = matmul(xs, params.x_proj)
     dt_low = slice_axis(proj, axis=2, start=0, stop=rank)
     b_in = slice_axis(proj, axis=2, start=rank, stop=rank + n)

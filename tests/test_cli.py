@@ -135,6 +135,53 @@ class TestTrain:
                (out2 / "train_log.jsonl").read_text().strip().splitlines()]
         assert [r["epoch"] for r in log] == [2]
 
+    @pytest.mark.parametrize("stop_after", [1, 3])
+    def test_a_stopped_run_keeps_one_record_per_finished_epoch(self, tmp_path, trained,
+                                                               monkeypatch, stop_after):
+        class Stop(Exception):
+            pass
+
+        def stopping_fit(*args, hooks=(), **kwargs):
+            def stop(model, record):
+                if record["epoch"] + 1 == stop_after:
+                    raise Stop
+
+            return training.fit(*args, hooks=(*hooks, stop), **kwargs)
+
+        monkeypatch.setattr(cli, "fit", stopping_fit)
+        out = tmp_path / "stopped"
+        with pytest.raises(Stop):
+            main(["train", *MICRO_SET, "--set", f"train_data={trained['data']}",
+                  "--set", f"out_dir={out}", "--set", "epochs=5"])
+        log = [json.loads(line) for line in
+               (out / "train_log.jsonl").read_text().strip().splitlines()]
+        assert [r["epoch"] for r in log] == list(range(stop_after))
+
+    @pytest.mark.parametrize("saved,run", [("float32", "float64"), ("float64", "float32")])
+    def test_resume_in_another_dtype_exits_2_before_epoch_1(self, tmp_path, monkeypatch,
+                                                            capsys, saved, run):
+        data = synth(tmp_path)
+        first = tmp_path / "first"
+        try:
+            assert main(["train", *MICRO_SET, "--set", f"train_data={data}",
+                         "--set", f"out_dir={first}", "--set", "epochs=1",
+                         "--set", f"dtype={saved}"]) == 0
+
+            def no_training(*args, **kwargs):
+                raise AssertionError("fit ran")
+
+            monkeypatch.setattr(cli, "fit", no_training)
+            assert main(["train", *MICRO_SET, "--set", f"train_data={data}",
+                         "--set", f"out_dir={tmp_path / 'resumed'}", "--set", "epochs=3",
+                         "--set", f"dtype={run}",
+                         "--resume", str(first / "checkpoint_00001.stmc")]) == 2
+        finally:
+            ad.set_default_dtype(np.float64)
+        assert not (tmp_path / "resumed").exists()
+        err = capsys.readouterr().err
+        assert "config error: --resume" in err
+        assert f"holds {saved} parameters" in err and f"dtype is {run}" in err
+
 
 class TestEval:
     def test_table_output(self, trained, tmp_path, capsys):

@@ -355,6 +355,77 @@ class TestSharedComputation:
         # one stacked call per block application, both directions at once
         assert counted == [6] * calls
 
+    def test_recorded_layer_stacks_each_second_stage(self, monkeypatch):
+        router, shared_s, shared_t, _ = self.make_layer(EXPERT_KINDS, 4)
+        names = {id(shared_s.mamba): "S", id(shared_t.mamba): "T"}
+        calls = []
+        original = ssm.mamba_block_forward
+
+        def counting(params, x):
+            calls.append((names[id(params)], x.shape[0]))
+            return original(params, x)
+
+        monkeypatch.setattr(ssm, "mamba_block_forward", counting)
+        x = ad.Tensor(np.random.default_rng(22).standard_normal((3, 5, 7)))
+        with ad.Tape():
+            moe_layer_forward(router, shared_s, shared_t, EXPERT_KINDS, x)
+        # the block parameters put every stage on the tape: S first and T
+        # first on 3 rows, then T second on ST's and TT's 3 + 3 rows and S
+        # second on TS's and SS's, each call with both directions stacked
+        assert calls == [("S", 6), ("T", 6), ("T", 12), ("S", 12)]
+
+    @pytest.mark.parametrize("k,picks", [
+        (4, None),
+        (2, [(0, 1), (0, 3), (1, 2), (0, 1)]),
+        (2, [(2, 3), (1, 2), (1, 2), (1, 2)]),
+    ])
+    def test_recorded_forward_matches_tape_free(self, k, picks):
+        router, shared_s, shared_t, _ = self.make_layer(EXPERT_KINDS, k)
+        x_data = np.random.default_rng(27).standard_normal((4, 5, 7))
+        if picks is not None:
+            x_data = pin_routing(router, x_data, picks)
+        free = moe_layer_forward(router, shared_s, shared_t, EXPERT_KINDS,
+                                 ad.Tensor(x_data))[0].data
+        with ad.Tape():
+            recorded = moe_layer_forward(router, shared_s, shared_t, EXPERT_KINDS,
+                                         ad.Tensor(x_data, requires_grad=True))[0].data
+        assert np.abs(recorded - free).max() <= 1e-12 * np.abs(free).max()
+
+    def test_float32_recorded_layer_matches_float64(self):
+        # the same float32 values run in both dtypes; the output and every
+        # gradient agree within 1e-5 of their float64 scale
+        def run(dtype, values=None):
+            ad.set_default_dtype(dtype)
+            try:
+                router, shared_s, shared_t, _ = self.make_layer(EXPERT_KINDS, 2)
+                rng = np.random.default_rng(28)
+                x = ad.Tensor(rng.standard_normal((4, 5, 7)), requires_grad=True)
+                w = ad.Tensor(rng.uniform(0.5, 1.5, (4, 5, 7)))
+                named = {"x": x, **router.parameters(),
+                         **{f"s/{k}": v for k, v in shared_s.parameters().items()},
+                         **{f"t/{k}": v for k, v in shared_t.parameters().items()}}
+                if values is not None:
+                    for name, t in named.items():
+                        t.data = values[name].astype(dtype)
+                with ad.Tape():
+                    out, decision = moe_layer_forward(router, shared_s, shared_t,
+                                                      EXPERT_KINDS, x)
+                    ad.backward(ad.reduce_sum(ad.mul(out, w)))
+            finally:
+                ad.set_default_dtype(np.float64)
+            return (out.data, decision.kept, {name: t.data for name, t in named.items()},
+                    {name: t.grad for name, t in named.items()})
+
+        out32, kept32, values, g32 = run(np.float32)
+        out64, kept64, _, g64 = run(np.float64, values)
+        np.testing.assert_array_equal(kept32, kept64)
+        assert out32.dtype == np.float32
+        assert np.abs(out32 - out64).max() <= 1e-5 * np.abs(out64).max()
+        for name, g in g64.items():
+            assert g32[name].dtype == np.float32, name
+            err = np.abs(g32[name] - g).max() / np.abs(g).max()
+            assert err <= 1e-5, f"{name}: {err:.3e}"
+
     def test_unused_first_stage_is_not_computed(self, monkeypatch):
         # k=1 with logits rigged to pick SS only: the temporal block never runs
         router, shared_s, shared_t, _ = self.make_layer(EXPERT_KINDS, 1)
@@ -414,10 +485,11 @@ class TestRowDispatch:
     def test_full_pool_records_no_gather(self):
         # a train_overfit-shaped forward with k == n: every stage's rows are
         # the whole batch, so the tape holds the dense layer's nodes exactly
+        # (four block calls, each second stage on its two kinds' stacked rows)
         model = MotionMoE(ModelConfig(joints=3, history_frames=5, total_frames=8,
                                       active_experts=4, moe_layers=1, dropout=0.0, seed=0))
         hist = np.random.default_rng(0).standard_normal((8, 9, 5)) * 30.0
         with ad.Tape() as tape:
             model.forward(ad.Tensor(hist), train_mode=True, rng=np.random.default_rng(0))
-        assert len(tape.nodes) == 262
+        assert len(tape.nodes) == 196
         assert "take_rows" not in {node.op for node in tape.nodes}

@@ -235,6 +235,26 @@ class TestSelectiveScan:
         assert peak_bytes(record=True) >= history
         assert peak_bytes(record=False) < history / 2
 
+    def test_recorded_backward_peaks_below_the_states(self):
+        # the backward reduces dL/d(delta x a) one step at a time, so beyond
+        # the states it allocates (B, L, EC) arrays and (B, N, EC) scratch,
+        # never a second array of the states' size (measured: 0.81 of their
+        # bytes; 1.80 with a whole-sequence array)
+        bsz, length, inner, n = 4, 45, 32, 16
+        inputs = random_scan_inputs(np.random.default_rng(11), bsz, length, inner, n,
+                                    grad=True)
+        states = length * bsz * n * inner * 8
+        g = np.random.default_rng(12).standard_normal((bsz, length, inner))
+        with ad.Tape() as tape:
+            ssm.selective_scan(*inputs)
+        tracemalloc.start()
+        try:
+            tape.nodes[-1].backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < states
+
     def test_tape_free_call_holds_no_sequence_sized_temporary(self):
         # beyond ys, a tape-free call holds only (B, N, EC) step arrays:
         # delta_i u_i is formed one step at a time
@@ -425,8 +445,9 @@ class TestBidirectionalWrapper:
 
     def test_tape_free_forward_peak_memory(self):
         # a tape-free call frees each activation once nothing reads it; the
-        # stacked (2B, L, E*C) working set must not grow the peak past 17
-        # units of B*L*E*C values (two unstacked calls peaked at 13.6)
+        # stacked (2B, L, E*C) working set must not grow the peak past 10.5
+        # units of B*L*E*C values (measured: 9.55; 11.18 while the conv's
+        # input lived through the delta path, 13.6 for two unstacked calls)
         bsz, length, channels = 8, 60, 40
         params = ssm.init_bi_block(np.random.default_rng(9), channels=channels)
         x = ad.Tensor(np.random.default_rng(10).standard_normal((bsz, length, channels)))
@@ -438,7 +459,7 @@ class TestBidirectionalWrapper:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 17 * unit
+        assert peak <= 10.5 * unit
 
     def test_full_block_gradient(self):
         params = ssm.init_bi_block(np.random.default_rng(4), channels=4,
