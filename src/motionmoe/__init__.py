@@ -1,5 +1,26 @@
 """Multi-person motion forecasting with a shared-expert state-space mixture."""
 
+import ctypes
+
+
+def _keep_freed_pages() -> None:
+    """Fix glibc's malloc thresholds at their dynamic ceilings: blocks up to
+    32 MiB come from the heap, and free heap top is trimmed only past 64 MiB.
+    By default glibc maps each large block on its own and unmaps it on free,
+    so every step or request faults its activations in again.  Does nothing
+    where there is no glibc."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
+_keep_freed_pages()
+
 from .autodiff import (AutodiffError, ShapeError, Tape, Tensor,
                        apply_primitive, backward, finite_difference_check,
                        get_default_dtype, primitive_names, set_default_dtype)

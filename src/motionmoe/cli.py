@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -260,17 +261,20 @@ def cmd_bench(args) -> int:
     params = list(block.parameters().values())
 
     print(f"scan-dominated block: batch={batch} channels={channels} repeats={args.repeats}")
-    print("length\tforward_ms\tbackward_ms")
+    print("length\tforward_ms\tbackward_ms\tminflt_per_fwd")
     rows = []
     fwd_times = []
     for length in lengths:
         x = Tensor(rng.standard_normal((batch, length, channels)))
         fwd = []
         both = []
+        faults = []
         for _ in range(args.repeats):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = time.perf_counter()
             bidirectional_forward(block, x)
             fwd.append(time.perf_counter() - t0)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
             for p in params:
                 p.grad = None
             t0 = time.perf_counter()
@@ -281,7 +285,7 @@ def cmd_bench(args) -> int:
             both.append(time.perf_counter() - t0)
         f_ms, b_ms = 1e3 * min(fwd), 1e3 * min(both)
         fwd_times.append(min(fwd))
-        rows.append(f"{length}\t{f_ms:.2f}\t{b_ms:.2f}")
+        rows.append(f"{length}\t{f_ms:.2f}\t{b_ms:.2f}\t{min(faults)}")
         print(rows[-1])
 
     exponent = float(np.polyfit(np.log(lengths), np.log(fwd_times), 1)[0])

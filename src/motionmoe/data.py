@@ -6,7 +6,9 @@ File format (MMP1): a 32-byte little-endian header
     | frames u32 | joints u32 | fps f32 | reserved u32
 
 followed by float32 position payload in (sequence, person, frame, joint,
-coordinate) order.  Units are millimeters throughout.
+coordinate) order, then from version 2 on a little-endian CRC32 of
+everything before it.  Version-1 files, which end with the payload, still
+load.  Units are millimeters throughout.
 
 The synthetic generator produces deterministic multi-person scenes: roots
 follow straight walks, constant-rate turns or stop-and-go paths; joints sit
@@ -19,6 +21,7 @@ from __future__ import annotations
 import itertools
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,9 +32,10 @@ class DataError(Exception):
 
 
 MAGIC = b"MMP1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _HEADER = struct.Struct("<4sIIIIIfI")
 assert _HEADER.size == 32
+_CRC = struct.Struct("<I")
 
 MOTION_KINDS = ("walk", "turn", "stop_go")
 
@@ -80,7 +84,22 @@ def write_dataset(sequences: list[MotionSequence], path) -> None:
         fps = 0.0
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, len(sequences), m, t, j, fps, 0)
     payload = (np.ascontiguousarray(seq.positions, dtype="<f4").tobytes() for seq in sequences)
-    write_atomic(path, itertools.chain([header], payload))
+    write_atomic(path, with_crc(itertools.chain([header], payload)))
+
+
+def with_crc(chunks):
+    """``chunks``, then the little-endian CRC32 of all of them: the trailer
+    of ``.mmp1`` and ``.stmc`` files from version 2 on."""
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+        yield chunk
+    yield _CRC.pack(crc)
+
+
+def crc_matches(raw: bytes, end: int) -> bool:
+    """Whether the CRC32 stored at ``raw[end:]`` is that of ``raw[:end]``."""
+    return zlib.crc32(memoryview(raw)[:end]) == _CRC.unpack_from(raw, end)[0]
 
 
 def write_atomic(path, chunks) -> None:
@@ -108,14 +127,18 @@ def read_dataset(path) -> list[MotionSequence]:
     magic, version, s, m, t, j, fps, _ = _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise DataError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise DataError(f"unsupported format version {version}")
-    expected = _HEADER.size + 4 * s * m * t * j * 3
+    end = _HEADER.size + 4 * s * m * t * j * 3
+    expected = end + (_CRC.size if version >= 2 else 0)
     if len(raw) != expected:
         raise DataError(f"truncated or padded file: expected {expected} bytes, got {len(raw)}")
+    if version >= 2 and not crc_matches(raw, end):
+        raise DataError("checksum mismatch: the file is damaged")
     if s == 0:
         return []
-    payload = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
+    payload = np.frombuffer(raw, dtype="<f4", count=(end - _HEADER.size) // 4,
+                            offset=_HEADER.size)
     if not np.all(np.isfinite(payload)):
         raise DataError("payload contains non-finite values")
     positions = payload.reshape(s, m, t, j, 3)

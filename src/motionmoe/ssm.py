@@ -13,12 +13,16 @@ One block runs, over (batch, L, C):
 
 The discretization is exact (zero-order hold) on the state path and Euler
 on the input path.  ``selective_scan`` fuses it into the scan: one tape op
-that forms exp(delta_i A) and delta_i B_i one step at a time, keeps only the
-hidden states, and recomputes the discretization in its hand-written
-reverse recurrence (Gu & Dao 2023, section 3.3).  That recurrence reduces
-each step's gradient with respect to delta_i A into the gradients of delta
-and A as it forms it, so the backward holds no second array of the states'
-size.  The state is held as
+that forms exp(delta_i A) and delta_i B_i one step at a time.  On a tape it
+keeps the hidden state only at the start of each chunk of q = ceil(sqrt(L))
+steps, ceil(L/q) states instead of L (Chen et al. 2016, "Training Deep Nets
+with Sublinear Memory Cost"; Gu & Dao 2023, section 3.3).  Its hand-written
+backward recomputes one chunk at a time, the discretization and the states,
+into two (q, B, N, E*C) buffers, and runs the reverse recurrence over them,
+reducing each step's gradient with respect to delta_i A into the gradients
+of delta and A as it forms it.  The recomputation repeats the forward's
+operations, so outputs and gradients are those of a scan that keeps every
+state, bit for bit.  The state is held as
 (B, N, E*C), channels innermost, in both directions, so that each per-step
 product runs over E*C contiguous values rather than N = 16.
 ``selective_scan_reference`` is the naive per-step oracle it is tested
@@ -135,10 +139,14 @@ def selective_scan(delta: Tensor, a: Tensor, b: Tensor, c: Tensor, u: Tensor) ->
 
     delta: (B, L, EC) positive; a: (EC, N) negative; b, c: (B, L, N);
     u: (B, L, EC) -> (B, L, EC).  The discretized factors are formed one step
-    at a time and never stored; the reverse recurrence recomputes
-    exp(delta_i x a).  The hidden states, (L, B, N, EC), are the only 4-D
-    array kept, and only when the op is recorded on a tape; the backward
-    adds none, as it reduces each step's (B, N, EC) gradient at once.
+    at a time and never stored.  A call recorded on a tape keeps the hidden
+    state at the start of each chunk of q = ceil(sqrt(L)) steps,
+    (ceil(L/q), B, N, EC), rather than all L states.  The backward walks the
+    chunks last to first: it recomputes a chunk's exp(delta_i x a) and states
+    into two (q, B, N, EC) buffers, then runs the reverse recurrence over
+    them, reducing each step's (B, N, EC) gradient at once.  Every value is
+    formed by the same operations as in a full-state scan, so the checkpoints
+    change no bit of the output or the gradients.
     """
     dd, a_, bd, cd, ud = (t.data for t in (delta, a, b, c, u))
     if dd.ndim != 3:
@@ -157,50 +165,82 @@ def selective_scan(delta: Tensor, a: Tensor, b: Tensor, c: Tensor, u: Tensor) ->
     inputs = (delta, a, b, c, u)
     keep = is_recording(inputs)
     a_t = np.ascontiguousarray(a_.T)  # (N, EC), for the channel-innermost state
-    states = np.empty((length, bsz, n, inner), dtype=dd.dtype) if keep else None
+    q = math.isqrt(max(length, 1) - 1) + 1  # ceil(sqrt(L)) steps per chunk
+    chunks = -(-length // q)
+    starts = np.empty((chunks, bsz, n, inner), dtype=dd.dtype) if keep else None
     ys = np.empty((bsz, length, inner), dtype=dd.dtype)
     h = np.zeros((bsz, n, inner), dtype=dd.dtype)
     # one scratch array for exp(delta_i x a), then for the input term, so
     # that no step allocates a state-sized array
     step = np.empty_like(h)
     for i in range(length):
-        np.exp(np.multiply(dd[:, i, None, :], a_t, out=step), out=step)
-        h = np.multiply(step, h, out=states[i] if keep else h)
-        h += np.multiply((dd[:, i] * ud[:, i])[:, None, :], bd[:, i, :, None], out=step)
+        if keep and i % q == 0:
+            starts[i // q] = h
+        h *= np.exp(np.einsum("bc,nc->bnc", dd[:, i], a_t, out=step), out=step)
+        h += np.einsum("bc,bn->bnc", dd[:, i] * ud[:, i], bd[:, i], out=step)
         if _debug_checks and not np.all(np.isfinite(h)):
             raise AutodiffError("selective_scan: non-finite hidden state")
         np.matmul(cd[:, i, None, :], h, out=ys[:, i, None, :])
 
     def bwd(g):
-        # step-major copies, so that every per-step slice is contiguous
-        g_t, d_t, b_t, c_t, u_t = (np.ascontiguousarray(x.swapaxes(0, 1))
-                                   for x in (g, dd, bd, cd, ud))
-        du_t = d_t * u_t
-        gc = np.matmul(states, g_t[:, :, :, None])[:, :, :, 0]
-        gb = np.empty_like(b_t)
-        gdu = np.empty_like(du_t)
-        gdelta = np.empty_like(du_t)
-        gdelta[0] = 0.0  # s_0 = 0 because h_0 = 0
-        ga_t = np.zeros_like(a_t)
-        gh = np.zeros((bsz, n, inner), dtype=dd.dtype)
-        step = np.empty_like(gh)
-        for i in range(length - 1, -1, -1):
-            gh += np.multiply(c_t[i, :, :, None], g_t[i, :, None, :], out=step)
-            np.matmul(b_t[i, :, None, :], gh, out=gdu[i, :, None, :])
-            np.matmul(gh, du_t[i, :, :, None], out=gb[i, :, :, None])
-            if i:
-                gh *= np.exp(np.multiply(d_t[i, :, None, :], a_t, out=step), out=step)
-                # s_i = dL/d(delta_i x a), (B, N, EC), reduced as it is formed
-                s = np.multiply(gh, states[i - 1], out=step)
-                np.einsum("bnc,nc->bc", s, a_t, out=gdelta[i])
-                ga_t += np.einsum("bnc,bc->nc", s, d_t[i])
-        gdelta += gdu * u_t
-        ga = ga_t.T
-        gdelta, gb, gc, gu = (np.ascontiguousarray(x.swapaxes(0, 1))
-                              for x in (gdelta, gb, gc, gdu * d_t))
-        return gdelta, ga, gb, gc, gu
+        gdelta_t, ga_t, gb_t, gc_t, gdu_t = _scan_backward(g, dd, a_t, bd, cd, ud, starts, q)
+        # back to (B, L, .); elementwise products round alike in any layout
+        gdu = gdu_t.swapaxes(0, 1)
+        gu = np.multiply(gdu, dd, out=np.empty_like(ud))
+        gdelta = np.multiply(gdu, ud, out=np.empty_like(dd))
+        gdelta += gdelta_t.swapaxes(0, 1)
+        gb, gc = (np.ascontiguousarray(x.swapaxes(0, 1)) for x in (gb_t, gc_t))
+        return gdelta, ga_t.T, gb, gc, gu
 
     return record("selective_scan", inputs, ys, bwd)
+
+
+def _scan_backward(g, dd, a_t, bd, cd, ud, starts, q):
+    """Reverse recurrence of ``selective_scan``, chunk by chunk, last first.
+
+    Returns, step-major, the part of dL/d(delta) that flows through
+    exp(delta x a), dL/d(a)^T, dL/db, dL/dc and dL/d(delta u).  Its two
+    (q, B, N, EC) chunk buffers are freed when it returns."""
+    bsz, length, inner = dd.shape
+    n = a_t.shape[0]
+    # step-major copies, so that every per-step slice is contiguous
+    g_t, d_t, b_t, c_t = (np.ascontiguousarray(x.swapaxes(0, 1)) for x in (g, dd, bd, cd))
+    du_t = np.multiply(dd.swapaxes(0, 1), ud.swapaxes(0, 1), out=np.empty_like(d_t))
+    gc = np.empty_like(b_t)
+    gb = np.empty_like(b_t)
+    gdu = np.empty_like(du_t)
+    gdelta = np.empty_like(du_t)
+    gdelta[0] = 0.0  # s_0 = 0 because h_0 = 0
+    ga_t = np.zeros_like(a_t)
+    carry = gh = np.zeros((bsz, n, inner), dtype=dd.dtype)  # dL/dh_i carried back
+    step = np.empty_like(gh)
+    # exp(delta_i x a) and h_i of one chunk; the reverse recurrence then
+    # overwrites each slot once it is spent, h_i with dL/dh_i and
+    # exp(delta_i x a) with the gradient carried to step i - 1
+    decays = np.empty((min(q, length), bsz, n, inner), dtype=dd.dtype)
+    states = np.empty_like(decays)
+    for k in range(len(starts) - 1, -1, -1):
+        lo, hi = k * q, min(k * q + q, length)
+        decay, hs = decays[:hi - lo], states[:hi - lo]
+        np.exp(np.einsum("lbc,nc->lbnc", d_t[lo:hi], a_t, out=decay), out=decay)
+        np.einsum("lbc,lbn->lbnc", du_t[lo:hi], b_t[lo:hi], out=hs)
+        prev = starts[k]
+        for j in range(hi - lo):
+            hs[j] += np.multiply(decay[j], prev, out=step)
+            prev = hs[j]
+        np.matmul(hs, g_t[lo:hi, :, :, None], out=gc[lo:hi, :, :, None])
+        for j in range(hi - lo - 1, -1, -1):
+            i = lo + j
+            np.add(carry, np.einsum("bn,bc->bnc", c_t[i], g_t[i], out=step), out=hs[j])
+            if i:
+                carry = np.multiply(hs[j], decay[j], out=decay[j] if j else gh)
+                # s_i = dL/d(delta_i x a), (B, N, EC), reduced as it is formed
+                s = np.multiply(carry, hs[j - 1] if j else starts[k], out=step)
+                np.einsum("bnc,nc->bc", s, a_t, out=gdelta[i])
+                ga_t += np.einsum("bnc,bc->nc", s, d_t[i])
+        np.matmul(b_t[lo:hi, :, None, :], hs, out=gdu[lo:hi, :, None, :])
+        np.matmul(hs, du_t[lo:hi, :, :, None], out=gb[lo:hi, :, :, None])
+    return gdelta, ga_t, gb, gc, gdu
 
 
 def selective_scan_reference(a_bar: np.ndarray, b_bar: np.ndarray,

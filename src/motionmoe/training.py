@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import json
 import struct
-import zlib
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Tape, Tensor, backward, reshape
-from .data import DataError, MotionSequence, batch_iter, write_atomic
+from .data import (DataError, MotionSequence, batch_iter, crc_matches, with_crc,
+                   write_atomic)
 from .model import ModelConfig, MotionMoE
 from .objectives import LossWeights, report_at_horizons, total_loss
 
@@ -166,6 +167,9 @@ def fit(model: MotionMoE, train_seqs: list[MotionSequence],
         hooks: tuple = (), resume: "Checkpoint | None" = None) -> list[dict]:
     """Train for settings.epochs total; returns one log record per epoch.
 
+    A record holds the epoch's mean training loss, its mean optimization
+    step time and its throughput in scenes per second.
+
     When ``resume`` is given, training continues from its epoch with the
     optimizer and RNG state restored, reproducing an uninterrupted run.
     """
@@ -179,11 +183,16 @@ def fit(model: MotionMoE, train_seqs: list[MotionSequence],
         rng = np.random.default_rng(settings.seed)
         start = 0
 
+    steps = -(-len(train_seqs) // settings.batch_size)
+    scenes = sum(seq.persons for seq in train_seqs) // model.config.scene_persons
     log: list[dict] = []
     for epoch in range(start, settings.epochs):
+        started = time.perf_counter()
         train_loss = run_epoch(model, train_seqs, settings, optim, rng, epoch)
+        seconds = time.perf_counter() - started
         record = {"epoch": epoch, "lr": lr_at_epoch(settings.base_lr, epoch),
-                  "train_loss": train_loss}
+                  "train_loss": train_loss, "step_time_s": seconds / max(steps, 1),
+                  "samples_per_s": scenes / seconds}
         if val_seqs:
             report = evaluate(model, val_seqs, settings)
             record["val_jpe"] = report.avg_jpe
@@ -274,10 +283,7 @@ def save_checkpoint(path, model: MotionMoE, optim: AdamState, epoch: int,
     }
     head_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     chunks = [_CKPT_HEAD.pack(CKPT_MAGIC, CKPT_VERSION, len(head_bytes)), head_bytes, *blobs]
-    crc = 0
-    for chunk in chunks:
-        crc = zlib.crc32(chunk, crc)
-    write_atomic(path, chunks + [_CKPT_CRC.pack(crc)])
+    write_atomic(path, with_crc(chunks))
 
 
 def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpoint:
@@ -313,7 +319,7 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
             layout.append((entry["name"], dtype, shape, count, lo))
     except (KeyError, TypeError, ValueError) as exc:
         raise TrainingError(f"checkpoint header has a malformed tensor entry: {exc!r}") from None
-    if version >= 2 and zlib.crc32(raw[:end]) != _CKPT_CRC.unpack_from(raw, end)[0]:
+    if version >= 2 and not crc_matches(raw, end):
         raise TrainingError("checkpoint checksum mismatch: the file is damaged")
 
     config = ModelConfig.from_dict(header["config"])

@@ -12,8 +12,7 @@ import pytest
 from motionmoe import autodiff as ad
 from motionmoe import cli, training
 from motionmoe.cli import main, read_feature_export
-from motionmoe.data import (FORMAT_VERSION, MAGIC, batch_iter, flatten_poses,
-                            read_dataset)
+from motionmoe.data import MAGIC, batch_iter, flatten_poses, read_dataset
 from motionmoe.dct import dct_forward
 from motionmoe.model import ModelConfig, MotionMoE
 from motionmoe.moe import expert_forward
@@ -102,6 +101,11 @@ class TestTrain:
         assert len(log_lines) == 2
         record = json.loads(log_lines[0])
         assert {"epoch", "lr", "train_loss"} <= set(record)
+
+    def test_every_log_record_times_its_epoch(self, trained):
+        for line in (trained["out"] / "train_log.jsonl").read_text().strip().splitlines():
+            record = json.loads(line)
+            assert record["step_time_s"] > 0 and record["samples_per_s"] > 0
 
     def test_missing_train_data_exits_2(self, tmp_path):
         assert main(["train", "--set", f"out_dir={tmp_path}"]) == 2
@@ -483,7 +487,7 @@ class TestArgumentErrors:
                                          "export-features"])
     def test_dataset_with_no_persons_exits_1(self, trained, tmp_path, capsys, command):
         data = tmp_path / "no_persons.mmp1"
-        data.write_bytes(struct.pack("<4sIIIIIfI", MAGIC, FORMAT_VERSION, 2, 0, 8, 3, 25.0, 0))
+        data.write_bytes(struct.pack("<4sIIIIIfI", MAGIC, 1, 2, 0, 8, 3, 25.0, 0))
         out = tmp_path / "out"
         if command == "train":
             argv = ["train", *MICRO_SET, "--set", f"train_data={data}",

@@ -37,7 +37,7 @@ class TestContainer:
         magic, version, s, m, t, j, fps, reserved = struct.unpack_from("<4sIIIIIfI", raw)
         assert (magic, version, s, m, t, j, reserved) == (MAGIC, FORMAT_VERSION, 3, 2, 20, 5, 0)
         assert fps == pytest.approx(25.0)
-        assert len(raw) == 32 + 4 * 3 * 2 * 20 * 5 * 3
+        assert len(raw) == 32 + 4 * 3 * 2 * 20 * 5 * 3 + 4  # header, payload, CRC32
 
     def test_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.bin"
@@ -64,6 +64,35 @@ class TestContainer:
         with pytest.raises(DataError, match="truncated"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("offset", [32 + 4 * 17 + 1, 24], ids=["payload", "fps"])
+    def test_flipped_byte_fails_the_checksum(self, tmp_path, offset):
+        # a payload flip moves one coordinate by a fraction of a millimeter,
+        # an fps flip turns 25.0 into 25.000002: both still parse
+        path = tmp_path / "motion.bin"
+        write_dataset(synth_generate(tiny_spec(sequences=2)), path)
+        raw = bytearray(path.read_bytes())
+        raw[offset] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="checksum"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("cut", [1, 4, 5])
+    def test_cut_file_says_truncated(self, tmp_path, cut):
+        path = tmp_path / "motion.bin"
+        write_dataset(synth_generate(tiny_spec(sequences=2)), path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(DataError, match="truncated"):
+            read_dataset(path)
+
+    def test_version_1_file_without_checksum_loads(self, tmp_path):
+        positions = np.arange(2 * 3 * 2 * 3, dtype="<f4").reshape(1, 2, 3, 2, 3)
+        path = tmp_path / "v1.bin"
+        path.write_bytes(struct.pack("<4sIIIIIfI", MAGIC, 1, 1, 2, 3, 2, 25.0, 0)
+                         + positions.tobytes())
+        (seq,) = read_dataset(path)
+        np.testing.assert_array_equal(seq.positions, positions[0])
+        assert seq.fps == 25.0
+
     def test_short_file(self, tmp_path):
         path = tmp_path / "stub.bin"
         path.write_bytes(b"MM")
@@ -72,7 +101,7 @@ class TestContainer:
 
     def test_nonfinite_payload(self, tmp_path):
         path = tmp_path / "nan.bin"
-        header = struct.pack("<4sIIIIIfI", MAGIC, FORMAT_VERSION, 1, 1, 1, 1, 25.0, 0)
+        header = struct.pack("<4sIIIIIfI", MAGIC, 1, 1, 1, 1, 1, 25.0, 0)
         payload = np.array([1.0, np.nan, 3.0], dtype="<f4").tobytes()
         path.write_bytes(header + payload)
         with pytest.raises(DataError, match="non-finite"):
@@ -106,7 +135,7 @@ class TestSequenceValidation:
                              ids=["persons", "frames", "joints"])
     def test_file_with_a_zero_length_axis_rejected(self, tmp_path, m, t, j):
         path = tmp_path / "motion.bin"
-        path.write_bytes(struct.pack("<4sIIIIIfI", MAGIC, FORMAT_VERSION, 2, m, t, j, 25.0, 0))
+        path.write_bytes(struct.pack("<4sIIIIIfI", MAGIC, 1, 2, m, t, j, 25.0, 0))
         with pytest.raises(DataError, match="at least one person, frame and joint"):
             read_dataset(path)
 

@@ -121,6 +121,48 @@ class TestDiscretize:
                 ssm.selective_scan(*args)
 
 
+def full_state_scan(dd, a_, bd, cd, ud, g):
+    """The scan as it was before checkpointing, in plain numpy: it keeps all
+    L hidden states and reads them back in its reverse recurrence.  Returns
+    the output and the gradients of (delta, a, b, c, u) for output
+    gradient g."""
+    bsz, length, inner = dd.shape
+    n = a_.shape[1]
+    a_t = np.ascontiguousarray(a_.T)
+    states = np.empty((length, bsz, n, inner), dtype=dd.dtype)
+    ys = np.empty((bsz, length, inner), dtype=dd.dtype)
+    h = np.zeros((bsz, n, inner), dtype=dd.dtype)
+    step = np.empty_like(h)
+    for i in range(length):
+        np.exp(np.multiply(dd[:, i, None, :], a_t, out=step), out=step)
+        h = np.multiply(step, h, out=states[i])
+        h += np.multiply((dd[:, i] * ud[:, i])[:, None, :], bd[:, i, :, None], out=step)
+        np.matmul(cd[:, i, None, :], h, out=ys[:, i, None, :])
+
+    g_t, d_t, b_t, c_t, u_t = (np.ascontiguousarray(x.swapaxes(0, 1))
+                               for x in (g, dd, bd, cd, ud))
+    du_t = d_t * u_t
+    gc = np.matmul(states, g_t[:, :, :, None])[:, :, :, 0]
+    gb = np.empty_like(b_t)
+    gdu = np.empty_like(du_t)
+    gdelta = np.empty_like(du_t)
+    gdelta[0] = 0.0
+    ga_t = np.zeros_like(a_t)
+    gh = np.zeros((bsz, n, inner), dtype=dd.dtype)
+    for i in range(length - 1, -1, -1):
+        gh += np.multiply(c_t[i, :, :, None], g_t[i, :, None, :], out=step)
+        np.matmul(b_t[i, :, None, :], gh, out=gdu[i, :, None, :])
+        np.matmul(gh, du_t[i, :, :, None], out=gb[i, :, :, None])
+        if i:
+            gh *= np.exp(np.multiply(d_t[i, :, None, :], a_t, out=step), out=step)
+            s = np.multiply(gh, states[i - 1], out=step)
+            np.einsum("bnc,nc->bc", s, a_t, out=gdelta[i])
+            ga_t += np.einsum("bnc,bc->nc", s, d_t[i])
+    gdelta += gdu * u_t
+    grads = [np.ascontiguousarray(x.swapaxes(0, 1)) for x in (gdelta, gb, gc, gdu * d_t)]
+    return ys, (grads[0], ga_t.T, grads[1], grads[2], grads[3])
+
+
 class TestSelectiveScan:
     def test_single_step(self):
         rng = np.random.default_rng(2)
@@ -190,10 +232,12 @@ class TestSelectiveScan:
             err = np.abs(fused - unfused).max() / np.abs(unfused).max()
             assert err <= 1e-12, f"{name}: {err:.3e}"
 
-    def test_backward_against_finite_differences(self):
+    # L = 5: chunks of 3 and 2 steps; L = 3^2 + 1: chunks of 4, 4 and 2
+    @pytest.mark.parametrize("length", [5, 10])
+    def test_backward_against_finite_differences(self, length):
         rng = np.random.default_rng(3)
-        inputs = random_scan_inputs(rng, 2, 5, 3, 4, grad=True)
-        w = rng.uniform(0.5, 1.5, (2, 5, 3))
+        inputs = random_scan_inputs(rng, 2, length, 3, 4, grad=True)
+        w = rng.uniform(0.5, 1.5, (2, length, 3))
 
         def make(position):
             def f(t):
@@ -216,34 +260,58 @@ class TestSelectiveScan:
         finally:
             ssm.set_debug_checks(False)
 
-    def test_only_a_recorded_call_keeps_the_hidden_states(self):
-        inputs = random_scan_inputs(np.random.default_rng(6), 2, 64, 16, 32, grad=True)
-        history = 64 * 2 * 16 * 32 * 8  # bytes of every hidden state, float64
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("length", [1, 2, 3, 9, 10, 17, 45, 75])
+    def test_checkpoints_match_the_full_state_scan_bit_for_bit(self, length, dtype):
+        # the chunks recompute every state and factor by the same operations
+        # as a scan that keeps them all, so nothing may move by even an ulp
+        rng = np.random.default_rng(length)
+        inputs = [ad.Tensor(t.data.astype(dtype), requires_grad=True)
+                  for t in random_scan_inputs(rng, 3, length, 6, 5)]
+        g = rng.standard_normal((3, length, 6)).astype(dtype)
+        with ad.Tape() as tape:
+            out = ssm.selective_scan(*inputs)
+        grads = tape.nodes[-1].backward(g)
+        want_y, want_grads = full_state_scan(*(t.data for t in inputs), g)
+        assert out.data.tobytes() == want_y.tobytes()
+        assert ssm.selective_scan(*inputs).data.tobytes() == want_y.tobytes()
+        for name, got, want in zip(("delta", "a", "b", "c", "u"), grads, want_grads):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert np.array_equal(got, want), name
 
-        def peak_bytes(record):
+    def test_a_recorded_call_keeps_one_state_per_chunk(self):
+        # L = 64 steps in chunks of q = 8: a recorded call keeps 8 states
+        # beside its output, not 64; a tape-free call keeps its output only
+        bsz, length, inner, n = 2, 64, 16, 32
+        inputs = random_scan_inputs(np.random.default_rng(6), bsz, length, inner, n, grad=True)
+        state = bsz * n * inner * 8
+        ys = bsz * length * inner * 8
+
+        def kept_bytes(record):
             tracemalloc.start()
             try:
                 if record:
-                    with ad.Tape():
-                        ssm.selective_scan(*inputs)
+                    with ad.Tape() as tape:
+                        out = ssm.selective_scan(*inputs)
                 else:
-                    ssm.selective_scan(*inputs)
-                return tracemalloc.get_traced_memory()[1]
+                    out = ssm.selective_scan(*inputs)
+                assert out.shape == (bsz, length, inner)  # held while measured
+                return tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
 
-        assert peak_bytes(record=True) >= history
-        assert peak_bytes(record=False) < history / 2
+        assert 8 * state <= kept_bytes(record=True) < 8 * state + ys + 16 * 1024
+        assert kept_bytes(record=False) < ys + 16 * 1024
 
     def test_recorded_backward_peaks_below_the_states(self):
-        # the backward reduces dL/d(delta x a) one step at a time, so beyond
-        # the states it allocates (B, L, EC) arrays and (B, N, EC) scratch,
-        # never a second array of the states' size (measured: 0.81 of their
-        # bytes; 1.80 with a whole-sequence array)
-        bsz, length, inner, n = 4, 45, 32, 16
+        # the backward holds two chunks' worth of (B, N, EC) arrays, 2q
+        # states, beside (B, L, EC) and (B, L, N) arrays; never all L states
+        # (measured: 2q states and 10.0 sequence arrays, 0.51 of the L states)
+        bsz, length, inner, n = 2, 100, 32, 32
         inputs = random_scan_inputs(np.random.default_rng(11), bsz, length, inner, n,
                                     grad=True)
-        states = length * bsz * n * inner * 8
+        state = bsz * n * inner * 8
+        sequence = bsz * length * inner * 8
         g = np.random.default_rng(12).standard_normal((bsz, length, inner))
         with ad.Tape() as tape:
             ssm.selective_scan(*inputs)
@@ -253,7 +321,8 @@ class TestSelectiveScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < states
+        assert peak < 2 * 10 * state + 12 * sequence
+        assert 2 * 10 * state + 12 * sequence < 0.6 * length * state
 
     def test_tape_free_call_holds_no_sequence_sized_temporary(self):
         # beyond ys, a tape-free call holds only (B, N, EC) step arrays:

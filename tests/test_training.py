@@ -107,7 +107,8 @@ class TestEpochs:
     def test_validation_metrics_logged(self):
         model, seqs, settings = micro_setup(epochs=1)
         log = fit(model, seqs, seqs, settings)
-        assert set(log[0]) == {"epoch", "lr", "train_loss", "val_jpe", "val_ape"}
+        assert set(log[0]) == {"epoch", "lr", "train_loss", "val_jpe", "val_ape",
+                               "step_time_s", "samples_per_s"}
         assert log[0]["val_jpe"] > 0
 
     def test_gradient_clip_changes_updates(self):
