@@ -94,12 +94,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x, requires_grad=False)
-
-
 class _TapeNode:
     __slots__ = ("op", "inputs", "output", "backward")
 
@@ -162,8 +156,12 @@ def record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     out.data = out_arr if out_arr.flags["C_CONTIGUOUS"] else np.ascontiguousarray(out_arr)
     out.grad = None
     out.tid = next(_tensor_ids)
-    out.requires_grad = any(t.requires_grad for t in inputs)
-    tape = active_tape()
+    out.requires_grad = False
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            break
+    tape = _tapes[-1] if _tapes else None
     if out.requires_grad and tape is not None:
         out.tape = tape
         tape.nodes.append(_TapeNode(op, inputs, out, backward))
@@ -285,8 +283,8 @@ def _p_matmul(inputs, attrs):
     out = np.matmul(a, b)
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b, -1, -2))
-        gb = np.matmul(np.swapaxes(a, -1, -2), g)
+        ga = np.matmul(g, b.swapaxes(-1, -2))
+        gb = np.matmul(a.swapaxes(-1, -2), g)
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
     return out, bwd
@@ -352,10 +350,10 @@ def _p_relu(inputs, attrs):
 def _p_transpose(inputs, attrs):
     (x,) = inputs
     a, b = attrs["axis_a"], attrs["axis_b"]
-    out = np.swapaxes(x, a, b)
+    out = x.swapaxes(a, b)
 
     def bwd(g):
-        return (np.swapaxes(g, a, b),)
+        return (g.swapaxes(a, b),)
 
     return out, bwd
 
@@ -400,10 +398,11 @@ def _reduce(inputs, attrs, use_mean):
     (x,) = inputs
     name = "reduce_mean" if use_mean else "reduce_sum"
     axes = _normalize_axes(attrs.get("axes"), x.ndim, name)
-    out = x.mean(axis=axes) if use_mean else x.sum(axis=axes)
     count = 1
     for a in axes:
         count *= x.shape[a]
+    # sum / count is np.mean's arithmetic without its Python wrapper
+    out = x.sum(axis=axes) / count if use_mean else x.sum(axis=axes)
 
     def bwd(g):
         expand = list(x.shape)
@@ -447,10 +446,11 @@ def _p_layernorm_lastaxis(inputs, attrs):
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(
             f"layernorm_lastaxis: scale/shift must have shape ({c},), got {gamma.shape}/{beta.shape}")
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    # means as sum / c: np.mean's arithmetic without its Python wrapper
+    centered = x - x.sum(axis=-1, keepdims=True) / c
+    var = (centered ** 2).sum(axis=-1, keepdims=True) / c
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    xhat = centered * inv
     out = xhat * gamma + beta
 
     def bwd(g):
@@ -459,8 +459,8 @@ def _p_layernorm_lastaxis(inputs, attrs):
         ggamma = (g * xhat).sum(axis=lead)
         gx_hat = g * gamma
         gx = inv * (gx_hat
-                    - gx_hat.mean(axis=-1, keepdims=True)
-                    - xhat * (gx_hat * xhat).mean(axis=-1, keepdims=True))
+                    - gx_hat.sum(axis=-1, keepdims=True) / c
+                    - xhat * ((gx_hat * xhat).sum(axis=-1, keepdims=True) / c))
         return gx, ggamma, gbeta
 
     return out, bwd
@@ -482,9 +482,15 @@ def _p_depthwise_causal_conv1d(inputs, attrs):
         out[:, shift:] += x[:, :length - shift] * kernel[:, w - 1 - shift]
 
     def bwd(g):
-        windows = np.lib.stride_tricks.sliding_window_view(
-            np.pad(x, ((0, 0), (w - 1, 0), (0, 0))), w, axis=1)  # (B, L, C, W)
-        gk = np.einsum("blc,blcw->cw", g, windows)
+        # one reduction per tap over the left-padded input.  The padding
+        # zeros stay in each sum: with one channel, einsum's reduction runs
+        # along the length and groups its terms by position, so only the
+        # padded sums match a window sum bit for bit
+        padded = np.zeros((x.shape[0], length + w - 1, x.shape[2]), dtype=x.dtype)
+        padded[:, w - 1:] = x
+        gk = np.empty(kernel.shape, dtype=np.result_type(g, x))
+        for tap in range(w):
+            gk[:, tap] = np.einsum("blc,blc->c", g, padded[:, tap:tap + length])
         gx = np.zeros_like(g)
         for shift in range(min(w, length)):
             gx[:, :length - shift] += g[:, shift:] * kernel[:, w - 1 - shift]
@@ -516,7 +522,7 @@ def _p_slice(inputs, attrs):
     out = x[idx]
 
     def bwd(g):
-        gx = np.zeros_like(x)
+        gx = np.zeros(x.shape, dtype=x.dtype)
         gx[idx] = g
         return (gx,)
 
@@ -526,11 +532,12 @@ def _p_slice(inputs, attrs):
 def _p_concat(inputs, attrs):
     axis = attrs["axis"]
     out = np.concatenate(inputs, axis=axis)
-    sizes = [arr.shape[axis] for arr in inputs]
-    offsets = np.cumsum(sizes)[:-1]
+    bounds = list(itertools.accumulate((arr.shape[axis] for arr in inputs), initial=0))
+    lead = (slice(None),) * (axis % out.ndim)
 
     def bwd(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, offsets, axis=axis))
+        return tuple([np.ascontiguousarray(g[lead + (slice(lo, hi),)])
+                      for lo, hi in zip(bounds, bounds[1:])])
 
     return out, bwd
 
@@ -604,9 +611,9 @@ def apply_primitive(name: str, inputs: Sequence[Tensor], attrs: dict | None = No
     fn = _PRIMITIVES.get(name)
     if fn is None:
         raise AutodiffError(f"unknown primitive {name!r}")
-    tensors = tuple(_as_tensor(t) for t in inputs)
+    tensors = tuple([t if isinstance(t, Tensor) else Tensor(t) for t in inputs])
     try:
-        out_data, bwd = fn(tuple(t.data for t in tensors), attrs or {})
+        out_data, bwd = fn(tuple([t.data for t in tensors]), attrs or {})
     except ValueError as exc:  # numpy's shape checks, AxisError included
         shapes = ", ".join(str(t.shape) for t in tensors)
         raise ShapeError(f"{name}: {exc} (operand shapes {shapes})") from None

@@ -6,7 +6,9 @@ run bit for bit in float64 mode).
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -35,37 +37,92 @@ def lr_at_epoch(base_lr: float, epoch: int) -> float:
 
 @dataclass
 class AdamState:
+    """Adam's step count, hyper-parameters and moments by parameter name.
+
+    Once a parameter has been updated its ``m`` and ``v`` entries are views
+    into flat moment buffers, one pair per dtype, that ``adam_step`` updates
+    in one pass.  The buffers are adopted from the entries on first use and
+    whenever the set of names with gradients changes.
+    """
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    # dtype -> (names, flat m, flat v, (start, stop) of each name)
+    _flat: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def _flat_moments(state: AdamState, dtype, members: list) -> tuple:
+    names = [name for name, _ in members]
+    layout = state._flat.get(dtype)
+    if layout is None or layout[0] != names:
+        sizes = [p.data.size for _, p in members]
+        bounds = list(zip(itertools.accumulate(sizes, initial=0), itertools.accumulate(sizes)))
+        m, v = np.zeros(sum(sizes), dtype), np.zeros(sum(sizes), dtype)
+        for (name, p), (lo, hi) in zip(members, bounds):
+            if name in state.m:
+                m[lo:hi], v[lo:hi] = state.m[name].reshape(-1), state.v[name].reshape(-1)
+            state.m[name] = m[lo:hi].reshape(p.data.shape)
+            state.v[name] = v[lo:hi].reshape(p.data.shape)
+        layout = state._flat[dtype] = (names, m, v, bounds)
+    return layout[1:]
 
 
 def adam_step(state: AdamState, params: dict[str, Tensor],
-              grads: dict[str, np.ndarray], lr: float) -> None:
-    """One bias-corrected Adam update, in place on the parameter buffers."""
+              grads: dict[str, np.ndarray], lr: float, max_norm: float = 0.0) -> float:
+    """One bias-corrected Adam update, in place on the parameter buffers.
+
+    The gradients are concatenated into one flat array per parameter dtype
+    and checked for finite values before anything changes.  With
+    ``max_norm > 0`` they are scaled down to that global L2 norm.  A
+    parameter without a gradient keeps its value and its moments.  Returns
+    the global L2 norm of the gradients before clipping.
+    """
+    groups: dict = {}
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is not None:
+            if g.shape != p.data.shape:
+                raise TrainingError(f"gradient for parameter {name!r} has shape {g.shape}, "
+                                    f"the parameter {p.data.shape}")
+            groups.setdefault(p.data.dtype, []).append((name, p))
+    flats = {dtype: np.concatenate([grads[name] for name, _ in members], axis=None, dtype=dtype)
+             for dtype, members in groups.items()}
+    if not all(np.isfinite(g).all() for g in flats.values()):
+        name = next(name for name in params
+                    if name in grads and not np.isfinite(grads[name]).all())
+        raise TrainingError(f"non-finite gradient for parameter {name!r}")
+    norm = math.sqrt(sum(float(np.einsum("i,i->", g, g)) for g in flats.values()))
+
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter {name!r}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        m = state.m[name]
-        v = state.v[name]
+    for dtype, g in flats.items():
+        m, v, bounds = _flat_moments(state, dtype, groups[dtype])
+        if 0.0 < max_norm < norm:
+            g *= max_norm / norm
+        # a per-parameter update's arithmetic, in its order, with one
+        # scratch array t: (1 - b1) g, ((1 - b2) g) g, then
+        # lr (m / bc1) / (sqrt(v / bc2) + eps) with the denominator in g
+        t = np.multiply(g, 1.0 - b1)
         m *= b1
-        m += (1.0 - b1) * g
+        m += t
+        np.multiply(g, 1.0 - b2, out=t)
+        t *= g
         v *= b2
-        v += (1.0 - b2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        v += t
+        np.divide(v, bc2, out=g)
+        np.sqrt(g, out=g)
+        g += state.eps
+        np.divide(m, bc1, out=t)
+        t *= lr
+        t /= g
+        for (_, p), (lo, hi) in zip(groups[dtype], bounds):
+            p.data -= t[lo:hi].reshape(p.data.shape)
+    return norm
 
 
 @dataclass
@@ -84,14 +141,6 @@ class TrainSettings:
     horizons: tuple[float, ...] = (0.2, 0.6, 1.0)
     root_joint: int = 0
     out_dir: str | None = None
-
-
-def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if total > max_norm:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
 
 
 def scene_batches(config: ModelConfig, sequences: list[MotionSequence],
@@ -115,17 +164,24 @@ def scene_batches(config: ModelConfig, sequences: list[MotionSequence],
 
 def run_epoch(model: MotionMoE, sequences: list[MotionSequence],
               settings: TrainSettings, optim: AdamState,
-              rng: np.random.Generator, epoch: int) -> float:
-    """One optimization pass; returns the mean batch loss."""
+              rng: np.random.Generator, epoch: int, stats: dict | None = None) -> float:
+    """One optimization pass; returns the mean batch loss.
+
+    ``stats``, when given, receives the epoch's mean pre-clip gradient norm
+    (``grad_norm``) and its slowest step in seconds (``step_time_max_s``).
+    """
     cfg = model.config
     lr = lr_at_epoch(settings.base_lr, epoch)
     shuffle_seed = int(rng.integers(0, 2 ** 63 - 1))
     params = model.parameters()
-    losses = []
+    losses, norms = [], []
+    slowest = 0.0
     persons = (-1, cfg.joints, 3, cfg.total_frames)
+    last = time.perf_counter()
     for batch_index, (hist, target) in enumerate(
             scene_batches(cfg, sequences, settings.batch_size, shuffle_seed)):
-        model.zero_grad()
+        for p in params.values():
+            p.grad = None
         with Tape() as tape:
             pred, _ = model.forward(Tensor(hist), train_mode=True, rng=rng)
             pred4 = reshape(pred, persons)
@@ -139,10 +195,14 @@ def run_epoch(model: MotionMoE, sequences: list[MotionSequence],
         # nodes lets reference counting free the step instead of the cyclic GC
         tape.nodes.clear()
         grads = {name: p.grad for name, p in params.items() if p.grad is not None}
-        if settings.grad_clip > 0.0:
-            _clip_gradients(grads, settings.grad_clip)
-        adam_step(optim, params, grads, lr)
+        norms.append(adam_step(optim, params, grads, lr, settings.grad_clip))
         losses.append(value)
+        now = time.perf_counter()
+        slowest = max(slowest, now - last)
+        last = now
+    if stats is not None:
+        stats["grad_norm"] = float(np.mean(norms)) if norms else 0.0
+        stats["step_time_max_s"] = slowest
     return float(np.mean(losses)) if losses else 0.0
 
 
@@ -167,8 +227,9 @@ def fit(model: MotionMoE, train_seqs: list[MotionSequence],
         hooks: tuple = (), resume: "Checkpoint | None" = None) -> list[dict]:
     """Train for settings.epochs total; returns one log record per epoch.
 
-    A record holds the epoch's mean training loss, its mean optimization
-    step time and its throughput in scenes per second.
+    A record holds the epoch's mean training loss, its mean and slowest
+    optimization step times, its throughput in scenes per second and its
+    mean pre-clip gradient norm.
 
     When ``resume`` is given, training continues from its epoch with the
     optimizer and RNG state restored, reproducing an uninterrupted run.
@@ -187,12 +248,13 @@ def fit(model: MotionMoE, train_seqs: list[MotionSequence],
     scenes = sum(seq.persons for seq in train_seqs) // model.config.scene_persons
     log: list[dict] = []
     for epoch in range(start, settings.epochs):
+        stats: dict = {}
         started = time.perf_counter()
-        train_loss = run_epoch(model, train_seqs, settings, optim, rng, epoch)
+        train_loss = run_epoch(model, train_seqs, settings, optim, rng, epoch, stats)
         seconds = time.perf_counter() - started
         record = {"epoch": epoch, "lr": lr_at_epoch(settings.base_lr, epoch),
                   "train_loss": train_loss, "step_time_s": seconds / max(steps, 1),
-                  "samples_per_s": scenes / seconds}
+                  "samples_per_s": scenes / seconds, **stats}
         if val_seqs:
             report = evaluate(model, val_seqs, settings)
             record["val_jpe"] = report.avg_jpe

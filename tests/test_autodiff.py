@@ -2,6 +2,7 @@
 randomized shapes, plus tape bookkeeping invariants."""
 
 import gc
+import itertools
 import tracemalloc
 import weakref
 
@@ -378,6 +379,23 @@ class TestBlockKernels:
                 np.pad(g, ((0, 0), (0, w - 1), (0, 0))), w, axis=1)
             gx = np.einsum("blcw,cw->blc", g_windows, k.data[:, ::-1])
             assert same_bits(x.grad, gx), seed
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_conv_kernel_gradient_bit_identical_to_window_einsum(self, dtype, width):
+        # one channel included, and lengths below the width, where the
+        # early taps read only padding
+        for b, l, c in itertools.product((1, 3, 16), (1, 2, 3, 5, 9, 45), (1, 2, 16, 37)):
+            rng = np.random.default_rng(b * 10_000 + l * 100 + c)
+            x = ad.Tensor(rng.standard_normal((b, l, c)), dtype=dtype)
+            k = ad.Tensor(rng.standard_normal((c, width)), requires_grad=True, dtype=dtype)
+            g = rng.standard_normal((b, l, c)).astype(dtype)
+            with ad.Tape():
+                ad.backward(ad.reduce_sum(ad.mul(ad.depthwise_causal_conv1d(x, k),
+                                                 ad.Tensor(g, dtype=dtype))))
+            windows = np.lib.stride_tricks.sliding_window_view(
+                np.pad(x.data, ((0, 0), (width - 1, 0), (0, 0))), width, axis=1)
+            assert same_bits(k.grad, np.einsum("blc,blcw->cw", g, windows)), (b, l, c)
 
     @pytest.mark.parametrize("name", ["silu", "softplus"])
     def test_tape_free_peak_memory(self, name):

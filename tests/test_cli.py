@@ -107,6 +107,11 @@ class TestTrain:
             record = json.loads(line)
             assert record["step_time_s"] > 0 and record["samples_per_s"] > 0
 
+    def test_every_log_record_has_gradient_norm_and_slowest_step(self, trained):
+        for line in (trained["out"] / "train_log.jsonl").read_text().strip().splitlines():
+            record = json.loads(line)
+            assert record["grad_norm"] > 0 and record["step_time_max_s"] > 0
+
     def test_missing_train_data_exits_2(self, tmp_path):
         assert main(["train", "--set", f"out_dir={tmp_path}"]) == 2
 

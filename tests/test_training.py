@@ -45,6 +45,37 @@ class TestSchedule:
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
+def per_parameter_adam(state, params, grads, lr):
+    """Adam one parameter at a time: the oracle that the flat update must
+    match bit for bit."""
+    state.step += 1
+    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - b1 ** state.step
+    bc2 = 1.0 - b2 ** state.step
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            continue
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+
+
+def random_gradients(params, rng, leave_out=()):
+    return {name: (rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 2)).astype(p.data.dtype)
+            for name, p in params.items() if name not in leave_out}
+
+
+def bits(arrays):
+    return {name: (a.dtype.str, a.shape, a.tobytes()) for name, a in arrays.items()}
+
+
 class TestAdam:
     def test_constant_gradient_moves_by_lr(self):
         # with g constant, bias correction makes every step exactly
@@ -88,6 +119,108 @@ class TestAdam:
             adam_step(AdamState(), {"codec/bad": p},
                       {"codec/bad": np.array([1.0, np.inf])}, lr=0.1)
 
+    def test_nonfinite_gradient_changes_nothing(self):
+        p = ad.Tensor(np.ones(2), requires_grad=True)
+        q = ad.Tensor(np.ones(2), requires_grad=True)
+        state = AdamState()
+        with pytest.raises(TrainingError, match="'q'"):
+            adam_step(state, {"p": p, "q": q}, {"p": np.ones(2), "q": np.array([1.0, np.inf])}, 0.1)
+        np.testing.assert_array_equal(p.data, np.ones(2))
+        assert state.step == 0 and state.m == {} and state.v == {}
+        # and after a good step, a bad one leaves its moments alone too
+        adam_step(state, {"p": p, "q": q}, {"p": np.ones(2), "q": np.ones(2)}, 0.1)
+        before = bits({"p": p.data, "q": q.data, **state.m}), bits(state.v)
+        with pytest.raises(TrainingError, match="'p'"):
+            adam_step(state, {"p": p, "q": q}, {"p": np.array([np.nan, 0.0]), "q": np.ones(2)}, 0.1)
+        assert (bits({"p": p.data, "q": q.data, **state.m}), bits(state.v)) == before
+        assert state.step == 1
+
+    def test_first_bad_parameter_named_across_dtypes(self):
+        params = {name: ad.Tensor(np.ones(3), requires_grad=True, dtype=dtype)
+                  for name, dtype in (("a", np.float64), ("b", np.float32), ("c", np.float64))}
+        grads = {"a": np.ones(3), "b": np.array([1.0, np.inf, 1.0], dtype=np.float32),
+                 "c": np.array([np.nan, 1.0, 1.0])}
+        with pytest.raises(TrainingError, match="'b'"):
+            adam_step(AdamState(), params, grads, lr=0.1)
+
+    def test_missing_gradient_keeps_its_moments(self):
+        p = ad.Tensor(np.ones(2), requires_grad=True)
+        q = ad.Tensor(np.ones(2), requires_grad=True)
+        state = AdamState()
+        adam_step(state, {"p": p, "q": q}, {"p": np.ones(2), "q": np.full(2, 3.0)}, 0.1)
+        kept = bits({"q": q.data, "m": state.m["q"], "v": state.v["q"]})
+        adam_step(state, {"p": p, "q": q}, {"p": np.ones(2)}, 0.1)
+        assert bits({"q": q.data, "m": state.m["q"], "v": state.v["q"]}) == kept
+
+    @pytest.mark.parametrize("dtypes", [(np.float64,), (np.float32,), (np.float64, np.float32)])
+    def test_flat_update_matches_per_parameter_oracle(self, dtypes):
+        shapes = {"w": (3, 4), "b": (5,), "k": (2, 3, 2), "one": (1,), "s": ()}
+        rng = np.random.default_rng(7)
+        init = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+
+        def make():
+            return {name: ad.Tensor(v, requires_grad=True, dtype=dtypes[i % len(dtypes)])
+                    for i, (name, v) in enumerate(init.items())}
+
+        flat, oracle = make(), make()
+        state, reference = AdamState(), AdamState()
+        for step in range(6):
+            # step 2 leaves "b" out, step 4 leaves out "w" and "s"
+            grads = random_gradients(flat, rng, {2: ("b",), 4: ("w", "s")}.get(step, ()))
+            norm = adam_step(state, flat, grads, lr=0.01 * (step + 1))
+            per_parameter_adam(reference, oracle, grads, lr=0.01 * (step + 1))
+            assert norm == pytest.approx(
+                np.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values())),
+                rel=1e-5)
+            assert bits({n: p.data for n, p in flat.items()}) == \
+                bits({n: p.data for n, p in oracle.items()}), step
+            assert bits(state.m) == bits(reference.m) and bits(state.v) == bits(reference.v), step
+        assert state.step == reference.step == 6
+        if len(dtypes) == 2:  # a buffer never mixes dtypes
+            assert state.m["w"].dtype == np.float64 and state.m["b"].dtype == np.float32
+            assert not np.shares_memory(state.m["w"], state.m["b"])
+
+    def test_checkpoint_and_resume_match_the_oracle(self, tmp_path):
+        config = ModelConfig(**MICRO_MODEL, seed=0)
+        model, twin = MotionMoE(config), MotionMoE(config)
+        params, twin_params = model.parameters(), twin.parameters()
+        leave_out = next(iter(params))
+        state, reference = AdamState(), AdamState()
+        rng = np.random.default_rng(1)
+        for step in range(3):
+            grads = random_gradients(params, rng, (leave_out,) if step == 1 else ())
+            adam_step(state, params, grads, lr=0.01)
+            per_parameter_adam(reference, twin_params, grads, lr=0.01)
+        save_checkpoint(tmp_path / "flat.stmc", model, state, 1, np.random.default_rng(0))
+        save_checkpoint(tmp_path / "oracle.stmc", twin, reference, 1, np.random.default_rng(0))
+        assert (tmp_path / "flat.stmc").read_bytes() == (tmp_path / "oracle.stmc").read_bytes()
+
+        # a resumed state adopts the loaded moments
+        ckpt = load_checkpoint(tmp_path / "flat.stmc")
+        resumed, resumed_state = model_from_checkpoint(ckpt), ckpt.optim_state()
+        resumed_params = resumed.parameters()
+        for step in range(3):
+            grads = random_gradients(params, rng, (leave_out,) if step == 0 else ())
+            adam_step(resumed_state, resumed_params, grads, lr=0.005)
+            per_parameter_adam(reference, twin_params, grads, lr=0.005)
+        save_checkpoint(tmp_path / "flat.stmc", resumed, resumed_state, 2, np.random.default_rng(0))
+        save_checkpoint(tmp_path / "oracle.stmc", twin, reference, 2, np.random.default_rng(0))
+        assert (tmp_path / "flat.stmc").read_bytes() == (tmp_path / "oracle.stmc").read_bytes()
+
+    def test_clipping_scales_by_the_returned_norm(self):
+        rng = np.random.default_rng(3)
+        grads = {"a": rng.standard_normal((4, 3)), "b": rng.standard_normal(5)}
+        given = bits(grads)
+        clipped = {name: ad.Tensor(np.ones(g.shape), requires_grad=True) for name, g in grads.items()}
+        scaled = {name: ad.Tensor(np.ones(g.shape), requires_grad=True) for name, g in grads.items()}
+        norm = adam_step(AdamState(), clipped, grads, lr=0.1, max_norm=0.5)
+        assert norm == pytest.approx(np.sqrt(sum((g * g).sum() for g in grads.values())), rel=1e-14)
+        assert norm > 0.5
+        adam_step(AdamState(), scaled, {n: g * (0.5 / norm) for n, g in grads.items()}, lr=0.1)
+        assert bits({n: p.data for n, p in clipped.items()}) == \
+            bits({n: p.data for n, p in scaled.items()})
+        assert bits(grads) == given  # the caller's gradients are not scaled
+
 
 class TestEpochs:
     def test_loss_decreases_on_micro_problem(self):
@@ -108,8 +241,28 @@ class TestEpochs:
         model, seqs, settings = micro_setup(epochs=1)
         log = fit(model, seqs, seqs, settings)
         assert set(log[0]) == {"epoch", "lr", "train_loss", "val_jpe", "val_ape",
-                               "step_time_s", "samples_per_s"}
+                               "step_time_s", "samples_per_s", "grad_norm", "step_time_max_s"}
         assert log[0]["val_jpe"] > 0
+
+    def test_epoch_reports_gradient_norm_and_slowest_step(self):
+        # one step per epoch: the mean norm is that step's, and the step's
+        # unclipped gradients are still on the parameters
+        runs = []
+        for stats in (None, {}):
+            model, seqs, settings = micro_setup(batch_size=8)
+            rng = np.random.default_rng(0)
+            loss = run_epoch(model, seqs, settings, AdamState(), rng, 0, stats)
+            runs.append((loss, rng.bit_generator.state))
+        assert runs[0] == runs[1]  # reporting draws nothing from the RNG
+        grads = [p.grad for p in model.parameters().values() if p.grad is not None]
+        assert stats["grad_norm"] == pytest.approx(
+            np.sqrt(sum(float((g * g).sum()) for g in grads)), rel=1e-12)
+        assert stats["step_time_max_s"] > 0
+
+        model, seqs, settings = micro_setup(epochs=1, grad_clip=1e-4)
+        record = fit(model, seqs, None, settings)[0]
+        assert record["grad_norm"] > 1e-4  # logged before clipping
+        assert record["step_time_max_s"] > 0
 
     def test_gradient_clip_changes_updates(self):
         runs = {}
