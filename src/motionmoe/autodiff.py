@@ -242,6 +242,60 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+# --- kernels shared by the primitives and ssm's fused block ----------------
+
+def _softplus(x: np.ndarray) -> np.ndarray:
+    # log1p(exp(-|x|)) + max(x, 0), formed in one array of x's size: the
+    # second term is added only where it is not zero
+    out = np.abs(x, out=np.empty_like(x))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    np.add(out, x, out=out, where=x > 0.0)
+    return out
+
+
+def _silu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """dL/dx of silu(x) = x * s, given dL/d(silu(x)) and s = sigmoid(x)."""
+    return g * s * (1.0 + x * (1.0 - s))
+
+
+def _matmul_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray):
+    ga = np.matmul(g, b.swapaxes(-1, -2))
+    gb = np.matmul(a.swapaxes(-1, -2), g)
+    return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+
+
+def _causal_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Depthwise causal conv of (batch, length, channels) by (channels, w)."""
+    w, length = kernel.shape[1], x.shape[1]
+    # tap w - 1 - shift reads x shifted right by shift.  Taps add up from
+    # zero in ascending order, the order of a window sum over the padded
+    # input, so results match that sum bit for bit
+    out = np.zeros_like(x, dtype=np.result_type(x, kernel))
+    for shift in reversed(range(min(w, length))):
+        out[:, shift:] += x[:, :length - shift] * kernel[:, w - 1 - shift]
+    return out
+
+
+def _causal_conv_grads(g: np.ndarray, x: np.ndarray, kernel: np.ndarray):
+    """(dL/dx, dL/dkernel) of ``_causal_conv(x, kernel)``."""
+    w, length = kernel.shape[1], x.shape[1]
+    # one reduction per tap over the left-padded input.  The padding zeros
+    # stay in each sum: with one channel, einsum's reduction runs along the
+    # length and groups its terms by position, so only the padded sums
+    # match a window sum bit for bit
+    padded = np.zeros((x.shape[0], length + w - 1, x.shape[2]), dtype=x.dtype)
+    padded[:, w - 1:] = x
+    gk = np.empty(kernel.shape, dtype=np.result_type(g, x))
+    for tap in range(w):
+        gk[:, tap] = np.einsum("blc,blc->c", g, padded[:, tap:tap + length])
+    gx = np.zeros_like(g)
+    for shift in range(min(w, length)):
+        gx[:, :length - shift] += g[:, shift:] * kernel[:, w - 1 - shift]
+    return gx, gk
+
+
 # --- primitive implementations -------------------------------------------
 # Each returns (output array, backward closure).  Closures capture input
 # arrays, never Tensors, so tapes hold no cycles through grad buffers.
@@ -280,14 +334,7 @@ def _p_matmul(inputs, attrs):
     a, b = inputs
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must have ndim >= 2, got {a.shape} @ {b.shape}")
-    out = np.matmul(a, b)
-
-    def bwd(g):
-        ga = np.matmul(g, b.swapaxes(-1, -2))
-        gb = np.matmul(a.swapaxes(-1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
-
-    return out, bwd
+    return np.matmul(a, b), lambda g: _matmul_grads(g, a, b)
 
 
 def _p_exp(inputs, attrs):
@@ -302,29 +349,13 @@ def _p_exp(inputs, attrs):
 
 def _p_softplus(inputs, attrs):
     (x,) = inputs
-    # log1p(exp(-|x|)) + max(x, 0), formed in one array of x's size: the
-    # second term is added only where it is not zero
-    out = np.abs(x, out=np.empty_like(x))
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    np.log1p(out, out=out)
-    np.add(out, x, out=out, where=x > 0.0)
-
-    def bwd(g):
-        return (g * _sigmoid(x),)
-
-    return out, bwd
+    return _softplus(x), lambda g: (g * _sigmoid(x),)
 
 
 def _p_silu(inputs, attrs):
     (x,) = inputs
     s = _sigmoid(x)
-    out = x * s
-
-    def bwd(g):
-        return (g * s * (1.0 + x * (1.0 - s)),)
-
-    return out, bwd
+    return x * s, lambda g: (_silu_grad(g, x, s),)
 
 
 def _p_tanh(inputs, attrs):
@@ -473,30 +504,7 @@ def _p_depthwise_causal_conv1d(inputs, attrs):
     if kernel.ndim != 2 or kernel.shape[0] != x.shape[2]:
         raise ShapeError(
             f"depthwise_causal_conv1d: kernel must be (channels={x.shape[2]}, width), got {kernel.shape}")
-    w, length = kernel.shape[1], x.shape[1]
-    # tap w - 1 - shift reads x shifted right by shift.  Taps add up from
-    # zero in ascending order, the order of a window sum over the padded
-    # input, so results match that sum bit for bit
-    out = np.zeros_like(x, dtype=np.result_type(x, kernel))
-    for shift in reversed(range(min(w, length))):
-        out[:, shift:] += x[:, :length - shift] * kernel[:, w - 1 - shift]
-
-    def bwd(g):
-        # one reduction per tap over the left-padded input.  The padding
-        # zeros stay in each sum: with one channel, einsum's reduction runs
-        # along the length and groups its terms by position, so only the
-        # padded sums match a window sum bit for bit
-        padded = np.zeros((x.shape[0], length + w - 1, x.shape[2]), dtype=x.dtype)
-        padded[:, w - 1:] = x
-        gk = np.empty(kernel.shape, dtype=np.result_type(g, x))
-        for tap in range(w):
-            gk[:, tap] = np.einsum("blc,blc->c", g, padded[:, tap:tap + length])
-        gx = np.zeros_like(g)
-        for shift in range(min(w, length)):
-            gx[:, :length - shift] += g[:, shift:] * kernel[:, w - 1 - shift]
-        return gx, gk
-
-    return out, bwd
+    return _causal_conv(x, kernel), lambda g: _causal_conv_grads(g, x, kernel)
 
 
 def _p_broadcast(inputs, attrs):

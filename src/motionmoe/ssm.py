@@ -27,9 +27,17 @@ state, bit for bit.  The state is held as
 product runs over E*C contiguous values rather than N = 16.
 ``selective_scan_reference`` is the naive per-step oracle it is tested
 against, fed the discretization computed in plain numpy, with the state as
-(E*C, N).  A tape-free block call holds no activation it no
-longer needs: z is formed after the scan, and the scan's inputs are freed
-when it returns.
+(E*C, N).
+
+``mamba_block_forward`` runs the whole block as one tape op around the
+scan's forward and gradient kernels (the ``checkpoint_lvl=1`` recipe of the
+reference ``MambaInnerFn``).  A recorded call keeps x, y, the chunk-start
+states and the four arrays that cost most to recompute: the conv's
+pre-activation and its sigmoid, delta's pre-activation and silu(z)'s
+sigmoid.  Its backward recomputes x W_x, x', x_proj(x'), delta, z and the
+gated product by the forward's own operations, so outputs and gradients
+are bit for bit those of the block's primitive composition.  A tape-free
+call frees each array once nothing reads it; z is formed after the scan.
 
 The bidirectional wrapper shares ONE set of block weights between the
 forward and the reversed scan, and runs both as one block call on the
@@ -46,10 +54,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (AutodiffError, ShapeError, Tensor, add, concat,
-                       depthwise_causal_conv1d, exp, is_recording,
-                       layernorm_lastaxis, matmul, mul, record, relu, reverse_axis,
-                       silu, slice_axis, softplus)
+from .autodiff import (AutodiffError, ShapeError, Tensor, _causal_conv, _causal_conv_grads,
+                       _matmul_grads, _sigmoid, _silu_grad, _softplus, _unbroadcast, add,
+                       concat, is_recording, layernorm_lastaxis, matmul, record, relu,
+                       reverse_axis, slice_axis)
 
 SCAN_MODES = ("bidirectional", "forward", "backward")
 
@@ -159,12 +167,20 @@ def selective_scan(delta: Tensor, a: Tensor, b: Tensor, c: Tensor, u: Tensor) ->
                             ("u", ud, (bsz, length, inner))):
         if arr.shape != want:
             raise ShapeError(f"selective_scan: {name} must be {want}, got {arr.shape}")
+    inputs = (delta, a, b, c, u)
+    a_t = np.ascontiguousarray(a_.T)  # (N, EC), for the channel-innermost state
+    ys, starts, q = _scan_forward(dd, a_t, bd, cd, ud, keep=is_recording(inputs))
+    return record("selective_scan", inputs, ys,
+                  lambda g: _scan_grads(g, dd, a_t, bd, cd, ud, starts, q))
+
+
+def _scan_forward(dd, a_t, bd, cd, ud, keep):
+    """(y, chunk-start states, q) of the scan; the states are None unless
+    ``keep``.  a_t is a^T, (N, EC)."""
     if _debug_checks and np.any(dd <= 0.0):
         raise AutodiffError("selective_scan: delta must be strictly positive")
-
-    inputs = (delta, a, b, c, u)
-    keep = is_recording(inputs)
-    a_t = np.ascontiguousarray(a_.T)  # (N, EC), for the channel-innermost state
+    bsz, length, inner = dd.shape
+    n = a_t.shape[0]
     q = math.isqrt(max(length, 1) - 1) + 1  # ceil(sqrt(L)) steps per chunk
     chunks = -(-length // q)
     starts = np.empty((chunks, bsz, n, inner), dtype=dd.dtype) if keep else None
@@ -181,18 +197,19 @@ def selective_scan(delta: Tensor, a: Tensor, b: Tensor, c: Tensor, u: Tensor) ->
         if _debug_checks and not np.all(np.isfinite(h)):
             raise AutodiffError("selective_scan: non-finite hidden state")
         np.matmul(cd[:, i, None, :], h, out=ys[:, i, None, :])
+    return ys, starts, q
 
-    def bwd(g):
-        gdelta_t, ga_t, gb_t, gc_t, gdu_t = _scan_backward(g, dd, a_t, bd, cd, ud, starts, q)
-        # back to (B, L, .); elementwise products round alike in any layout
-        gdu = gdu_t.swapaxes(0, 1)
-        gu = np.multiply(gdu, dd, out=np.empty_like(ud))
-        gdelta = np.multiply(gdu, ud, out=np.empty_like(dd))
-        gdelta += gdelta_t.swapaxes(0, 1)
-        gb, gc = (np.ascontiguousarray(x.swapaxes(0, 1)) for x in (gb_t, gc_t))
-        return gdelta, ga_t.T, gb, gc, gu
 
-    return record("selective_scan", inputs, ys, bwd)
+def _scan_grads(g, dd, a_t, bd, cd, ud, starts, q):
+    """dL/d(delta, a, b, c, u) of the scan, in its inputs' layouts."""
+    gdelta_t, ga_t, gb_t, gc_t, gdu_t = _scan_backward(g, dd, a_t, bd, cd, ud, starts, q)
+    # back to (B, L, .); elementwise products round alike in any layout
+    gdu = gdu_t.swapaxes(0, 1)
+    gu = np.multiply(gdu, dd, out=np.empty_like(ud))
+    gdelta = np.multiply(gdu, ud, out=np.empty_like(dd))
+    gdelta += gdelta_t.swapaxes(0, 1)
+    gb, gc = (np.ascontiguousarray(x.swapaxes(0, 1)) for x in (gb_t, gc_t))
+    return gdelta, ga_t.T, gb, gc, gu
 
 
 def _scan_backward(g, dd, a_t, bd, cd, ud, starts, q):
@@ -258,33 +275,68 @@ def selective_scan_reference(a_bar: np.ndarray, b_bar: np.ndarray,
 
 
 def mamba_block_forward(params: MambaBlockParams, x: Tensor) -> Tensor:
-    """One selective-SSM block over (batch, L, C) -> (batch, L, C)."""
+    """One selective-SSM block over (batch, L, C) -> (batch, L, C) as one
+    tape op; the module docstring says what a recorded call keeps."""
     if x.ndim != 3 or x.shape[2] != params.channels:
         raise ShapeError(
             f"mamba_block_forward: expected (batch, L, {params.channels}), got {x.shape}")
-    inner = params.expand * params.channels
+    inputs = (x, *params.parameters().values())
+    xd, w_in, kernel, conv_bias, w_proj, dt_proj, dt_bias, a_log, w_out = (
+        t.data for t in inputs)
+    keep = is_recording(inputs)
+    inner, rank, n = params.expand * params.channels, params.dt_rank, params.state_dim
     # slicing the weight, not the (B, L, 2*E*C) activation, keeps x and z
     # from being materialized together; z is formed only after the scan
-    w_x = slice_axis(params.in_proj, axis=1, start=0, stop=inner)
-    w_z = slice_axis(params.in_proj, axis=1, start=inner, stop=2 * inner)
-    y = selective_scan(*_scan_inputs(params, matmul(x, w_x)))
-    return matmul(mul(y, silu(matmul(x, w_z))), params.out_proj)
+    w_x, w_z = (np.ascontiguousarray(w) for w in np.split(w_in, [inner], axis=1))
+    a_t = np.ascontiguousarray(-np.exp(a_log).T)  # A^T, (N, E*C)
 
+    def scan_inputs(xs):  # (dt_low, B, C) = split(x_proj(x'))
+        return (np.ascontiguousarray(part)
+                for part in np.split(np.matmul(xs, w_proj), [rank, rank + n], axis=2))
 
-def _scan_inputs(params: MambaBlockParams, xr: Tensor):
-    """(delta, A, B, C, x') for the scan.  Returned rather than held in the
-    caller's locals, so that a tape-free call frees them once the scan ends."""
-    rank, n = params.dt_rank, params.state_dim
-    xs = add(depthwise_causal_conv1d(xr, params.conv_kernel), params.conv_bias)
-    del xr  # off the tape nothing else holds it: freed before the silu
-    xs = silu(xs)
-    proj = matmul(xs, params.x_proj)
-    dt_low = slice_axis(proj, axis=2, start=0, stop=rank)
-    b_in = slice_axis(proj, axis=2, start=rank, stop=rank + n)
-    c_in = slice_axis(proj, axis=2, start=rank + n, stop=rank + 2 * n)
-    delta = softplus(add(matmul(dt_low, params.dt_proj), params.dt_bias))
-    minus_one = Tensor(-1.0, dtype=params.A_log.data.dtype)
-    return delta, mul(exp(params.A_log), minus_one), b_in, c_in, xs
+    pre = _causal_conv(np.matmul(xd, w_x), kernel) + conv_bias
+    s_pre = _sigmoid(pre)
+    xs = pre * s_pre
+    if not keep:  # nothing else reads them: freed before the scan
+        del pre, s_pre
+    dt_low, b_in, c_in = scan_inputs(xs)
+    dt_pre = np.matmul(dt_low, dt_proj) + dt_bias
+    del dt_low
+    delta = _softplus(dt_pre)
+    if not keep:
+        del dt_pre
+    ys, starts, q = _scan_forward(delta, a_t, b_in, c_in, xs, keep)
+    del xs, delta, b_in, c_in  # the backward recomputes them
+    gate = np.matmul(xd, w_z)
+    s_z = _sigmoid(gate)
+    gate *= s_z  # silu(z)
+    if not keep:
+        del s_z
+    out = np.matmul(ys * gate, w_out)
+
+    def bwd(g):
+        z = np.matmul(xd, w_z)
+        gate = z * s_z
+        g_gated, g_out = _matmul_grads(g, ys * gate, w_out)
+        gy = g_gated * gate
+        gx_z, g_wz = _matmul_grads(_silu_grad(g_gated * ys, z, s_z), xd, w_z)
+        del z, gate, g_gated
+        xs = pre * s_pre
+        dt_low, b_in, c_in = scan_inputs(xs)
+        g_delta, g_a, g_b, g_c, g_u = _scan_grads(gy, _softplus(dt_pre), a_t, b_in, c_in,
+                                                   xs, starts, q)
+        del gy, b_in, c_in
+        g_dt = g_delta * _sigmoid(dt_pre)
+        g_low, g_dt_proj = _matmul_grads(g_dt, dt_low, dt_proj)
+        g_xs, g_proj = _matmul_grads(np.concatenate([g_low, g_b, g_c], axis=2), xs, w_proj)
+        g_pre = _silu_grad(g_u + g_xs, pre, s_pre)
+        g_xr, g_kernel = _causal_conv_grads(g_pre, np.matmul(xd, w_x), kernel)
+        gx_x, g_wx = _matmul_grads(g_xr, xd, w_x)
+        return (gx_z + gx_x, np.concatenate([g_wx, g_wz], axis=1), g_kernel,
+                _unbroadcast(g_pre, conv_bias.shape), g_proj, g_dt_proj,
+                _unbroadcast(g_dt, dt_bias.shape), -g_a * np.exp(a_log), g_out)
+
+    return record("mamba_block", inputs, out, bwd)
 
 
 @dataclass
