@@ -245,13 +245,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # --- kernels shared by the primitives and ssm's fused block ----------------
 
 def _softplus(x: np.ndarray) -> np.ndarray:
-    # log1p(exp(-|x|)) + max(x, 0), formed in one array of x's size: the
-    # second term is added only where it is not zero
+    # log1p(exp(-|x|)) + max(x, 0)
     out = np.abs(x, out=np.empty_like(x))
     np.negative(out, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)
-    np.add(out, x, out=out, where=x > 0.0)
+    out += np.maximum(x, 0.0, dtype=x.dtype)
     return out
 
 

@@ -225,8 +225,7 @@ def cmd_export_features(args) -> int:
         if count >= args.samples:
             break
         hist = hist[:args.samples - count]
-        outs = expert_outputs(pool, layer.spatial, layer.temporal, model.encode(hist),
-                              cfg.scan_mode, cfg.flip_back)
+        outs = expert_outputs(pool, layer.spatial, layer.temporal, model.encode(hist))
         for kind in pool:
             out = outs[kind].data
             pooled = np.concatenate([out.mean(axis=2), out.mean(axis=1)], axis=1)

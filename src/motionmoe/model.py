@@ -101,15 +101,15 @@ class MotionMoE:
         self.basis = DctBasis(t_total)
         self.pad = Tensor(padding_matrix(config.history_frames, t_total))
         self.codec = init_pose_codec(rng, d, t_total, config.codec_hidden, config.dropout)
-        dt_rank = config.dt_rank if config.dt_rank > 0 else None
+        block = (config.expand, config.state_dim, config.conv_width,
+                 config.dt_rank if config.dt_rank > 0 else None,
+                 config.scan_mode, config.flip_back)
         self.layers: list[MixtureLayer] = []
         for _ in range(config.moe_layers):
             self.layers.append(MixtureLayer(
                 router=init_router(rng, d, config.n_experts, config.active_experts),
-                spatial=init_bi_block(rng, t_total, config.expand, config.state_dim,
-                                      config.conv_width, dt_rank),
-                temporal=init_bi_block(rng, d, config.expand, config.state_dim,
-                                       config.conv_width, dt_rank),
+                spatial=init_bi_block(rng, t_total, *block),
+                temporal=init_bi_block(rng, d, *block),
             ))
 
     def encode(self, history: Tensor | np.ndarray, train_mode: bool = False,
@@ -146,14 +146,12 @@ class MotionMoE:
         remaining T - t frames are the forecast.  Inputs are checked by
         ``encode``.
         """
-        cfg = self.config
         f_input = self.encode(history, train_mode, rng)
         features = f_input
         decisions: list[GateDecision] = []
         for layer in self.layers:
             features, decision = moe_layer_forward(
-                layer.router, layer.spatial, layer.temporal, cfg.expert_pool,
-                features, cfg.scan_mode, cfg.flip_back)
+                layer.router, layer.spatial, layer.temporal, self.config.expert_pool, features)
             decisions.append(decision)
 
         decoded = self.codec.decode(add(f_input, features), train_mode, rng)

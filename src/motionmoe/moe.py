@@ -110,19 +110,17 @@ def gate(router: RouterParams, features: Tensor) -> GateDecision:
     return GateDecision(logits=np.array(logits.data), kept=kept, weights=weights)
 
 
-def _stage(name: str, shared_s: BiBlockParams, shared_t: BiBlockParams,
-           x: Tensor, scan_mode: str, flip_back: bool) -> Tensor:
+def _stage(name: str, shared_s: BiBlockParams, shared_t: BiBlockParams, x: Tensor) -> Tensor:
     """One expert stage over (batch, D, T): "S" is the spatial block; "T" is
     the temporal block on the transposed view (batch, T, D), transposed back."""
     if name == "S":
-        return bidirectional_forward(shared_s, x, scan_mode, flip_back)
-    y = bidirectional_forward(shared_t, transpose(x, 1, 2), scan_mode, flip_back)
+        return bidirectional_forward(shared_s, x)
+    y = bidirectional_forward(shared_t, transpose(x, 1, 2))
     return transpose(y, 1, 2)
 
 
 def expert_outputs(kinds, shared_s: BiBlockParams, shared_t: BiBlockParams,
-                   features: Tensor, scan_mode: str = "bidirectional",
-                   flip_back: bool = True, rows=None) -> dict[str, Tensor]:
+                   features: Tensor, rows=None) -> dict[str, Tensor]:
     """Each distinct kind in ``kinds`` applied to (batch, D, T) features.
 
     A kind names its stages, first stage first.  Each first stage is
@@ -151,7 +149,7 @@ def expert_outputs(kinds, shared_s: BiBlockParams, shared_t: BiBlockParams,
             head = np.flatnonzero(np.bincount(np.concatenate(
                 [want[k] for k in kinds if k[0] == kind[0]]), minlength=bsz))
             x = features if len(head) == bsz else take_rows(features, head)
-            firsts[kind[0]] = head, _stage(kind[0], shared_s, shared_t, x, scan_mode, flip_back)
+            firsts[kind[0]] = head, _stage(kind[0], shared_s, shared_t, x)
         head, first = firsts[kind[0]]
         if len(want[kind]) < len(head):
             first = take_rows(first, np.searchsorted(head, want[kind]))
@@ -167,7 +165,7 @@ def expert_outputs(kinds, shared_s: BiBlockParams, shared_t: BiBlockParams,
             group = [k for k in kinds if k[1] == kind[1] and k not in outs]
             xs += [second_input(k) for k in group[1:]]
         x = xs[0] if len(xs) == 1 else concat(xs, axis=0)
-        y = _stage(kind[1], shared_s, shared_t, x, scan_mode, flip_back)
+        y = _stage(kind[1], shared_s, shared_t, x)
         if len(xs) == 1:
             outs[kind] = y
             continue
@@ -178,17 +176,9 @@ def expert_outputs(kinds, shared_s: BiBlockParams, shared_t: BiBlockParams,
     return outs
 
 
-def expert_forward(kind: str, shared_s: BiBlockParams, shared_t: BiBlockParams,
-                   features: Tensor, scan_mode: str = "bidirectional",
-                   flip_back: bool = True) -> Tensor:
-    """Apply one expert composition to (batch, D, T); the shape is kept."""
-    return expert_outputs((kind,), shared_s, shared_t, features, scan_mode, flip_back)[kind]
-
-
 def moe_layer_forward(router: RouterParams, shared_s: BiBlockParams,
                       shared_t: BiBlockParams, pool: tuple[str, ...],
-                      features: Tensor, scan_mode: str = "bidirectional",
-                      flip_back: bool = True) -> tuple[Tensor, GateDecision]:
+                      features: Tensor) -> tuple[Tensor, GateDecision]:
     """Weighted sum of expert outputs under the gate's sparse decision; each
     expert runs only on the batch rows that give it a nonzero weight."""
     if len(pool) != router.n_experts:
@@ -200,8 +190,7 @@ def moe_layer_forward(router: RouterParams, shared_s: BiBlockParams,
     # a kind listed twice in the pool runs on the rows of both its experts
     kind_rows = {pool[e]: np.flatnonzero(routed[:, [i for i in used if pool[i] == pool[e]]]
                                          .any(axis=1)) for e in used}
-    outs = expert_outputs(list(kind_rows), shared_s, shared_t, features, scan_mode,
-                          flip_back, rows=kind_rows)
+    outs = expert_outputs(list(kind_rows), shared_s, shared_t, features, rows=kind_rows)
     out = None
     for e in used:
         rows = kind_rows[pool[e]]

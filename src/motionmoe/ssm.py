@@ -103,6 +103,11 @@ class MambaBlockParams:
         }
 
 
+def _uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
+    bound = 1.0 / np.sqrt(fan_in)
+    return rng.uniform(-bound, bound, size=shape)
+
+
 def init_mamba_block(rng: np.random.Generator, channels: int, expand: int = 2,
                      state_dim: int = 16, conv_width: int = 4,
                      dt_rank: int | None = None,
@@ -116,10 +121,6 @@ def init_mamba_block(rng: np.random.Generator, channels: int, expand: int = 2,
         dt_rank = default_dt_rank(channels)
     inner = expand * channels
 
-    def uniform(fan_in, shape):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
     dt = np.exp(rng.uniform(np.log(dt_min), np.log(dt_max), size=inner))
     dt_bias = dt + np.log(-np.expm1(-dt))  # softplus(dt_bias) == dt
 
@@ -128,14 +129,14 @@ def init_mamba_block(rng: np.random.Generator, channels: int, expand: int = 2,
     return MambaBlockParams(
         channels=channels, expand=expand, state_dim=state_dim,
         conv_width=conv_width, dt_rank=dt_rank,
-        in_proj=Tensor(uniform(channels, (channels, 2 * inner)), requires_grad=True),
-        conv_kernel=Tensor(uniform(conv_width, (inner, conv_width)), requires_grad=True),
+        in_proj=Tensor(_uniform(rng, channels, (channels, 2 * inner)), requires_grad=True),
+        conv_kernel=Tensor(_uniform(rng, conv_width, (inner, conv_width)), requires_grad=True),
         conv_bias=Tensor(np.zeros(inner), requires_grad=True),
-        x_proj=Tensor(uniform(inner, (inner, dt_rank + 2 * state_dim)), requires_grad=True),
-        dt_proj=Tensor(uniform(dt_rank, (dt_rank, inner)), requires_grad=True),
+        x_proj=Tensor(_uniform(rng, inner, (inner, dt_rank + 2 * state_dim)), requires_grad=True),
+        dt_proj=Tensor(_uniform(rng, dt_rank, (dt_rank, inner)), requires_grad=True),
         dt_bias=Tensor(dt_bias, requires_grad=True),
         A_log=Tensor(np.log(a), requires_grad=True),
-        out_proj=Tensor(uniform(inner, (inner, channels)), requires_grad=True),
+        out_proj=Tensor(_uniform(rng, inner, (inner, channels)), requires_grad=True),
     )
 
 
@@ -344,7 +345,13 @@ class BiBlockParams:
     """Shared-weight bidirectional block plus its LN/FFN head.
 
     Both scan directions reuse the single ``mamba`` instance; the wrapper
-    owns only normalization and feed-forward parameters.
+    owns only normalization and feed-forward parameters.  Two settings,
+    fixed when the block is built, pick its scan directions.  ``scan_mode``
+    (one of ``SCAN_MODES``) scans the input forward, scans its time
+    reversal ("backward"), or sums both ("bidirectional").  ``flip_back=True``
+    re-reverses the reversed scan's output so that both summands are in
+    input frame order; False keeps the reversed-frame sum as literally
+    written in the source formulation.
     """
 
     mamba: MambaBlockParams
@@ -356,6 +363,8 @@ class BiBlockParams:
     ffn_b1: Tensor  # (2C,)
     ffn_w2: Tensor  # (2C, C)
     ffn_b2: Tensor  # (C,)
+    scan_mode: str = "bidirectional"
+    flip_back: bool = True
 
     def parameters(self) -> dict[str, Tensor]:
         out = {f"mamba/{k}": v for k, v in self.mamba.parameters().items()}
@@ -374,12 +383,11 @@ class BiBlockParams:
 
 def init_bi_block(rng: np.random.Generator, channels: int, expand: int = 2,
                   state_dim: int = 16, conv_width: int = 4,
-                  dt_rank: int | None = None) -> BiBlockParams:
+                  dt_rank: int | None = None, scan_mode: str = "bidirectional",
+                  flip_back: bool = True) -> BiBlockParams:
+    if scan_mode not in SCAN_MODES:
+        raise ValueError(f"scan_mode must be one of {SCAN_MODES}, got {scan_mode!r}")
     mamba = init_mamba_block(rng, channels, expand, state_dim, conv_width, dt_rank)
-
-    def uniform(fan_in, shape):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
 
     return BiBlockParams(
         mamba=mamba,
@@ -387,45 +395,35 @@ def init_bi_block(rng: np.random.Generator, channels: int, expand: int = 2,
         ln_inner_beta=Tensor(np.zeros(channels), requires_grad=True),
         ln_outer_gamma=Tensor(np.ones(channels), requires_grad=True),
         ln_outer_beta=Tensor(np.zeros(channels), requires_grad=True),
-        ffn_w1=Tensor(uniform(channels, (channels, 2 * channels)), requires_grad=True),
+        ffn_w1=Tensor(_uniform(rng, channels, (channels, 2 * channels)), requires_grad=True),
         ffn_b1=Tensor(np.zeros(2 * channels), requires_grad=True),
-        ffn_w2=Tensor(uniform(2 * channels, (2 * channels, channels)), requires_grad=True),
+        ffn_w2=Tensor(_uniform(rng, 2 * channels, (2 * channels, channels)), requires_grad=True),
         ffn_b2=Tensor(np.zeros(channels), requires_grad=True),
+        scan_mode=scan_mode, flip_back=flip_back,
     )
 
 
-def bidirectional_core(params: BiBlockParams, x: Tensor,
-                       scan_mode: str = "bidirectional",
-                       flip_back: bool = True) -> Tensor:
-    """Directional scans plus the raw-input residual, before normalization.
-
-    flip_back=True re-reverses the backward branch so both summands are in
-    input frame order; False keeps the reversed-frame sum as literally
-    written in the source formulation.
-    """
-    if scan_mode not in SCAN_MODES:
-        raise ValueError(f"scan_mode must be one of {SCAN_MODES}, got {scan_mode!r}")
+def bidirectional_core(params: BiBlockParams, x: Tensor) -> Tensor:
+    """Directional scans plus the raw-input residual, before normalization."""
     # both directions run as one call on a (2B, L, C) stack of x and its
     # time reversal; their sum keeps the order (forward + reversed) + x
     reversed_rows = {"bidirectional": (False, True), "forward": (False,),
-                     "backward": (True,)}[scan_mode]
+                     "backward": (True,)}[params.scan_mode]
     stacked = concat([reverse_axis(x, 1) if rev else x for rev in reversed_rows], axis=0)
     y = mamba_block_forward(params.mamba, stacked)
     bsz = x.shape[0]
     out = None
     for i, rev in enumerate(reversed_rows):
         part = slice_axis(y, axis=0, start=i * bsz, stop=(i + 1) * bsz)
-        if rev and flip_back:
+        if rev and params.flip_back:
             part = reverse_axis(part, 1)
         out = part if out is None else add(out, part)
     return add(out, x)
 
 
-def bidirectional_forward(params: BiBlockParams, x: Tensor,
-                          scan_mode: str = "bidirectional",
-                          flip_back: bool = True) -> Tensor:
+def bidirectional_forward(params: BiBlockParams, x: Tensor) -> Tensor:
     """Full block: LN(LN(core) + FFN(LN(core))) over the channel axis."""
-    core = bidirectional_core(params, x, scan_mode, flip_back)
+    core = bidirectional_core(params, x)
     inner = layernorm_lastaxis(core, params.ln_inner_gamma, params.ln_inner_beta)
     hidden = relu(add(matmul(inner, params.ffn_w1), params.ffn_b1))
     ffn_out = add(matmul(hidden, params.ffn_w2), params.ffn_b2)

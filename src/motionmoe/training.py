@@ -340,7 +340,7 @@ def save_checkpoint(path, model: MotionMoE, optim: AdamState, epoch: int,
         "epoch": epoch,
         "adam": {"step": optim.step, "beta1": optim.beta1,
                  "beta2": optim.beta2, "eps": optim.eps},
-        "rng_state": _encode_rng(rng.bit_generator.state),
+        "rng_state": rng.bit_generator.state,
         "tensors": entries,
     }
     head_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
@@ -392,7 +392,7 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
         arr = np.frombuffer(raw, dtype=dtype, count=count, offset=lo)
         tensors[name] = arr.reshape(shape).copy()
     return Checkpoint(config=config, epoch=header["epoch"], tensors=tensors,
-                      adam_meta=header["adam"], rng_state=_decode_rng(header["rng_state"]))
+                      adam_meta=header["adam"], rng_state=header["rng_state"])
 
 
 def _check_config(stored: ModelConfig, wanted: ModelConfig | None) -> None:
@@ -420,16 +420,3 @@ def model_from_checkpoint(ckpt: Checkpoint) -> MotionMoE:
     model = MotionMoE(ckpt.config)
     restore_into(model, ckpt)
     return model
-
-
-def _encode_rng(state: dict) -> dict:
-    # PCG64 state holds 128-bit ints; stringify for exact JSON round trips
-    return json.loads(json.dumps(state, default=str))
-
-
-def _decode_rng(state) -> dict:
-    if isinstance(state, dict):
-        return {k: _decode_rng(v) for k, v in state.items()}
-    if isinstance(state, str) and state.lstrip("-").isdigit():
-        return int(state)
-    return state

@@ -18,7 +18,7 @@ from motionmoe.cli import main
 from motionmoe.data import GeneratorSpec, read_dataset, synth_generate, write_dataset
 from motionmoe.dct import DctBasis, dct_forward, dct_inverse
 from motionmoe.model import ModelConfig, MotionMoE, audit_parameters
-from motionmoe.moe import RouterParams, expert_forward, gate, moe_layer_forward
+from motionmoe.moe import RouterParams, expert_outputs, gate, moe_layer_forward
 from motionmoe.objectives import (ape, jpe, spatial_loss,
                                   temporal_consistency_loss)
 from motionmoe.training import (AdamState, TrainSettings, evaluate, fit,
@@ -312,7 +312,7 @@ def test_criterion_04_routing_laws():
         dense = np.zeros_like(out.data)
         for e, kind in enumerate(pool):
             dense += (decision.weights.data[:, e][:, None, None]
-                      * expert_forward(kind, shared_s, shared_t, x).data)
+                      * expert_outputs((kind,), shared_s, shared_t, x)[kind].data)
         assert np.abs(out.data - dense).max() < 1e-6
 
 

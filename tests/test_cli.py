@@ -15,7 +15,7 @@ from motionmoe.cli import main, read_feature_export
 from motionmoe.data import MAGIC, batch_iter, flatten_poses, read_dataset
 from motionmoe.dct import dct_forward
 from motionmoe.model import ModelConfig, MotionMoE
-from motionmoe.moe import expert_forward
+from motionmoe.moe import expert_outputs
 from motionmoe.training import (AdamState, load_checkpoint, model_from_checkpoint,
                                 save_checkpoint)
 
@@ -339,8 +339,7 @@ class TestExportFeatures:
         features = model.codec.encode(dct_forward(ad.Tensor(padded), model.basis))
         expected = []
         for kind in cfg.expert_pool:
-            out = expert_forward(kind, layer.spatial, layer.temporal, features,
-                                 cfg.scan_mode, cfg.flip_back).data
+            out = expert_outputs((kind,), layer.spatial, layer.temporal, features)[kind].data
             expected.append(np.concatenate([out.mean(axis=2), out.mean(axis=1)], axis=1))
         np.testing.assert_allclose(rows, np.concatenate(expected).astype(np.float32),
                                    rtol=1e-6, atol=1e-6)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from motionmoe import autodiff as ad
+from motionmoe import model as model_module
+from motionmoe import moe
 from motionmoe.dct import dct_forward
 from motionmoe.model import ModelConfig, MotionMoE, audit_parameters
 
@@ -98,6 +100,39 @@ class TestForward:
         pred, decisions = model.forward(x)
         assert pred.shape == (2, 9, 8)
         assert len(decisions) == layers
+
+    @pytest.mark.parametrize("mode,flip_back", [("bidirectional", True), ("forward", True),
+                                                ("backward", False)])
+    def test_blocks_carry_the_config_scan_setting(self, mode, flip_back):
+        model = micro_model(scan_mode=mode, flip_back=flip_back, moe_layers=2)
+        for layer in model.layers:
+            for block in (layer.spatial, layer.temporal):
+                assert (block.scan_mode, block.flip_back) == (mode, flip_back)
+
+    @pytest.mark.parametrize("recorded,block_calls", [(True, 4), (False, 6)])
+    def test_forward_reaches_the_module_globals(self, recorded, block_calls, monkeypatch):
+        # perfbench's tracer times its moe.layer and ssm.block spans by
+        # wrapping these two names where the model and the mixture bind them
+        counts = {"layer": 0, "block": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(model_module, "moe_layer_forward",
+                            counting("layer", model_module.moe_layer_forward))
+        monkeypatch.setattr(moe, "bidirectional_forward",
+                            counting("block", moe.bidirectional_forward))
+        model = micro_model(moe_layers=2)
+        x = ad.Tensor(np.random.default_rng(4).standard_normal((3, 9, 5)))
+        if recorded:
+            with ad.Tape():
+                model.forward(x)
+        else:
+            model.forward(x)
+        assert counts == {"layer": 2, "block": 2 * block_calls}
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_active_expert_sweep(self, k):

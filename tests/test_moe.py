@@ -8,7 +8,7 @@ from motionmoe import autodiff as ad
 from motionmoe import ssm
 from motionmoe.model import ModelConfig, MotionMoE
 from motionmoe.moe import (EXPERT_KINDS, GateDecision, RouterParams,
-                           expert_forward, gate, init_router,
+                           expert_outputs, gate, init_router,
                            moe_layer_forward)
 from motionmoe.ssm import init_bi_block
 
@@ -135,7 +135,7 @@ class TestExperts:
     def test_every_kind_preserves_shape(self, kind, shared_blocks):
         d, t, shared_s, shared_t = shared_blocks
         x = ad.Tensor(np.random.default_rng(1).standard_normal((3, d, t)))
-        assert expert_forward(kind, shared_s, shared_t, x).shape == (3, d, t)
+        assert expert_outputs((kind,), shared_s, shared_t, x)[kind].shape == (3, d, t)
 
     def test_compositions_are_stage_products(self, shared_blocks):
         d, t, shared_s, shared_t = shared_blocks
@@ -145,8 +145,8 @@ class TestExperts:
         s_out = bidirectional_forward(shared_s, x)
         t_out = ad.transpose(bidirectional_forward(shared_t, ad.transpose(x, 1, 2)), 1, 2)
 
-        st = expert_forward("ST", shared_s, shared_t, x).data
-        ts = expert_forward("TS", shared_s, shared_t, x).data
+        st = expert_outputs(("ST",), shared_s, shared_t, x)["ST"].data
+        ts = expert_outputs(("TS",), shared_s, shared_t, x)["TS"].data
         exp_st = ad.transpose(bidirectional_forward(
             shared_t, ad.transpose(s_out, 1, 2)), 1, 2).data
         exp_ts = bidirectional_forward(shared_s, t_out).data
@@ -156,7 +156,7 @@ class TestExperts:
     def test_unknown_kind_rejected(self, shared_blocks):
         d, t, shared_s, shared_t = shared_blocks
         with pytest.raises(ValueError, match="expert kind"):
-            expert_forward("XX", shared_s, shared_t, ad.Tensor(np.zeros((1, d, t))))
+            expert_outputs(("XX",), shared_s, shared_t, ad.Tensor(np.zeros((1, d, t))))
 
 
 class TestMixture:
@@ -173,7 +173,7 @@ class TestMixture:
         out, decision = moe_layer_forward(router, shared_s, shared_t, pool, x)
         expected = np.zeros_like(out.data)
         for e, kind in enumerate(pool):
-            expert = expert_forward(kind, shared_s, shared_t, x).data
+            expert = expert_outputs((kind,), shared_s, shared_t, x)[kind].data
             expected += decision.weights.data[:, e][:, None, None] * expert
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
@@ -187,7 +187,7 @@ class TestMixture:
             col = decision.weights.data[:, e]
             if not col.any():
                 continue
-            expert = expert_forward(kind, shared_s, shared_t, x).data
+            expert = expert_outputs((kind,), shared_s, shared_t, x)[kind].data
             dense += col[:, None, None] * expert
         np.testing.assert_allclose(out.data, dense, atol=1e-12)
 
@@ -196,7 +196,7 @@ class TestMixture:
         x = ad.Tensor(np.random.default_rng(5).standard_normal((2, 5, 6)))
         out, decision = moe_layer_forward(router, shared_s, shared_t,
                                           ("ST", "ST", "ST", "ST"), x)
-        single = expert_forward("ST", shared_s, shared_t, x).data
+        single = expert_outputs(("ST",), shared_s, shared_t, x)["ST"].data
         # weights sum to 1, so N copies of one expert reduce to that expert
         np.testing.assert_allclose(out.data, single, atol=1e-12)
         assert decision.weights.data.sum(axis=1) == pytest.approx(1.0, abs=1e-12)
@@ -265,12 +265,14 @@ def unshared_mixture(router, shared_s, shared_t, pool, x, scan_mode, flip_back):
 
 
 class TestSharedComputation:
-    def make_layer(self, pool, k):
+    def make_layer(self, pool, k, scan_mode="bidirectional", flip_back=True):
         rng = np.random.default_rng(20)
         d, t = 5, 7
         router = init_router(rng, d, len(pool), k)
-        shared_s = init_bi_block(rng, channels=t, expand=2, state_dim=3, conv_width=2)
-        shared_t = init_bi_block(rng, channels=d, expand=2, state_dim=3, conv_width=2)
+        shared_s = init_bi_block(rng, channels=t, expand=2, state_dim=3, conv_width=2,
+                                 scan_mode=scan_mode, flip_back=flip_back)
+        shared_t = init_bi_block(rng, channels=d, expand=2, state_dim=3, conv_width=2,
+                                 scan_mode=scan_mode, flip_back=flip_back)
         params = [router.gate_weight, router.gate_bias,
                   *shared_s.parameters().values(), *shared_t.parameters().values()]
         return router, shared_s, shared_t, params
@@ -286,7 +288,7 @@ class TestSharedComputation:
         (EXPERT_KINDS, 3, "backward", False),
     ])
     def test_matches_unshared_composition(self, pool, k, scan_mode, flip_back):
-        router, shared_s, shared_t, params = self.make_layer(pool, k)
+        router, shared_s, shared_t, params = self.make_layer(pool, k, scan_mode, flip_back)
         rng = np.random.default_rng(21)
         x_data = rng.standard_normal((4, 5, 7))
         w_data = rng.standard_normal((4, 5, 7))
@@ -312,6 +314,8 @@ class TestSharedComputation:
     @staticmethod
     def assert_matches_unshared(router, shared_s, shared_t, params, pool, x_data,
                                 w_data, scan_mode, flip_back):
+        """The layer reads the scan setting from its blocks, the oracle from
+        the arguments."""
         w = ad.Tensor(w_data)
 
         def run(mixture):
@@ -319,15 +323,12 @@ class TestSharedComputation:
                 p.zero_grad()
             x = ad.Tensor(x_data, requires_grad=True)
             with ad.Tape():
-                out = mixture(router, shared_s, shared_t, pool, x, scan_mode, flip_back)
+                out = mixture(router, shared_s, shared_t, pool, x)
                 grads = ad.backward(ad.reduce_sum(ad.mul(out, w)))
             return out.data, [grads[p].data for p in params] + [grads[x].data]
 
-        def layer(*args):
-            return moe_layer_forward(*args)[0]
-
-        out, grads = run(layer)
-        ref_out, ref_grads = run(unshared_mixture)
+        out, grads = run(lambda *args: moe_layer_forward(*args)[0])
+        ref_out, ref_grads = run(lambda *args: unshared_mixture(*args, scan_mode, flip_back))
 
         assert np.abs(out - ref_out).max() <= 1e-12 * np.abs(ref_out).max()
         # some entries are sums that cancel to orders below the rest (the

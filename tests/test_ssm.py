@@ -603,21 +603,20 @@ class TestBidirectionalWrapper:
         bwd_flipped = ssm.mamba_block_forward(params.mamba, ad.reverse_axis(x, 1))
         bwd = ad.reverse_axis(bwd_flipped, 1).data
 
-        np.testing.assert_array_equal(
-            ssm.bidirectional_core(params, x, "forward").data, fwd + x.data)
-        np.testing.assert_array_equal(
-            ssm.bidirectional_core(params, x, "backward").data, bwd + x.data)
-        np.testing.assert_allclose(
-            ssm.bidirectional_core(params, x, "bidirectional").data,
-            fwd + bwd + x.data, atol=1e-15)
-        np.testing.assert_array_equal(
-            ssm.bidirectional_core(params, x, "backward", flip_back=False).data,
-            bwd_flipped.data + x.data)
+        def core(scan_mode, flip_back=True):
+            block = dataclasses.replace(params, scan_mode=scan_mode, flip_back=flip_back)
+            return ssm.bidirectional_core(block, x).data
+
+        assert (params.scan_mode, params.flip_back) == ("bidirectional", True)
+        np.testing.assert_array_equal(core("forward"), fwd + x.data)
+        np.testing.assert_array_equal(core("backward"), bwd + x.data)
+        np.testing.assert_allclose(core("bidirectional"), fwd + bwd + x.data, atol=1e-15)
+        np.testing.assert_array_equal(core("backward", flip_back=False),
+                                      bwd_flipped.data + x.data)
 
     def test_unknown_mode_raises(self):
-        params = ssm.init_bi_block(np.random.default_rng(0), channels=3)
         with pytest.raises(ValueError, match="scan_mode"):
-            ssm.bidirectional_core(params, ad.Tensor(np.zeros((1, 2, 3))), "circular")
+            ssm.init_bi_block(np.random.default_rng(0), channels=3, scan_mode="circular")
 
     def test_both_directions_share_parameters(self):
         params = ssm.init_bi_block(np.random.default_rng(2), channels=4)
