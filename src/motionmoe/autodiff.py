@@ -259,6 +259,35 @@ def _silu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return g * s * (1.0 + x * (1.0 - s))
 
 
+def _relu_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """dL/dx of relu(x) = max(x, 0), given dL/d(relu(x))."""
+    return g * (x > 0.0)
+
+
+def _layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5):
+    """(output, normalized x, 1 / std) of a layernorm over the last axis."""
+    c = x.shape[-1]
+    # means as sum / c: np.mean's arithmetic without its Python wrapper
+    centered = x - x.sum(axis=-1, keepdims=True) / c
+    var = (centered ** 2).sum(axis=-1, keepdims=True) / c
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    return xhat * gamma + beta, xhat, inv
+
+
+def _layernorm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: np.ndarray):
+    """(dL/dx, dL/dgamma, dL/dbeta) of ``_layernorm``, from its saved xhat and inv."""
+    lead = tuple(range(g.ndim - 1))
+    c = g.shape[-1]
+    gbeta = g.sum(axis=lead)
+    ggamma = (g * xhat).sum(axis=lead)
+    gx_hat = g * gamma
+    gx = inv * (gx_hat
+                - gx_hat.sum(axis=-1, keepdims=True) / c
+                - xhat * ((gx_hat * xhat).sum(axis=-1, keepdims=True) / c))
+    return gx, ggamma, gbeta
+
+
 def _matmul_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray):
     ga = np.matmul(g, b.swapaxes(-1, -2))
     gb = np.matmul(a.swapaxes(-1, -2), g)
@@ -369,12 +398,7 @@ def _p_tanh(inputs, attrs):
 
 def _p_relu(inputs, attrs):
     (x,) = inputs
-    out = np.maximum(x, 0.0)
-
-    def bwd(g):
-        return (g * (x > 0.0),)
-
-    return out, bwd
+    return np.maximum(x, 0.0), lambda g: (_relu_grad(g, x),)
 
 
 def _p_transpose(inputs, attrs):
@@ -471,29 +495,12 @@ def _p_softmax_lastaxis(inputs, attrs):
 
 def _p_layernorm_lastaxis(inputs, attrs):
     x, gamma, beta = inputs
-    eps = attrs.get("eps", 1e-5)
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(
             f"layernorm_lastaxis: scale/shift must have shape ({c},), got {gamma.shape}/{beta.shape}")
-    # means as sum / c: np.mean's arithmetic without its Python wrapper
-    centered = x - x.sum(axis=-1, keepdims=True) / c
-    var = (centered ** 2).sum(axis=-1, keepdims=True) / c
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = xhat * gamma + beta
-
-    def bwd(g):
-        lead = tuple(range(x.ndim - 1))
-        gbeta = g.sum(axis=lead)
-        ggamma = (g * xhat).sum(axis=lead)
-        gx_hat = g * gamma
-        gx = inv * (gx_hat
-                    - gx_hat.sum(axis=-1, keepdims=True) / c
-                    - xhat * ((gx_hat * xhat).sum(axis=-1, keepdims=True) / c))
-        return gx, ggamma, gbeta
-
-    return out, bwd
+    out, xhat, inv = _layernorm(x, gamma, beta, attrs.get("eps", 1e-5))
+    return out, lambda g: _layernorm_grads(g, xhat, inv, gamma)
 
 
 def _p_depthwise_causal_conv1d(inputs, attrs):

@@ -150,7 +150,7 @@ def cmd_eval(args) -> int:
     table = report.to_table()
     print(table)
     if args.out:
-        Path(args.out).write_text(table + "\n")
+        write_atomic(args.out, [(table + "\n").encode()])
     return 0
 
 
@@ -203,7 +203,7 @@ def cmd_inspect_routing(args) -> int:
     histogram = [f"expert={kind} rows={routed[i]} mass={mass[i]:.6f}"
                  for i, kind in enumerate(pool)]
     text = "\n".join(lines + histogram) + "\n"
-    Path(args.out).write_text(text)
+    write_atomic(args.out, [text.encode()])
     print("\n".join(histogram))
     print(f"routing for {count} samples x {len(model.layers)} layer(s) written to {args.out}")
     return 0
@@ -290,7 +290,7 @@ def cmd_bench(args) -> int:
     exponent = float(np.polyfit(np.log(lengths), np.log(fwd_times), 1)[0])
     print(f"fitted growth exponent: {exponent:.3f}")
     if args.out:
-        Path(args.out).write_text("\n".join(rows) + f"\nexponent\t{exponent:.4f}\n")
+        write_atomic(args.out, [("\n".join(rows) + f"\nexponent\t{exponent:.4f}\n").encode()])
     return 0
 
 

@@ -45,21 +45,35 @@ forward and the reversed scan, and runs both as one block call on the
 and finishes with LN(LN(core) + FFN(LN(core))).  On a tape the mixture
 layer stacks further, the inputs of two experts into one call, which the
 per-step backward reduction pays for in memory (see ``moe``).
+
+``bidirectional_forward`` records the whole wrapper as one ``bi_block``
+op over x and the block's 16 weights.  A recorded call keeps what the
+Mamba op keeps except its stacked input, plus the residual sum core, one
+(B, L, C) array.  Its backward rebuilds the stack from x, and runs the
+LN-FFN-LN head again from core, statistics included, by the primitives'
+own operations.  It hands x's gradient to the tape as three shares, one
+per use of x (the residual, the forward rows, the reversed rows), so that
+the tape adds them in the primitive composition's order.  Outputs and
+gradients are therefore bit for bit those of that composition,
+``bidirectional_core`` followed by the head's primitives.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (AutodiffError, ShapeError, Tensor, _causal_conv, _causal_conv_grads,
-                       _matmul_grads, _sigmoid, _silu_grad, _softplus, _unbroadcast, add,
-                       concat, is_recording, layernorm_lastaxis, matmul, record, relu,
-                       reverse_axis, slice_axis)
+from .autodiff import (AutodiffError, ShapeError, Tape, Tensor, _causal_conv,
+                       _causal_conv_grads, _layernorm, _layernorm_grads, _matmul_grads,
+                       _relu_grad, _sigmoid, _silu_grad, _softplus, _unbroadcast, add, concat,
+                       is_recording, record, reverse_axis, slice_axis)
 
 SCAN_MODES = ("bidirectional", "forward", "backward")
+# which rows of a block's stacked call hold x's time reversal, per scan mode
+_REVERSED_ROWS = {"bidirectional": (False, True), "forward": (False,), "backward": (True,)}
 
 _debug_checks = False
 
@@ -282,9 +296,17 @@ def mamba_block_forward(params: MambaBlockParams, x: Tensor) -> Tensor:
         raise ShapeError(
             f"mamba_block_forward: expected (batch, L, {params.channels}), got {x.shape}")
     inputs = (x, *params.parameters().values())
-    xd, w_in, kernel, conv_bias, w_proj, dt_proj, dt_bias, a_log, w_out = (
-        t.data for t in inputs)
-    keep = is_recording(inputs)
+    out, bwd = _mamba_block(params, x.data, is_recording(inputs))
+    return record("mamba_block", inputs, out, functools.partial(bwd, xd=x.data))
+
+
+def _mamba_block(params: MambaBlockParams, xd: np.ndarray, keep: bool):
+    """(output, backward) of the block on (batch, L, C) data.  ``keep`` saves
+    what the backward reads, except ``xd``: the backward takes the output's
+    gradient and the input again, and returns the gradients of the input and
+    of the weights in ``params.parameters()`` order."""
+    w_in, kernel, conv_bias, w_proj, dt_proj, dt_bias, a_log, w_out = (
+        t.data for t in params.parameters().values())
     inner, rank, n = params.expand * params.channels, params.dt_rank, params.state_dim
     # slicing the weight, not the (B, L, 2*E*C) activation, keeps x and z
     # from being materialized together; z is formed only after the scan
@@ -315,7 +337,7 @@ def mamba_block_forward(params: MambaBlockParams, x: Tensor) -> Tensor:
         del s_z
     out = np.matmul(ys * gate, w_out)
 
-    def bwd(g):
+    def bwd(g, xd):
         z = np.matmul(xd, w_z)
         gate = z * s_z
         g_gated, g_out = _matmul_grads(g, ys * gate, w_out)
@@ -337,7 +359,7 @@ def mamba_block_forward(params: MambaBlockParams, x: Tensor) -> Tensor:
                 _unbroadcast(g_pre, conv_bias.shape), g_proj, g_dt_proj,
                 _unbroadcast(g_dt, dt_bias.shape), -g_a * np.exp(a_log), g_out)
 
-    return record("mamba_block", inputs, out, bwd)
+    return out, bwd
 
 
 @dataclass
@@ -404,11 +426,11 @@ def init_bi_block(rng: np.random.Generator, channels: int, expand: int = 2,
 
 
 def bidirectional_core(params: BiBlockParams, x: Tensor) -> Tensor:
-    """Directional scans plus the raw-input residual, before normalization."""
+    """Directional scans plus the raw-input residual, before normalization,
+    as a chain of tape primitives around one block call."""
     # both directions run as one call on a (2B, L, C) stack of x and its
     # time reversal; their sum keeps the order (forward + reversed) + x
-    reversed_rows = {"bidirectional": (False, True), "forward": (False,),
-                     "backward": (True,)}[params.scan_mode]
+    reversed_rows = _REVERSED_ROWS[params.scan_mode]
     stacked = concat([reverse_axis(x, 1) if rev else x for rev in reversed_rows], axis=0)
     y = mamba_block_forward(params.mamba, stacked)
     bsz = x.shape[0]
@@ -422,10 +444,79 @@ def bidirectional_core(params: BiBlockParams, x: Tensor) -> Tensor:
 
 
 def bidirectional_forward(params: BiBlockParams, x: Tensor) -> Tensor:
-    """Full block: LN(LN(core) + FFN(LN(core))) over the channel axis."""
-    core = bidirectional_core(params, x)
-    inner = layernorm_lastaxis(core, params.ln_inner_gamma, params.ln_inner_beta)
-    hidden = relu(add(matmul(inner, params.ffn_w1), params.ffn_b1))
-    ffn_out = add(matmul(hidden, params.ffn_w2), params.ffn_b2)
-    return layernorm_lastaxis(add(inner, ffn_out),
-                              params.ln_outer_gamma, params.ln_outer_beta)
+    """Full block LN(LN(core) + FFN(LN(core))) over the channel axis, with
+    core = ``bidirectional_core``, as one tape op; the module docstring says
+    what a recorded call keeps."""
+    channels = params.mamba.channels
+    if x.ndim != 3 or x.shape[2] != channels:
+        raise ShapeError(f"bidirectional_forward: expected (batch, L, {channels}), got {x.shape}")
+    reversed_rows = _REVERSED_ROWS[params.scan_mode]
+    flips = [rev and params.flip_back for rev in reversed_rows]
+    weights = params.parameters()
+    head = [t.data for name, t in weights.items() if not name.startswith("mamba/")]
+    # x once per gradient contribution: the engine adds repeated inputs in
+    # order, the order in which the primitive composition adds x's adjoints
+    inputs = (x,) * (1 + len(reversed_rows)) + tuple(weights.values())
+    xd = x.data
+    bsz = xd.shape[0]
+    y, mamba_bwd = _stacked_mamba(params.mamba, _stack(xd, reversed_rows), is_recording(inputs))
+    parts = [y[i * bsz:(i + 1) * bsz, ::-1 if flip else 1] for i, flip in enumerate(flips)]
+    core = (parts[0] + parts[1] if len(parts) == 2 else parts[0]) + xd
+    del y, parts
+    out = _head(core, *head)[0]
+
+    def bwd(g):
+        g_core, g_head = _head_grads(g, core, head)
+        g_y = np.concatenate([g_core[:, ::-1] if flip else g_core for flip in flips], axis=0)
+        g_stack, *g_mamba = mamba_bwd(g_y, _stack(xd, reversed_rows))
+        del g_y
+        g_rows = [np.ascontiguousarray(g_stack[i * bsz:(i + 1) * bsz, ::-1 if rev else 1])
+                  for i, rev in enumerate(reversed_rows)]
+        return (g_core, *g_rows, *g_mamba, *g_head)
+
+    return record("bi_block", inputs, out, bwd)
+
+
+def _stack(xd: np.ndarray, reversed_rows) -> np.ndarray:
+    return np.concatenate([xd[:, ::-1] if rev else xd for rev in reversed_rows], axis=0)
+
+
+def _stacked_mamba(params: MambaBlockParams, stacked: np.ndarray, keep: bool):
+    """(output, backward) of ``_mamba_block`` on the stacked rows, through
+    ``mamba_block_forward`` so that whatever counts or times its calls sees
+    this one.  A scratch tape takes the recorded node, and only the kernel's
+    backward is kept, without the stacked input it was bound to."""
+    x = Tensor(stacked, requires_grad=keep, dtype=stacked.dtype)
+    if not keep:
+        return mamba_block_forward(params, x).data, None
+    with Tape() as scratch:
+        y = mamba_block_forward(params, x).data
+    (node,) = scratch.nodes
+    scratch.nodes.clear()  # no tape <-> tensor cycle outlives the call
+    return y, node.backward.func
+
+
+def _head(core, gamma_in, beta_in, gamma_out, beta_out, w1, b1, w2, b2):
+    """LN(inner + FFN(inner)) with inner = LN(core), by the primitives' own
+    operations: (output, the arrays ``_head_grads`` reads)."""
+    inner, xhat_in, inv_in = _layernorm(core, gamma_in, beta_in)
+    pre = np.matmul(inner, w1) + b1
+    hidden = np.maximum(pre, 0.0)
+    out, xhat_out, inv_out = _layernorm(inner + (np.matmul(hidden, w2) + b2),
+                                        gamma_out, beta_out)
+    return out, (inner, xhat_in, inv_in, pre, hidden, xhat_out, inv_out)
+
+
+def _head_grads(g, core, head):
+    """(dL/dcore, the head weights' gradients) of ``_head``, which it runs
+    again from core."""
+    gamma_in, _, gamma_out, _, w1, b1, w2, b2 = head
+    inner, xhat_in, inv_in, pre, hidden, xhat_out, inv_out = _head(core, *head)[1]
+    g_sum, g_gamma_out, g_beta_out = _layernorm_grads(g, xhat_out, inv_out, gamma_out)
+    g_hidden, g_w2 = _matmul_grads(g_sum, hidden, w2)
+    g_pre = _relu_grad(g_hidden, pre)
+    g_inner, g_w1 = _matmul_grads(g_pre, inner, w1)
+    # the residual's adjoint first, then the FFN's, as the tape adds them
+    g_core, g_gamma_in, g_beta_in = _layernorm_grads(g_sum + g_inner, xhat_in, inv_in, gamma_in)
+    return g_core, (g_gamma_in, g_beta_in, g_gamma_out, g_beta_out, g_w1,
+                    _unbroadcast(g_pre, b1.shape), g_w2, _unbroadcast(g_sum, b2.shape))

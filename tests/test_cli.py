@@ -3,6 +3,7 @@ disk, and the printed summaries."""
 
 import gc
 import json
+import os
 import struct
 import weakref
 
@@ -343,6 +344,30 @@ class TestExportFeatures:
             expected.append(np.concatenate([out.mean(axis=2), out.mean(axis=1)], axis=1))
         np.testing.assert_allclose(rows, np.concatenate(expected).astype(np.float32),
                                    rtol=1e-6, atol=1e-6)
+
+
+class TestAtomicOut:
+    @pytest.mark.parametrize("command", ["eval", "inspect-routing", "bench"])
+    def test_a_failed_rename_keeps_the_previous_file(self, trained, tmp_path, monkeypatch,
+                                                      command):
+        # --out goes through a temporary file and a rename: when the rename
+        # fails, the old file stays as it was and the temporary file goes
+        out = tmp_path / "previous.txt"
+        out.write_bytes(b"previous contents\n")
+        argv = {"eval": ["eval", "--checkpoint", str(trained["checkpoint"]),
+                         "--data", str(trained["data"]), "--horizons", "0.04,0.12"],
+                "inspect-routing": ["inspect-routing", "--checkpoint",
+                                    str(trained["checkpoint"]), "--data", str(trained["data"])],
+                "bench": ["bench", "--lengths", "8,16", "--channels", "6", "--batch", "1",
+                          "--repeats", "1"]}[command]
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main([*argv, "--out", str(out)]) == 1
+        assert out.read_bytes() == b"previous contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["previous.txt"]
 
 
 class TestBench:

@@ -134,6 +134,40 @@ class TestForward:
             model.forward(x)
         assert counts == {"layer": 2, "block": 2 * block_calls}
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_blocks_train_bit_for_bit_as_their_primitive_composition(self, dtype,
+                                                                           monkeypatch):
+        # each block's input also feeds ops recorded after the block (the
+        # residual around the layers, the temporal stage's transpose): the
+        # fused block must add its three shares of that input's adjoint in
+        # the order the primitive composition does, or the last bits move
+        from test_ssm import primitive_bi_block
+
+        def step():
+            ad.set_default_dtype(dtype)
+            try:
+                model = micro_model(dropout=0.1, moe_layers=2)
+                rng = np.random.default_rng(11)
+                x = ad.Tensor(rng.standard_normal((4, 9, 5)))
+                w = ad.Tensor(rng.standard_normal((4, 9, 8)))
+                params = model.parameters()
+                with ad.Tape() as tape:
+                    pred, _ = model.forward(x, train_mode=True, rng=np.random.default_rng(12))
+                    loss = ad.reduce_sum(ad.mul(pred, w))
+                    grads = ad.backward(loss)
+                tape.nodes.clear()
+            finally:
+                ad.set_default_dtype(np.float64)
+            return [loss.data] + [grads[params[name]].data for name in sorted(params)]
+
+        fused = step()
+        monkeypatch.setattr(moe, "bidirectional_forward", primitive_bi_block)
+        oracle = step()
+        assert len(fused) == len(oracle) > 40
+        for got, want in zip(fused, oracle):
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_active_expert_sweep(self, k):
         model = micro_model(active_experts=k)
