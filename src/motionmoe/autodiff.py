@@ -254,9 +254,20 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _silu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """dL/dx of silu(x) = x * s, given dL/d(silu(x)) and s = sigmoid(x)."""
-    return g * s * (1.0 + x * (1.0 - s))
+def _silu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray,
+               overwrite: bool = False) -> np.ndarray:
+    """dL/dx of silu(x) = x * s, given dL/d(silu(x)) and s = sigmoid(x):
+    g * s * (1 + x * (1 - s)).  ``overwrite`` forms it in g's buffer and
+    spends s's on the factor; the products commute, so the bits agree."""
+    if overwrite:
+        g *= s
+        t = np.subtract(1.0, s, out=s)
+    else:
+        g, t = g * s, 1.0 - s
+    t *= x
+    t += 1.0
+    g *= t
+    return g
 
 
 def _relu_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ import json
 import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -259,8 +260,16 @@ def cmd_bench(args) -> int:
     block = init_bi_block(rng, channels, state_dim=16, conv_width=4)
     params = list(block.parameters().values())
 
+    def train_step(x):
+        for p in params:
+            p.grad = None
+        with Tape() as tape:
+            out = bidirectional_forward(block, Tensor(x.data, requires_grad=True))
+            backward(reduce_sum(mul(out, out)))
+        tape.nodes.clear()
+
     print(f"scan-dominated block: batch={batch} channels={channels} repeats={args.repeats}")
-    print("length\tforward_ms\tbackward_ms\tminflt_per_fwd")
+    print("length\tforward_ms\tbackward_ms\tminflt_per_fwd\tbackward_peak_mb")
     rows = []
     fwd_times = []
     for length in lengths:
@@ -274,17 +283,19 @@ def cmd_bench(args) -> int:
             bidirectional_forward(block, x)
             fwd.append(time.perf_counter() - t0)
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-            for p in params:
-                p.grad = None
             t0 = time.perf_counter()
-            with Tape() as tape:
-                out = bidirectional_forward(block, Tensor(x.data, requires_grad=True))
-                backward(reduce_sum(mul(out, out)))
-            tape.nodes.clear()
+            train_step(x)
             both.append(time.perf_counter() - t0)
+        # one more step, untimed: tracing slows every allocation
+        tracemalloc.start()
+        try:
+            train_step(x)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
         f_ms, b_ms = 1e3 * min(fwd), 1e3 * min(both)
         fwd_times.append(min(fwd))
-        rows.append(f"{length}\t{f_ms:.2f}\t{b_ms:.2f}\t{min(faults)}")
+        rows.append(f"{length}\t{f_ms:.2f}\t{b_ms:.2f}\t{min(faults)}\t{peak_mb:.3f}")
         print(rows[-1])
 
     exponent = float(np.polyfit(np.log(lengths), np.log(fwd_times), 1)[0])

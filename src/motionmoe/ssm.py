@@ -20,9 +20,12 @@ with Sublinear Memory Cost"; Gu & Dao 2023, section 3.3).  Its hand-written
 backward recomputes one chunk at a time, the discretization and the states,
 into two (q, B, N, E*C) buffers, and runs the reverse recurrence over them,
 reducing each step's gradient with respect to delta_i A into the gradients
-of delta and A as it forms it.  The recomputation repeats the forward's
-operations, so outputs and gradients are those of a scan that keeps every
-state, bit for bit.  The state is held as
+of delta and A as it forms it.  It reads its (B, L, .) inputs a chunk at a
+time and writes each chunk's gradients of u and delta over the output
+gradient and delta it is handed, so beside those it holds the 2q chunk
+states and chunk-long arrays, never a whole sequence more.  The
+recomputation repeats the forward's operations, so outputs and gradients
+are those of a scan that keeps every state, bit for bit.  The state is held as
 (B, N, E*C), channels innermost, in both directions, so that each per-step
 product runs over E*C contiguous values rather than N = 16.
 ``selective_scan_reference`` is the naive per-step oracle it is tested
@@ -38,6 +41,13 @@ sigmoid.  Its backward recomputes x W_x, x', x_proj(x'), delta, z and the
 gated product by the forward's own operations, so outputs and gradients
 are bit for bit those of the block's primitive composition.  A tape-free
 call frees each array once nothing reads it; z is formed after the scan.
+The backward does the same, the arrays the call kept included: y and
+silu(z)'s sigmoid go once the gate's gradient is formed, before the scan
+gradient, and the rest once read, so a node's backward runs once, and a
+second raises ``AutodiffError``.  Its peak is in the scan gradient, which
+holds, beside what is still kept, the output gradient, x' and delta, three
+(B, L, E*C) arrays the scan's gradients overwrite or the x path reads, and
+the 2q chunk states.
 
 The bidirectional wrapper shares ONE set of block weights between the
 forward and the reversed scan, and runs both as one block call on the
@@ -55,7 +65,9 @@ own operations.  It hands x's gradient to the tape as three shares, one
 per use of x (the residual, the forward rows, the reversed rows), so that
 the tape adds them in the primitive composition's order.  Outputs and
 gradients are therefore bit for bit those of that composition,
-``bidirectional_core`` followed by the head's primitives.
+``bidirectional_core`` followed by the head's primitives.  The backward lets
+go of core once the head's gradient is formed, and of the Mamba arrays as
+the kernel's backward reads them, so it too runs once.
 """
 
 from __future__ import annotations
@@ -185,8 +197,9 @@ def selective_scan(delta: Tensor, a: Tensor, b: Tensor, c: Tensor, u: Tensor) ->
     inputs = (delta, a, b, c, u)
     a_t = np.ascontiguousarray(a_.T)  # (N, EC), for the channel-innermost state
     ys, starts, q = _scan_forward(dd, a_t, bd, cd, ud, keep=is_recording(inputs))
+    # the gradient kernel overwrites the g and delta it is handed
     return record("selective_scan", inputs, ys,
-                  lambda g: _scan_grads(g, dd, a_t, bd, cd, ud, starts, q))
+                  lambda g: _scan_grads(g.astype(ud.dtype), dd.copy(), a_t, bd, cd, ud, starts, q))
 
 
 def _scan_forward(dd, a_t, bd, cd, ud, keep):
@@ -216,33 +229,15 @@ def _scan_forward(dd, a_t, bd, cd, ud, keep):
 
 
 def _scan_grads(g, dd, a_t, bd, cd, ud, starts, q):
-    """dL/d(delta, a, b, c, u) of the scan, in its inputs' layouts."""
-    gdelta_t, ga_t, gb_t, gc_t, gdu_t = _scan_backward(g, dd, a_t, bd, cd, ud, starts, q)
-    # back to (B, L, .); elementwise products round alike in any layout
-    gdu = gdu_t.swapaxes(0, 1)
-    gu = np.multiply(gdu, dd, out=np.empty_like(ud))
-    gdelta = np.multiply(gdu, ud, out=np.empty_like(dd))
-    gdelta += gdelta_t.swapaxes(0, 1)
-    gb, gc = (np.ascontiguousarray(x.swapaxes(0, 1)) for x in (gb_t, gc_t))
-    return gdelta, ga_t.T, gb, gc, gu
+    """dL/d(delta, a, b, c, u) of the scan, in its inputs' layouts, by the
+    reverse recurrence, chunk by chunk, last first.
 
-
-def _scan_backward(g, dd, a_t, bd, cd, ud, starts, q):
-    """Reverse recurrence of ``selective_scan``, chunk by chunk, last first.
-
-    Returns, step-major, the part of dL/d(delta) that flows through
-    exp(delta x a), dL/d(a)^T, dL/db, dL/dc and dL/d(delta u).  Its two
-    (q, B, N, EC) chunk buffers are freed when it returns."""
+    The caller hands over g and dd: each chunk's dL/du and dL/d(delta) are
+    written over them, once the chunk is done with them, and returned.  The
+    two (q, B, N, EC) chunk buffers are freed when it returns."""
     bsz, length, inner = dd.shape
     n = a_t.shape[0]
-    # step-major copies, so that every per-step slice is contiguous
-    g_t, d_t, b_t, c_t = (np.ascontiguousarray(x.swapaxes(0, 1)) for x in (g, dd, bd, cd))
-    du_t = np.multiply(dd.swapaxes(0, 1), ud.swapaxes(0, 1), out=np.empty_like(d_t))
-    gc = np.empty_like(b_t)
-    gb = np.empty_like(b_t)
-    gdu = np.empty_like(du_t)
-    gdelta = np.empty_like(du_t)
-    gdelta[0] = 0.0  # s_0 = 0 because h_0 = 0
+    gb, gc = np.empty_like(bd), np.empty_like(cd)
     ga_t = np.zeros_like(a_t)
     carry = gh = np.zeros((bsz, n, inner), dtype=dd.dtype)  # dL/dh_i carried back
     step = np.empty_like(gh)
@@ -251,28 +246,46 @@ def _scan_backward(g, dd, a_t, bd, cd, ud, starts, q):
     # exp(delta_i x a) with the gradient carried to step i - 1
     decays = np.empty((min(q, length), bsz, n, inner), dtype=dd.dtype)
     states = np.empty_like(decays)
+    # a chunk's delta_i, delta_i u_i, dL/d(delta_i u_i) and the part of
+    # dL/d(delta_i) that flows through exp(delta_i x a), step-major; the
+    # 4-D einsums run at half speed on a strided delta or b
+    d_buf, du, gdu, gd = (np.empty((len(decays), bsz, inner), dtype=dd.dtype) for _ in range(4))
+    b_t = np.ascontiguousarray(bd.swapaxes(0, 1))
+    # step-major views of the (B, L, .) arrays, gb and gc as matmul outputs
+    g_t, u_t, dd_t, gb_t, gc_t = (x.swapaxes(0, 1) for x in (g, ud, dd, gb[..., None],
+                                                           gc[..., None]))
     for k in range(len(starts) - 1, -1, -1):
         lo, hi = k * q, min(k * q + q, length)
-        decay, hs = decays[:hi - lo], states[:hi - lo]
-        np.exp(np.einsum("lbc,nc->lbnc", d_t[lo:hi], a_t, out=decay), out=decay)
-        np.einsum("lbc,lbn->lbnc", du_t[lo:hi], b_t[lo:hi], out=hs)
+        m = hi - lo
+        decay, hs, b_k, g_k, dd_k = decays[:m], states[:m], b_t[lo:hi], g_t[lo:hi], dd_t[lo:hi]
+        d_k = d_buf[:m]
+        np.copyto(d_k, dd_k)
+        du_k = np.multiply(d_k, u_t[lo:hi], out=du[:m])
+        np.exp(np.einsum("lbc,nc->lbnc", d_k, a_t, out=decay), out=decay)
+        np.einsum("lbc,lbn->lbnc", du_k, b_k, out=hs)
         prev = starts[k]
-        for j in range(hi - lo):
+        for j in range(m):
             hs[j] += np.multiply(decay[j], prev, out=step)
             prev = hs[j]
-        np.matmul(hs, g_t[lo:hi, :, :, None], out=gc[lo:hi, :, :, None])
-        for j in range(hi - lo - 1, -1, -1):
+        np.matmul(hs, g_k[..., None], out=gc_t[lo:hi])
+        for j in range(m - 1, -1, -1):
             i = lo + j
-            np.add(carry, np.einsum("bn,bc->bnc", c_t[i], g_t[i], out=step), out=hs[j])
+            np.add(carry, np.einsum("bn,bc->bnc", cd[:, i], g_k[j], out=step), out=hs[j])
             if i:
                 carry = np.multiply(hs[j], decay[j], out=decay[j] if j else gh)
                 # s_i = dL/d(delta_i x a), (B, N, EC), reduced as it is formed
                 s = np.multiply(carry, hs[j - 1] if j else starts[k], out=step)
-                np.einsum("bnc,nc->bc", s, a_t, out=gdelta[i])
-                ga_t += np.einsum("bnc,bc->nc", s, d_t[i])
-        np.matmul(b_t[lo:hi, :, None, :], hs, out=gdu[lo:hi, :, None, :])
-        np.matmul(hs, du_t[lo:hi, :, :, None], out=gb[lo:hi, :, :, None])
-    return gdelta, ga_t, gb, gc, gdu
+                np.einsum("bnc,nc->bc", s, a_t, out=gd[j])
+                ga_t += np.einsum("bnc,bc->nc", s, d_k[j])
+            else:
+                gd[0] = 0.0  # s_0 = 0 because h_0 = 0
+        np.matmul(b_k[:, :, None, :], hs, out=gdu[:m, :, None, :])
+        np.matmul(hs, du_k[..., None], out=gb_t[lo:hi])
+        # nothing reads the chunk's g and delta again
+        np.multiply(gdu[:m], d_k, out=g_k)
+        np.multiply(gdu[:m], u_t[lo:hi], out=dd_k)
+        dd_k += gd[:m]
+    return dd, ga_t.T, gb, gc, g
 
 
 def selective_scan_reference(a_bar: np.ndarray, b_bar: np.ndarray,
@@ -304,7 +317,8 @@ def _mamba_block(params: MambaBlockParams, xd: np.ndarray, keep: bool):
     """(output, backward) of the block on (batch, L, C) data.  ``keep`` saves
     what the backward reads, except ``xd``: the backward takes the output's
     gradient and the input again, and returns the gradients of the input and
-    of the weights in ``params.parameters()`` order."""
+    of the weights in ``params.parameters()`` order.  It lets go of what
+    was saved as it goes, so it runs once."""
     w_in, kernel, conv_bias, w_proj, dt_proj, dt_bias, a_log, w_out = (
         t.data for t in params.parameters().values())
     inner, rank, n = params.expand * params.channels, params.dt_rank, params.state_dim
@@ -338,26 +352,44 @@ def _mamba_block(params: MambaBlockParams, xd: np.ndarray, keep: bool):
     out = np.matmul(ys * gate, w_out)
 
     def bwd(g, xd):
+        nonlocal ys, s_z, pre, s_pre, dt_pre, starts
+        if ys is None:
+            raise AutodiffError("mamba_block: backward ran already and let go of its arrays")
         z = np.matmul(xd, w_z)
         gate = z * s_z
         g_gated, g_out = _matmul_grads(g, ys * gate, w_out)
+        del g
         gy = g_gated * gate
-        gx_z, g_wz = _matmul_grads(_silu_grad(g_gated * ys, z, s_z), xd, w_z)
-        del z, gate, g_gated
+        del gate
+        g_gated *= ys
+        ys = None
+        gx, g_wz = _matmul_grads(_silu_grad(g_gated, z, s_z, overwrite=True), xd, w_z)
+        del z, g_gated
+        s_z = None
         xs = pre * s_pre
         dt_low, b_in, c_in = scan_inputs(xs)
         g_delta, g_a, g_b, g_c, g_u = _scan_grads(gy, _softplus(dt_pre), a_t, b_in, c_in,
                                                    xs, starts, q)
         del gy, b_in, c_in
-        g_dt = g_delta * _sigmoid(dt_pre)
-        g_low, g_dt_proj = _matmul_grads(g_dt, dt_low, dt_proj)
+        starts = None
+        g_delta *= _sigmoid(dt_pre)  # dL/d(delta's pre-activation)
+        dt_pre = None
+        g_low, g_dt_proj = _matmul_grads(g_delta, dt_low, dt_proj)
+        g_dt_bias = _unbroadcast(g_delta, dt_bias.shape)
+        del g_delta, dt_low
         g_xs, g_proj = _matmul_grads(np.concatenate([g_low, g_b, g_c], axis=2), xs, w_proj)
-        g_pre = _silu_grad(g_u + g_xs, pre, s_pre)
+        del xs
+        g_u += g_xs
+        del g_xs
+        g_pre = _silu_grad(g_u, pre, s_pre, overwrite=True)
+        pre = s_pre = None
         g_xr, g_kernel = _causal_conv_grads(g_pre, np.matmul(xd, w_x), kernel)
+        g_conv_bias = _unbroadcast(g_pre, conv_bias.shape)
+        del g_pre, g_u
         gx_x, g_wx = _matmul_grads(g_xr, xd, w_x)
-        return (gx_z + gx_x, np.concatenate([g_wx, g_wz], axis=1), g_kernel,
-                _unbroadcast(g_pre, conv_bias.shape), g_proj, g_dt_proj,
-                _unbroadcast(g_dt, dt_bias.shape), -g_a * np.exp(a_log), g_out)
+        gx += gx_x
+        return (gx, np.concatenate([g_wx, g_wz], axis=1), g_kernel, g_conv_bias, g_proj,
+                g_dt_proj, g_dt_bias, -g_a * np.exp(a_log), g_out)
 
     return out, bwd
 
@@ -466,10 +498,17 @@ def bidirectional_forward(params: BiBlockParams, x: Tensor) -> Tensor:
     out = _head(core, *head)[0]
 
     def bwd(g):
+        nonlocal core, mamba_bwd
+        if mamba_bwd is None:
+            raise AutodiffError("bi_block: backward ran already and let go of its arrays")
         g_core, g_head = _head_grads(g, core, head)
-        g_y = np.concatenate([g_core[:, ::-1] if flip else g_core for flip in flips], axis=0)
-        g_stack, *g_mamba = mamba_bwd(g_y, _stack(xd, reversed_rows))
-        del g_y
+        core = None
+        # the stacked gradient goes straight in, so that the kernel's
+        # backward can let it go after its first use
+        g_stack, *g_mamba = mamba_bwd(
+            np.concatenate([g_core[:, ::-1] if flip else g_core for flip in flips], axis=0),
+            _stack(xd, reversed_rows))
+        mamba_bwd = None
         g_rows = [np.ascontiguousarray(g_stack[i * bsz:(i + 1) * bsz, ::-1 if rev else 1])
                   for i, rev in enumerate(reversed_rows)]
         return (g_core, *g_rows, *g_mamba, *g_head)

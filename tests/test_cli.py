@@ -5,6 +5,7 @@ import gc
 import json
 import os
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -380,6 +381,18 @@ class TestBench:
         assert "fitted growth exponent" in printed
         assert "exponent" in out.read_text()
 
+    def test_reports_the_backward_peak_of_an_untimed_step(self, tmp_path, capsys):
+        out = tmp_path / "bench.tsv"
+        assert main(["bench", "--lengths", "8,16", "--channels", "6",
+                     "--batch", "1", "--repeats", "1", "--out", str(out)]) == 0
+        header = capsys.readouterr().out.splitlines()[1].split("\t")
+        assert header[-1] == "backward_peak_mb"
+        *rows, last = out.read_text().splitlines()
+        assert last.startswith("exponent\t")
+        peaks = [float(row.split("\t")[header.index("backward_peak_mb")]) for row in rows]
+        assert len(peaks) == 2 and 0.0 < peaks[0] < peaks[1]
+        assert not tracemalloc.is_tracing()
+
     def test_tapes_are_freed_without_the_cyclic_collector(self, monkeypatch):
         tapes = []
 
@@ -394,7 +407,8 @@ class TestBench:
         try:
             assert main(["bench", "--lengths", "8,16", "--channels", "6",
                          "--batch", "1", "--repeats", "2"]) == 0
-            assert len(tapes) == 4 and all(ref() is None for ref in tapes)
+            # 2 lengths x (2 timed steps + 1 traced for the backward peak)
+            assert len(tapes) == 6 and all(ref() is None for ref in tapes)
         finally:
             if enabled:
                 gc.enable()

@@ -325,6 +325,28 @@ class TestSelectiveScan:
         assert peak < 2 * 10 * state + 12 * sequence
         assert 2 * 10 * state + 12 * sequence < 0.6 * length * state
 
+    def test_scan_gradient_overwrites_its_handed_over_buffers(self):
+        # beyond 2q chunk states, the gradient holds the copies of g and
+        # delta that it overwrites with dL/du and dL/d(delta), dL/db, dL/dc,
+        # b step-major, four chunk-long (q, B, EC) arrays and two step states
+        # (measured: 2q states and 6.5 sequence arrays, where full-length
+        # step-major copies of g, delta and delta * u took 10.0)
+        bsz, length, inner, n = 2, 100, 32, 32
+        inputs = random_scan_inputs(np.random.default_rng(11), bsz, length, inner, n,
+                                    grad=True)
+        state = bsz * n * inner * 8
+        sequence = bsz * length * inner * 8
+        g = np.random.default_rng(12).standard_normal((bsz, length, inner))
+        with ad.Tape() as tape:
+            ssm.selective_scan(*inputs)
+        tracemalloc.start()
+        try:
+            tape.nodes[-1].backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 10 * state + 7 * sequence
+
     def test_tape_free_call_holds_no_sequence_sized_temporary(self):
         # beyond ys, a tape-free call holds only (B, N, EC) step arrays:
         # delta_i u_i is formed one step at a time
@@ -569,6 +591,18 @@ class TestMambaBlock:
         assert len(tape.nodes) == 1
         assert kept <= 8 * unit
 
+    def test_a_second_backward_raises_a_typed_error(self):
+        # the first backward lets go of the arrays the call kept
+        params, x_data = block_in(np.float64)
+        x = ad.Tensor(x_data, requires_grad=True)
+        with ad.Tape() as tape:
+            out = ssm.mamba_block_forward(params, x)
+        (node,) = tape.nodes
+        g = np.ones(out.shape)
+        assert len(node.backward(g)) == 9
+        with pytest.raises(ad.AutodiffError, match="mamba_block"):
+            node.backward(g)
+
 
 def primitive_bi_block(params, x):
     """The bidirectional block as a chain of tape primitives around the
@@ -703,6 +737,42 @@ class TestFusedBiBlock:
         assert (mamba_ops, block_ops) == (["mamba_block"], ["bi_block"])
         assert block <= mamba + 1.5 * unit, f"{(block - mamba) / unit:.2f} units more"
 
+    def test_a_recorded_backward_peaks_under_eleven_units(self):
+        # units of 2B*L*E*C values, the stacked rows' (B, L, E*C) arrays.  At
+        # its peak, in the scan gradient, the backward holds the output
+        # gradient, x' and delta, which the scan's gradients overwrite, and
+        # 2q chunk states (5.0 units at L = 45); y and silu(z)'s sigmoid are
+        # gone by then (measured above what the call kept: 10.2; 17.3 with
+        # full-length step-major copies in the scan gradient and every
+        # array kept to the end)
+        bsz, length, channels = 8, 45, 30
+        params = ssm.init_bi_block(np.random.default_rng(9), channels=channels)
+        x = ad.Tensor(np.random.default_rng(10).standard_normal((bsz, length, channels)),
+                      requires_grad=True)
+        g = np.random.default_rng(11).standard_normal(x.shape)
+        unit = 2 * bsz * length * params.mamba.expand * channels * 8
+        tracemalloc.start()
+        try:
+            with ad.Tape() as tape:
+                ssm.bidirectional_forward(params, x)
+            kept = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            (node,) = tape.nodes
+            node.backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - kept < 11 * unit, f"{(peak - kept) / unit:.2f} units"
+
+    def test_a_second_backward_raises_a_typed_error(self):
+        params, x_data = bi_block_in(np.float64)
+        x = ad.Tensor(x_data, requires_grad=True)
+        with ad.Tape():
+            loss = ad.reduce_sum(ssm.bidirectional_forward(params, x))
+            ad.backward(loss)
+            with pytest.raises(ad.AutodiffError, match="bi_block"):
+                ad.backward(loss)
+
 
 class TestBidirectionalWrapper:
     @pytest.mark.parametrize("seed", range(10))
@@ -767,7 +837,7 @@ class TestBidirectionalWrapper:
     def test_tape_free_forward_peak_memory(self):
         # a tape-free call frees each activation once nothing reads it; the
         # stacked (2B, L, E*C) working set must not grow the peak past 10.5
-        # units of B*L*E*C values (measured: 9.55; 11.18 while the conv's
+        # units of B*L*E*C values (measured: 10.01; 11.18 while the conv's
         # input lived through the delta path, 13.6 for two unstacked calls)
         bsz, length, channels = 8, 60, 40
         params = ssm.init_bi_block(np.random.default_rng(9), channels=channels)
