@@ -189,23 +189,22 @@ def model_config_from(values: dict) -> ModelConfig:
 
 def train_settings_from(values: dict) -> TrainSettings:
     try:
-        weights = LossWeights(alpha=values["alpha"], beta=values["beta"],
-                              lambda_hist=values["lambda_hist"])
+        return TrainSettings(
+            epochs=values["epochs"],
+            batch_size=values["batch_size"],
+            base_lr=values["lr"],
+            beta1=values["beta1"],
+            beta2=values["beta2"],
+            eps=values["eps"],
+            grad_clip=values["grad_clip"],
+            checkpoint_every=values["checkpoint_every"],
+            seed=values["train_seed"],
+            loss=LossWeights(alpha=values["alpha"], beta=values["beta"],
+                             lambda_hist=values["lambda_hist"]),
+            fps=values["fps"],
+            horizons=values["horizons"],
+            root_joint=values["root_joint"],
+            out_dir=values["out_dir"],
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return TrainSettings(
-        epochs=values["epochs"],
-        batch_size=values["batch_size"],
-        base_lr=values["lr"],
-        beta1=values["beta1"],
-        beta2=values["beta2"],
-        eps=values["eps"],
-        grad_clip=values["grad_clip"],
-        checkpoint_every=values["checkpoint_every"],
-        seed=values["train_seed"],
-        loss=weights,
-        fps=values["fps"],
-        horizons=values["horizons"],
-        root_joint=values["root_joint"],
-        out_dir=values["out_dir"],
-    )

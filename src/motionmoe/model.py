@@ -67,6 +67,10 @@ class ModelConfig:
             raise ValueError(f"scene_persons must be >= 1, got {self.scene_persons}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        for name, low in (("expand", 1), ("state_dim", 1), ("conv_width", 1),
+                          ("codec_hidden", 1), ("dt_rank", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
     @property
     def pose_dim(self) -> int:
@@ -170,10 +174,6 @@ class MotionMoE:
                 out[f"layer{i}/temporal/{name}"] = p
         return out
 
-    def zero_grad(self) -> None:
-        for p in self.parameters().values():
-            p.grad = None
-
 
 @dataclass
 class ParameterAudit:
@@ -181,12 +181,6 @@ class ParameterAudit:
     total: int
     sharing_ok: bool
     duplicates: list[str] = field(default_factory=list)
-
-    def as_text(self) -> str:
-        lines = [f"{name}\t{count}" for name, count in self.per_module.items()]
-        lines.append(f"total\t{self.total}")
-        lines.append(f"sharing_ok\t{self.sharing_ok}")
-        return "\n".join(lines)
 
 
 def audit_parameters(model: MotionMoE) -> ParameterAudit:

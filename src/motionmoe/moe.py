@@ -17,9 +17,12 @@ that stage as one call on their stacked inputs, so the full pool makes four
 block calls per layer: S first, T first, T second, S second.  Off the tape
 each kind runs its own second stage, six calls in all.  The switch follows
 what the code observes, whether the stage input is recorded, and the two
-sides have different costs: a training step is dominated by per-op Python
-and tape work, which stacking halves for the second stages, while a
-tape-free forecast is dominated by the block's arithmetic, which stacking
+sides have different costs.  A small training step is dominated by per-op
+Python, and stacking halves the second stages' kernel calls and so their
+per-step Python loops.  It does not save tape nodes: its concat and slice
+nodes outnumber the block nodes it saves (60 against 58 per forward of the
+overfit problem), yet per-kind calls there ran about 10% slower per epoch.
+A tape-free forecast is dominated by the block's arithmetic, which stacking
 leaves as it is, and a stacked call only raises its peak working set.
 
 The gate reduces each sample's feature map by a temporal mean, applies one

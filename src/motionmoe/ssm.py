@@ -34,7 +34,8 @@ against, fed the discretization computed in plain numpy, with the state as
 
 ``mamba_block_forward`` runs the whole block as one tape op around the
 scan's forward and gradient kernels (the ``checkpoint_lvl=1`` recipe of the
-reference ``MambaInnerFn``).  A recorded call keeps x, y, the chunk-start
+reference ``MambaInnerFn``).  The block's sizes are those of its weights,
+so none is stored beside them.  A recorded call keeps x, y, the chunk-start
 states and the four arrays that cost most to recompute: the conv's
 pre-activation and its sigmoid, delta's pre-activation and silu(z)'s
 sigmoid.  Its backward recomputes x W_x, x', x_proj(x'), delta, z and the
@@ -56,15 +57,16 @@ and finishes with LN(LN(core) + FFN(LN(core))).  On a tape the mixture
 layer stacks further, the inputs of two experts into one call, which the
 per-step backward reduction pays for in memory (see ``moe``).
 
-``bidirectional_forward`` records the whole wrapper as one ``bi_block``
-op over x and the block's 16 weights.  A recorded call keeps what the
-Mamba op keeps except its stacked input, plus the residual sum core, one
-(B, L, C) array.  Its backward rebuilds the stack from x, and runs the
-LN-FFN-LN head again from core, statistics included, by the primitives'
-own operations.  It hands x's gradient to the tape as three shares, one
-per use of x (the residual, the forward rows, the reversed rows), so that
-the tape adds them in the primitive composition's order.  Outputs and
-gradients are therefore bit for bit those of that composition,
+``bidirectional_forward`` records the whole wrapper as one ``bi_block`` op
+over x and the block's 16 weights, and calls the Mamba kernel,
+``_mamba_block``, inside that op rather than as a node of its own.  A
+recorded call keeps what the Mamba op keeps except its stacked input, plus
+the residual sum core, one (B, L, C) array.  Its backward rebuilds the stack
+from x, and runs the LN-FFN-LN head again from core, statistics included, by
+the primitives' own operations.  It hands x's gradient to the tape as three
+shares, one per use of x (the residual, the forward rows, the reversed
+rows), so that the tape adds them in the primitive composition's order.
+Outputs and gradients are therefore bit for bit those of that composition,
 ``bidirectional_core`` followed by the head's primitives.  The backward lets
 go of core once the head's gradient is formed, and of the Mamba arrays as
 the kernel's backward reads them, so it too runs once.
@@ -78,7 +80,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (AutodiffError, ShapeError, Tape, Tensor, _causal_conv,
+from .autodiff import (AutodiffError, ShapeError, Tensor, _causal_conv,
                        _causal_conv_grads, _layernorm, _layernorm_grads, _matmul_grads,
                        _relu_grad, _sigmoid, _silu_grad, _softplus, _unbroadcast, add, concat,
                        is_recording, record, reverse_axis, slice_axis)
@@ -102,11 +104,6 @@ def default_dt_rank(channels: int) -> int:
 
 @dataclass
 class MambaBlockParams:
-    channels: int
-    expand: int
-    state_dim: int
-    conv_width: int
-    dt_rank: int
     in_proj: Tensor      # (C, 2*E*C)
     conv_kernel: Tensor  # (E*C, W)
     conv_bias: Tensor    # (E*C,)
@@ -153,8 +150,6 @@ def init_mamba_block(rng: np.random.Generator, channels: int, expand: int = 2,
     a = np.tile(np.arange(1, state_dim + 1, dtype=np.float64), (inner, 1))
 
     return MambaBlockParams(
-        channels=channels, expand=expand, state_dim=state_dim,
-        conv_width=conv_width, dt_rank=dt_rank,
         in_proj=Tensor(_uniform(rng, channels, (channels, 2 * inner)), requires_grad=True),
         conv_kernel=Tensor(_uniform(rng, conv_width, (inner, conv_width)), requires_grad=True),
         conv_bias=Tensor(np.zeros(inner), requires_grad=True),
@@ -305,9 +300,9 @@ def selective_scan_reference(a_bar: np.ndarray, b_bar: np.ndarray,
 def mamba_block_forward(params: MambaBlockParams, x: Tensor) -> Tensor:
     """One selective-SSM block over (batch, L, C) -> (batch, L, C) as one
     tape op; the module docstring says what a recorded call keeps."""
-    if x.ndim != 3 or x.shape[2] != params.channels:
-        raise ShapeError(
-            f"mamba_block_forward: expected (batch, L, {params.channels}), got {x.shape}")
+    channels = params.in_proj.shape[0]
+    if x.ndim != 3 or x.shape[2] != channels:
+        raise ShapeError(f"mamba_block_forward: expected (batch, L, {channels}), got {x.shape}")
     inputs = (x, *params.parameters().values())
     out, bwd = _mamba_block(params, x.data, is_recording(inputs))
     return record("mamba_block", inputs, out, functools.partial(bwd, xd=x.data))
@@ -321,7 +316,7 @@ def _mamba_block(params: MambaBlockParams, xd: np.ndarray, keep: bool):
     was saved as it goes, so it runs once."""
     w_in, kernel, conv_bias, w_proj, dt_proj, dt_bias, a_log, w_out = (
         t.data for t in params.parameters().values())
-    inner, rank, n = params.expand * params.channels, params.dt_rank, params.state_dim
+    (inner, n), rank = a_log.shape, dt_proj.shape[0]
     # slicing the weight, not the (B, L, 2*E*C) activation, keeps x and z
     # from being materialized together; z is formed only after the scan
     w_x, w_z = (np.ascontiguousarray(w) for w in np.split(w_in, [inner], axis=1))
@@ -479,7 +474,7 @@ def bidirectional_forward(params: BiBlockParams, x: Tensor) -> Tensor:
     """Full block LN(LN(core) + FFN(LN(core))) over the channel axis, with
     core = ``bidirectional_core``, as one tape op; the module docstring says
     what a recorded call keeps."""
-    channels = params.mamba.channels
+    channels = params.mamba.in_proj.shape[0]
     if x.ndim != 3 or x.shape[2] != channels:
         raise ShapeError(f"bidirectional_forward: expected (batch, L, {channels}), got {x.shape}")
     reversed_rows = _REVERSED_ROWS[params.scan_mode]
@@ -491,7 +486,7 @@ def bidirectional_forward(params: BiBlockParams, x: Tensor) -> Tensor:
     inputs = (x,) * (1 + len(reversed_rows)) + tuple(weights.values())
     xd = x.data
     bsz = xd.shape[0]
-    y, mamba_bwd = _stacked_mamba(params.mamba, _stack(xd, reversed_rows), is_recording(inputs))
+    y, mamba_bwd = _mamba_block(params.mamba, _stack(xd, reversed_rows), is_recording(inputs))
     parts = [y[i * bsz:(i + 1) * bsz, ::-1 if flip else 1] for i, flip in enumerate(flips)]
     core = (parts[0] + parts[1] if len(parts) == 2 else parts[0]) + xd
     del y, parts
@@ -518,21 +513,6 @@ def bidirectional_forward(params: BiBlockParams, x: Tensor) -> Tensor:
 
 def _stack(xd: np.ndarray, reversed_rows) -> np.ndarray:
     return np.concatenate([xd[:, ::-1] if rev else xd for rev in reversed_rows], axis=0)
-
-
-def _stacked_mamba(params: MambaBlockParams, stacked: np.ndarray, keep: bool):
-    """(output, backward) of ``_mamba_block`` on the stacked rows, through
-    ``mamba_block_forward`` so that whatever counts or times its calls sees
-    this one.  A scratch tape takes the recorded node, and only the kernel's
-    backward is kept, without the stacked input it was bound to."""
-    x = Tensor(stacked, requires_grad=keep, dtype=stacked.dtype)
-    if not keep:
-        return mamba_block_forward(params, x).data, None
-    with Tape() as scratch:
-        y = mamba_block_forward(params, x).data
-    (node,) = scratch.nodes
-    scratch.nodes.clear()  # no tape <-> tensor cycle outlives the call
-    return y, node.backward.func
 
 
 def _head(core, gamma_in, beta_in, gamma_out, beta_out, w1, b1, w2, b2):

@@ -142,6 +142,17 @@ class TrainSettings:
     root_joint: int = 0
     out_dir: str | None = None
 
+    def __post_init__(self):
+        for name, low in (("batch_size", 1), ("grad_clip", 0), ("checkpoint_every", 0),
+                          ("seed", 0)):
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not self.base_lr > 0:
+            raise ValueError(f"base_lr must be > 0, got {self.base_lr}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+
 
 def scene_batches(config: ModelConfig, sequences: list[MotionSequence],
                   batch_size: int, shuffle_seed: int | None = None):
@@ -384,7 +395,10 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
     if version >= 2 and not crc_matches(raw, end):
         raise TrainingError("checkpoint checksum mismatch: the file is damaged")
 
-    config = ModelConfig.from_dict(header["config"])
+    try:
+        config = ModelConfig.from_dict(header["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TrainingError(f"checkpoint holds an invalid config: {exc}") from None
     _check_config(config, expected_config)
 
     tensors = {}

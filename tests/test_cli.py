@@ -526,6 +526,18 @@ class TestArgumentErrors:
         assert "config error: horizons: horizon 0.2s (frame 5) exceeds the 3-frame" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["expand=0", "state_dim=0", "conv_width=0",
+                                         "codec_hidden=0", "dt_rank=-3", "model_seed=-1",
+                                         "lr=0", "batch_size=0", "grad_clip=-1",
+                                         "checkpoint_every=-2", "train_seed=-1", "beta1=1.5"])
+    def test_train_out_of_range_key_exits_2_before_writing(self, trained, tmp_path, capsys,
+                                                           setting):
+        out_dir = tmp_path / "run"
+        assert main(["train", *MICRO_SET, "--set", f"train_data={trained['data']}",
+                     "--set", setting, "--set", f"out_dir={out_dir}"]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (out_dir / "resolved.cfg").exists()
+
     @pytest.mark.parametrize("command", ["train", "eval", "predict", "inspect-routing",
                                          "export-features"])
     def test_dataset_with_no_persons_exits_1(self, trained, tmp_path, capsys, command):

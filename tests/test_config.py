@@ -126,3 +126,39 @@ class TestBridges:
         values = parse_config_text("alpha = -1\n", RUN_SCHEMA)
         with pytest.raises(ConfigError, match="non-negative"):
             train_settings_from(values)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("expand", "0", "expand must be >= 1"),
+        ("state_dim", "0", "state_dim must be >= 1"),
+        ("conv_width", "0", "conv_width must be >= 1"),
+        ("codec_hidden", "0", "codec_hidden must be >= 1"),
+        ("dt_rank", "-3", "dt_rank must be >= 0"),
+        ("model_seed", "-1", "seed must be >= 0"),
+    ])
+    def test_out_of_range_model_key_becomes_config_error(self, key, value, message):
+        values = parse_config_text(f"{key} = {value}\n", RUN_SCHEMA)
+        with pytest.raises(ConfigError, match=message):
+            model_config_from(values)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("batch_size", "0", "batch_size must be >= 1"),
+        ("lr", "0", "base_lr must be > 0"),
+        ("lr", "nan", "base_lr must be > 0"),
+        ("grad_clip", "-1", "grad_clip must be >= 0"),
+        ("checkpoint_every", "-2", "checkpoint_every must be >= 0"),
+        ("train_seed", "-1", "seed must be >= 0"),
+        ("beta1", "1.5", r"beta1 must be in \[0, 1\)"),
+        ("beta1", "-0.1", r"beta1 must be in \[0, 1\)"),
+        ("beta2", "1", r"beta2 must be in \[0, 1\)"),
+    ])
+    def test_out_of_range_training_key_becomes_config_error(self, key, value, message):
+        values = parse_config_text(f"{key} = {value}\n", RUN_SCHEMA)
+        with pytest.raises(ConfigError, match=message):
+            train_settings_from(values)
+
+    def test_range_edges_are_accepted(self):
+        values = parse_config_text("dt_rank = 0\nmodel_seed = 0\ngrad_clip = 0\n"
+                                   "checkpoint_every = 0\nbeta1 = 0\nbatch_size = 1\n",
+                                   RUN_SCHEMA)
+        assert model_config_from(values).dt_rank == 0
+        assert train_settings_from(values).beta1 == 0.0

@@ -344,13 +344,13 @@ class TestSharedComputation:
     def test_block_and_mamba_calls_per_layer(self, pool, calls, monkeypatch):
         router, shared_s, shared_t, _ = self.make_layer(pool, len(pool))
         counted = []
-        original = ssm.mamba_block_forward
+        original = ssm._mamba_block
 
-        def counting(params, x):
-            counted.append(x.shape[0])
-            return original(params, x)
+        def counting(params, xd, keep):
+            counted.append(xd.shape[0])
+            return original(params, xd, keep)
 
-        monkeypatch.setattr(ssm, "mamba_block_forward", counting)
+        monkeypatch.setattr(ssm, "_mamba_block", counting)
         x = ad.Tensor(np.random.default_rng(22).standard_normal((3, 5, 7)))
         moe_layer_forward(router, shared_s, shared_t, pool, x)
         # one stacked call per block application, both directions at once
@@ -360,13 +360,13 @@ class TestSharedComputation:
         router, shared_s, shared_t, _ = self.make_layer(EXPERT_KINDS, 4)
         names = {id(shared_s.mamba): "S", id(shared_t.mamba): "T"}
         calls = []
-        original = ssm.mamba_block_forward
+        original = ssm._mamba_block
 
-        def counting(params, x):
-            calls.append((names[id(params)], x.shape[0]))
-            return original(params, x)
+        def counting(params, xd, keep):
+            calls.append((names[id(params)], xd.shape[0]))
+            return original(params, xd, keep)
 
-        monkeypatch.setattr(ssm, "mamba_block_forward", counting)
+        monkeypatch.setattr(ssm, "_mamba_block", counting)
         x = ad.Tensor(np.random.default_rng(22).standard_normal((3, 5, 7)))
         with ad.Tape():
             moe_layer_forward(router, shared_s, shared_t, EXPERT_KINDS, x)
@@ -433,13 +433,13 @@ class TestSharedComputation:
         router.gate_weight.data[:] = 0.0
         router.gate_bias.data[:] = [0.0, 0.0, 0.0, 1.0]
         blocks = []
-        original = ssm.mamba_block_forward
+        original = ssm._mamba_block
 
-        def counting(params, x):
+        def counting(params, xd, keep):
             blocks.append(params)
-            return original(params, x)
+            return original(params, xd, keep)
 
-        monkeypatch.setattr(ssm, "mamba_block_forward", counting)
+        monkeypatch.setattr(ssm, "_mamba_block", counting)
         x = ad.Tensor(np.random.default_rng(23).standard_normal((2, 5, 7)))
         moe_layer_forward(router, shared_s, shared_t, EXPERT_KINDS, x)
         assert blocks == [shared_s.mamba, shared_s.mamba]
@@ -453,13 +453,13 @@ class TestRowDispatch:
         """(block, rows) of each stacked Mamba call of one mixture layer."""
         names = {id(shared_s.mamba): "S", id(shared_t.mamba): "T"}
         calls = []
-        original = ssm.mamba_block_forward
+        original = ssm._mamba_block
 
-        def counting(params, x):
-            calls.append((names[id(params)], x.shape[0]))
-            return original(params, x)
+        def counting(params, xd, keep):
+            calls.append((names[id(params)], xd.shape[0]))
+            return original(params, xd, keep)
 
-        monkeypatch.setattr(ssm, "mamba_block_forward", counting)
+        monkeypatch.setattr(ssm, "_mamba_block", counting)
         moe_layer_forward(router, shared_s, shared_t, EXPERT_KINDS, ad.Tensor(x_data))
         return calls
 

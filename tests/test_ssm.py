@@ -377,7 +377,7 @@ class TestSelectiveScan:
 def primitive_block(params, x):
     """The block as a chain of tape primitives: the bit-for-bit oracle of the
     fused op's output and gradients."""
-    inner, rank, n = params.expand * params.channels, params.dt_rank, params.state_dim
+    (inner, n), rank = params.A_log.shape, params.dt_proj.shape[0]
     w_x = ad.slice_axis(params.in_proj, axis=1, start=0, stop=inner)
     w_z = ad.slice_axis(params.in_proj, axis=1, start=inner, stop=2 * inner)
     xs = ad.silu(ad.add(ad.depthwise_causal_conv1d(ad.matmul(x, w_x), params.conv_kernel),
@@ -580,7 +580,7 @@ class TestMambaBlock:
         params = ssm.init_mamba_block(np.random.default_rng(9), channels=channels)
         x = ad.Tensor(np.random.default_rng(10).standard_normal((bsz, length, channels)),
                       requires_grad=True)
-        unit = bsz * length * params.expand * channels * 8
+        unit = bsz * length * params.A_log.shape[0] * 8
         tracemalloc.start()
         try:
             with ad.Tape() as tape:
@@ -750,7 +750,7 @@ class TestFusedBiBlock:
         x = ad.Tensor(np.random.default_rng(10).standard_normal((bsz, length, channels)),
                       requires_grad=True)
         g = np.random.default_rng(11).standard_normal(x.shape)
-        unit = 2 * bsz * length * params.mamba.expand * channels * 8
+        unit = 2 * bsz * length * params.mamba.A_log.shape[0] * 8
         tracemalloc.start()
         try:
             with ad.Tape() as tape:
@@ -772,6 +772,23 @@ class TestFusedBiBlock:
             ad.backward(loss)
             with pytest.raises(ad.AutodiffError, match="bi_block"):
                 ad.backward(loss)
+
+    def test_a_recorded_call_runs_its_kernel_on_the_callers_tape(self, monkeypatch):
+        # one node on the active tape, and no other tape entered around the
+        # Mamba kernel while the block records
+        params, x_data = bi_block_in(np.float64)
+        seen = []
+        original = ssm._mamba_block
+
+        def checking(mamba, xd, keep):
+            seen.append((ad.active_tape(), keep))
+            return original(mamba, xd, keep)
+
+        monkeypatch.setattr(ssm, "_mamba_block", checking)
+        with ad.Tape() as tape:
+            ssm.bidirectional_forward(params, ad.Tensor(x_data, requires_grad=True))
+        assert seen == [(tape, True)]
+        assert [node.op for node in tape.nodes] == ["bi_block"]
 
 
 class TestBidirectionalWrapper:
@@ -842,7 +859,7 @@ class TestBidirectionalWrapper:
         bsz, length, channels = 8, 60, 40
         params = ssm.init_bi_block(np.random.default_rng(9), channels=channels)
         x = ad.Tensor(np.random.default_rng(10).standard_normal((bsz, length, channels)))
-        unit = bsz * length * params.mamba.expand * channels * 8
+        unit = bsz * length * params.mamba.A_log.shape[0] * 8
         ssm.bidirectional_forward(params, x)
         tracemalloc.start()
         try:

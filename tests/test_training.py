@@ -525,6 +525,24 @@ class TestCheckpoints:
         for name, p in model.parameters().items():
             np.testing.assert_array_equal(ckpt.tensors[f"param/{name}"], p.data)
 
+    @pytest.mark.parametrize("key,value", [("expand", 0), ("seed", -1), ("n_experts", 3)])
+    def test_an_invalid_stored_config_raises_training_error(self, tmp_path, key, value):
+        model, seqs, settings = micro_setup(epochs=1)
+        settings.out_dir = str(tmp_path)
+        fit(model, seqs, None, settings)
+        raw = (tmp_path / "checkpoint_00001.stmc").read_bytes()
+        head = struct.Struct("<4sIQ")
+        magic, version, head_len = head.unpack_from(raw)
+        header = json.loads(raw[head.size:head.size + head_len])
+        header["config"][key] = value
+        head_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        # re-checksummed, so that only the stored config is wrong
+        damaged = tmp_path / "damaged.stmc"
+        damaged.write_bytes(b"".join(data.with_crc([head.pack(magic, version, len(head_bytes)),
+                                                    head_bytes, raw[head.size + head_len:-4]])))
+        with pytest.raises(TrainingError, match=f"invalid config: .*{key}"):
+            load_checkpoint(damaged)
+
     @pytest.mark.parametrize("writer", ["checkpoint", "dataset"])
     def test_failed_write_leaves_no_partial_target(self, tmp_path, monkeypatch, writer):
         model, seqs, _ = micro_setup()
