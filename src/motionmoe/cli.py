@@ -269,7 +269,7 @@ def cmd_bench(args) -> int:
         tape.nodes.clear()
 
     print(f"scan-dominated block: batch={batch} channels={channels} repeats={args.repeats}")
-    print("length\tforward_ms\tbackward_ms\tminflt_per_fwd\tbackward_peak_mb")
+    print("length\tforward_ms\tbackward_ms\tminflt_per_fwd\tforward_peak_mb\tbackward_peak_mb")
     rows = []
     fwd_times = []
     for length in lengths:
@@ -286,16 +286,20 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             train_step(x)
             both.append(time.perf_counter() - t0)
-        # one more step, untimed: tracing slows every allocation
+        # one more forward and step, untimed: tracing slows every allocation
         tracemalloc.start()
         try:
+            bidirectional_forward(block, x)
+            fwd_peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+            tracemalloc.reset_peak()
             train_step(x)
             peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
         finally:
             tracemalloc.stop()
         f_ms, b_ms = 1e3 * min(fwd), 1e3 * min(both)
         fwd_times.append(min(fwd))
-        rows.append(f"{length}\t{f_ms:.2f}\t{b_ms:.2f}\t{min(faults)}\t{peak_mb:.3f}")
+        rows.append(f"{length}\t{f_ms:.2f}\t{b_ms:.2f}\t{min(faults)}\t{fwd_peak_mb:.3f}"
+                    f"\t{peak_mb:.3f}")
         print(rows[-1])
 
     exponent = float(np.polyfit(np.log(lengths), np.log(fwd_times), 1)[0])

@@ -121,10 +121,15 @@ class MotionMoE:
         """(batch, D, t) observed frames, exactly t of them -> (batch, D, T)
         encoder features: padded to T by repeating the last frame (a matmul
         by the constant ``pad``), then DCT, then the codec's encoder.  A
-        history row holding NaN or inf raises ValueError naming the row."""
+        history row holding NaN or inf raises ValueError naming the row.  The
+        history runs in the model's dtype, ``pad``'s; one that requires a
+        gradient is used as given."""
         cfg = self.config
+        dtype = self.pad.data.dtype
         if not isinstance(history, Tensor):
-            history = Tensor(history)
+            history = Tensor(history, dtype=dtype)
+        elif history.data.dtype != dtype and not history.requires_grad:
+            history = Tensor(history.data, dtype=dtype)
         if history.ndim != 3 or history.shape[1] != cfg.pose_dim:
             raise ShapeError(
                 f"forward: expected (batch, {cfg.pose_dim}, {cfg.history_frames}), "

@@ -23,7 +23,11 @@ per-step Python loops.  It does not save tape nodes: its concat and slice
 nodes outnumber the block nodes it saves (60 against 58 per forward of the
 overfit problem), yet per-kind calls there ran about 10% slower per epoch.
 A tape-free forecast is dominated by the block's arithmetic, which stacking
-leaves as it is, and a stacked call only raises its peak working set.
+leaves as it is.  Its block calls run in row tiles (see ``ssm``), so a
+stacked call's working set is no larger, but the stack's concatenated
+input and sliced outputs are extra whole-batch copies: stacking off the
+tape as well raised the forecast benchmark's peak RSS by about 2 MB, with
+no clear time saving.
 
 The gate reduces each sample's feature map by a temporal mean, applies one
 linear layer, keeps the top-k logits (ties to the lowest index), masks the
@@ -205,7 +209,7 @@ def moe_layer_forward(router: RouterParams, shared_s: BiBlockParams,
             # weight the routed rows, then scatter them back: every other
             # batch row gathers the appended zero row
             term = mul(outs[pool[e]], take_rows(w_col, rows))
-            zero = Tensor(np.zeros((1,) + term.shape[1:], dtype=term.data.dtype))
+            zero = Tensor(np.zeros((1,) + term.shape[1:]), dtype=term.data.dtype)
             slot = np.full(bsz, len(rows))
             slot[rows] = np.arange(len(rows))
             term = take_rows(concat([term, zero], axis=0), slot)

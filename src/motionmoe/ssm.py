@@ -70,6 +70,18 @@ Outputs and gradients are therefore bit for bit those of that composition,
 ``bidirectional_core`` followed by the head's primitives.  The backward lets
 go of core once the head's gradient is formed, and of the Mamba arrays as
 the kernel's backward reads them, so it too runs once.
+
+A tape-free call runs the kernel and the head over tiles of x's rows and
+writes each tile into one preallocated (B, L, C) output.  A tile holds
+max(1, _TILE_BYTES // (directions * L * E*C * itemsize)) rows, so each of
+its stacked (rows, L, E*C) arrays holds about ``_TILE_BYTES``, and its peak,
+about five of them, stops growing with the batch.  Every op of the block
+works per row: the scan, the conv, the layer norms and the elementwise ops
+by construction, and numpy's 3-D matmul by one GEMM per batch item.  So a
+row's output has the same bits in any tile.  The scan pays its per-step
+Python cost once per tile, which sets the budget's floor (1 MiB: time rose
+below it).  A recorded call keeps its arrays for the backward whatever the
+tiling, so it runs as one call.
 """
 
 from __future__ import annotations
@@ -86,6 +98,8 @@ from .autodiff import (AutodiffError, ShapeError, Tensor, _causal_conv,
                        is_recording, record, reverse_axis, slice_axis)
 
 SCAN_MODES = ("bidirectional", "forward", "backward")
+# a tape-free block call's budget per stacked (rows, L, E*C) array of a row tile
+_TILE_BYTES = 1 << 20
 # which rows of a block's stacked call hold x's time reversal, per scan mode
 _REVERSED_ROWS = {"bidirectional": (False, True), "forward": (False,), "backward": (True,)}
 
@@ -484,13 +498,30 @@ def bidirectional_forward(params: BiBlockParams, x: Tensor) -> Tensor:
     # x once per gradient contribution: the engine adds repeated inputs in
     # order, the order in which the primitive composition adds x's adjoints
     inputs = (x,) * (1 + len(reversed_rows)) + tuple(weights.values())
+    keep = is_recording(inputs)
     xd = x.data
-    bsz = xd.shape[0]
-    y, mamba_bwd = _mamba_block(params.mamba, _stack(xd, reversed_rows), is_recording(inputs))
-    parts = [y[i * bsz:(i + 1) * bsz, ::-1 if flip else 1] for i, flip in enumerate(flips)]
-    core = (parts[0] + parts[1] if len(parts) == 2 else parts[0]) + xd
-    del y, parts
-    out = _head(core, *head)[0]
+    bsz, length = xd.shape[:2]
+
+    def block_rows(xr):
+        """(output, core, the Mamba kernel's backward) over the rows xr."""
+        n = xr.shape[0]
+        y, mamba_bwd = _mamba_block(params.mamba, _stack(xr, reversed_rows), keep)
+        parts = [y[i * n:(i + 1) * n, ::-1 if flip else 1] for i, flip in enumerate(flips)]
+        core = (parts[0] + parts[1] if len(parts) == 2 else parts[0]) + xr
+        del y, parts
+        return _head(core, *head)[0], core, mamba_bwd
+
+    # off the tape, tiles of rows whose stacked (rows, L, E*C) arrays hold
+    # about _TILE_BYTES each, written into one output
+    rows = bsz if keep else max(1, _TILE_BYTES // (
+        len(reversed_rows) * length * params.mamba.A_log.shape[0] * xd.itemsize))
+    if rows >= bsz:
+        out, core, mamba_bwd = block_rows(xd)
+    else:
+        out = np.empty_like(xd)
+        for lo in range(0, bsz, rows):
+            out[lo:lo + rows] = block_rows(xd[lo:lo + rows])[0]
+        core = mamba_bwd = None
 
     def bwd(g):
         nonlocal core, mamba_bwd

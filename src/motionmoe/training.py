@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, backward, reshape
+from .autodiff import (Tape, Tensor, backward, get_default_dtype, reshape,
+                       set_default_dtype)
 from .data import (DataError, MotionSequence, batch_iter, crc_matches, with_crc,
                    write_atomic)
 from .model import ModelConfig, MotionMoE
@@ -431,6 +432,18 @@ def restore_into(model: MotionMoE, ckpt: Checkpoint) -> None:
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> MotionMoE:
-    model = MotionMoE(ckpt.config)
+    """The stored model, built in its parameters' dtype, constants included;
+    the process default dtype is left as it was."""
+    dtypes = sorted({str(arr.dtype) for name, arr in ckpt.tensors.items()
+                     if name.startswith("param/")})
+    if len(dtypes) > 1 or not set(dtypes) <= {"float32", "float64"}:
+        raise TrainingError(f"checkpoint parameters must share one dtype, float32 or "
+                            f"float64, got {', '.join(dtypes)}")
+    previous = get_default_dtype()
+    set_default_dtype(dtypes[0] if dtypes else previous)
+    try:
+        model = MotionMoE(ckpt.config)
+    finally:
+        set_default_dtype(previous)
     restore_into(model, ckpt)
     return model

@@ -393,6 +393,19 @@ class TestBench:
         assert len(peaks) == 2 and 0.0 < peaks[0] < peaks[1]
         assert not tracemalloc.is_tracing()
 
+    def test_reports_the_forward_peak_of_an_untimed_tape_free_call(self, tmp_path, capsys):
+        out = tmp_path / "bench.tsv"
+        assert main(["bench", "--lengths", "8,16", "--channels", "6",
+                     "--batch", "1", "--repeats", "1", "--out", str(out)]) == 0
+        header = capsys.readouterr().out.splitlines()[1].split("\t")
+        assert header[-2:] == ["forward_peak_mb", "backward_peak_mb"]
+        rows = [row.split("\t") for row in out.read_text().splitlines()[:-1]]
+        forward, backward = ([float(row[header.index(name)]) for row in rows]
+                             for name in header[-2:])
+        assert 0.0 < forward[0] < forward[1]
+        assert all(f < b for f, b in zip(forward, backward))
+        assert not tracemalloc.is_tracing()
+
     def test_tapes_are_freed_without_the_cyclic_collector(self, monkeypatch):
         tapes = []
 

@@ -791,6 +791,87 @@ class TestFusedBiBlock:
         assert [node.op for node in tape.nodes] == ["bi_block"]
 
 
+def tile_budget(params, rows, length, dtype):
+    """A ``_TILE_BYTES`` that makes tiles of ``rows`` rows at ``length``."""
+    directions = len(ssm._REVERSED_ROWS[params.scan_mode])
+    return rows * directions * length * params.mamba.A_log.shape[0] * np.dtype(dtype).itemsize
+
+
+def kernel_rows(monkeypatch):
+    """The list that each later call of the Mamba kernel appends its row count to."""
+    calls = []
+    original = ssm._mamba_block
+
+    def counting(mamba, xd, keep):
+        calls.append(xd.shape[0])
+        return original(mamba, xd, keep)
+
+    monkeypatch.setattr(ssm, "_mamba_block", counting)
+    return calls
+
+
+class TestRowTiles:
+    # (batch, rows per tile): batch 1, exact multiples, and remainders
+    TILINGS = [(1, 1), (6, 1), (6, 2), (6, 3), (7, 2), (7, 3), (7, 5), (7, 6)]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("scan_mode,flip_back", SCAN_SETTINGS)
+    def test_tiles_match_the_untiled_call_and_the_primitive_composition(
+            self, dtype, scan_mode, flip_back, monkeypatch):
+        params, _ = bi_block_in(dtype, scan_mode, flip_back, length=9)
+        x = ad.Tensor(np.random.default_rng(5).standard_normal((7, 9, 5)), dtype=dtype)
+        want = primitive_bi_block(params, x).data
+        calls = kernel_rows(monkeypatch)
+        monkeypatch.setattr(ssm, "_TILE_BYTES", 1 << 40)
+        untiled = ssm.bidirectional_forward(params, x).data
+        assert untiled.tobytes() == want.tobytes()
+        directions = len(ssm._REVERSED_ROWS[scan_mode])
+        for bsz, rows in self.TILINGS:
+            xb = ad.Tensor(x.data[:bsz], dtype=dtype)
+            monkeypatch.setattr(ssm, "_TILE_BYTES", tile_budget(params, rows, 9, dtype))
+            calls.clear()
+            out = ssm.bidirectional_forward(params, xb).data
+            assert calls == [directions * min(rows, bsz - lo) for lo in range(0, bsz, rows)]
+            assert out.dtype == dtype and out.shape == xb.shape
+            assert out.tobytes() == untiled[:bsz].tobytes(), (bsz, rows)
+
+    def test_a_budget_under_one_row_runs_one_row_per_tile(self, monkeypatch):
+        params, x_data = bi_block_in(np.float64)
+        want = ssm.bidirectional_forward(params, ad.Tensor(x_data)).data
+        calls = kernel_rows(monkeypatch)
+        monkeypatch.setattr(ssm, "_TILE_BYTES", 1)
+        out = ssm.bidirectional_forward(params, ad.Tensor(x_data)).data
+        assert calls == [2, 2, 2]
+        assert out.tobytes() == want.tobytes()
+
+    def test_a_recorded_call_is_never_tiled(self, monkeypatch):
+        params, x_data = bi_block_in(np.float64)
+        calls = kernel_rows(monkeypatch)
+        monkeypatch.setattr(ssm, "_TILE_BYTES", 1)
+        with ad.Tape() as tape:
+            ssm.bidirectional_forward(params, ad.Tensor(x_data, requires_grad=True))
+        assert calls == [2 * x_data.shape[0]]
+        assert [node.op for node in tape.nodes] == ["bi_block"]
+
+    def test_four_tiles_peak_as_one_tile_plus_the_output(self, monkeypatch):
+        # the bound of ``test_tape_free_forward_peak_memory`` for one tile
+        # of 8 rows, 10.5 units of tile*L*E*C values, plus the (32, L, C)
+        # output the tiles are written into (measured: 10.02 units)
+        rows, length, channels = 8, 60, 40
+        params = ssm.init_bi_block(np.random.default_rng(9), channels=channels)
+        x = ad.Tensor(np.random.default_rng(10).standard_normal((4 * rows, length, channels)))
+        monkeypatch.setattr(ssm, "_TILE_BYTES", tile_budget(params, rows, length, np.float64))
+        unit = rows * length * params.mamba.A_log.shape[0] * 8
+        ssm.bidirectional_forward(params, x)
+        tracemalloc.start()
+        try:
+            ssm.bidirectional_forward(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - x.data.nbytes <= 10.5 * unit, f"{(peak - x.data.nbytes) / unit:.2f} units"
+
+
 class TestBidirectionalWrapper:
     @pytest.mark.parametrize("seed", range(10))
     def test_core_commutes_with_time_reversal(self, seed):

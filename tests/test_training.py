@@ -421,6 +421,50 @@ class TestCheckpoints:
             assert p.data.dtype == np.float32
             np.testing.assert_array_equal(p.data, model.parameters()[name].data)
 
+    @pytest.mark.parametrize("k", [4, 2])
+    def test_a_float32_checkpoint_is_served_in_float32(self, tmp_path, k):
+        # built under a float64 default, the served model's parameters and
+        # constants are float32, and its forecast has the bits of one served
+        # under a float32 default; k = 2 scatters partly routed experts back
+        # through a zero row
+        config = ModelConfig(**{**MICRO_MODEL, "active_experts": k})
+        history = np.random.default_rng(1).standard_normal((6, 9, 5))
+        previous = ad.get_default_dtype()
+        ad.set_default_dtype(np.float32)
+        try:
+            save_checkpoint(tmp_path / "f32.stmc", MotionMoE(config), AdamState(), 0,
+                            np.random.default_rng(0))
+            want = model_from_checkpoint(load_checkpoint(tmp_path / "f32.stmc")).forward(
+                history)[0].data
+        finally:
+            ad.set_default_dtype(previous)
+        ad.set_default_dtype(np.float64)
+        try:
+            model = model_from_checkpoint(load_checkpoint(tmp_path / "f32.stmc"))
+            assert ad.get_default_dtype() == np.float64
+            pred, decisions = model.forward(history)
+            features = model.encode(ad.Tensor(history))
+        finally:
+            ad.set_default_dtype(previous)
+        constants = {"pad": model.pad, "dct": model.basis._forward,
+                     "idct": model.basis._inverse}
+        for name, t in {**model.parameters(), **constants}.items():
+            assert t.data.dtype == np.float32, name
+        assert features.data.dtype == np.float32
+        assert pred.data.dtype == decisions[0].weights.data.dtype == np.float32
+        assert pred.data.tobytes() == want.tobytes()
+
+    def test_mixed_parameter_dtypes_raise_training_error(self, tmp_path):
+        model, _, _ = micro_setup()
+        ckpt_path = tmp_path / "mixed.stmc"
+        save_checkpoint(ckpt_path, model, AdamState(), 0, np.random.default_rng(0))
+        ckpt = load_checkpoint(ckpt_path)
+        name = next(iter(ckpt.tensors))
+        ckpt.tensors[name] = ckpt.tensors[name].astype(np.float32)
+        with pytest.raises(TrainingError, match="float32, float64"):
+            model_from_checkpoint(ckpt)
+        assert ad.get_default_dtype() == np.float64
+
     def test_config_mismatch_names_fields(self, tmp_path):
         model, seqs, settings = micro_setup(epochs=1)
         settings.out_dir = str(tmp_path)
