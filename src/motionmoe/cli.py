@@ -252,24 +252,37 @@ def read_feature_export(path):
 
 
 def cmd_bench(args) -> int:
-    lengths = [int(x) for x in args.lengths.split(",")]
-    if len(lengths) < 2:
-        raise ConfigError("bench needs at least two lengths to fit a growth exponent")
+    try:
+        lengths = [int(x) for x in args.lengths.split(",")]
+    except ValueError:
+        raise ConfigError(f"--lengths must be integers, got {args.lengths!r}") from None
+    if min(lengths) < 1 or len(set(lengths)) < 2:
+        raise ConfigError("bench needs at least two distinct lengths, each >= 1, "
+                          f"to fit a growth exponent, got {args.lengths!r}")
+    for flag in ("batch", "channels", "repeats"):
+        if getattr(args, flag) < 1:
+            raise ConfigError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     channels, batch = args.channels, args.batch
     rng = np.random.default_rng(0)
     block = init_bi_block(rng, channels, state_dim=16, conv_width=4)
     params = list(block.parameters().values())
 
     def train_step(x):
+        """One recorded step; returns the bytes traced after its forward,
+        while the tape keeps what the backward reads."""
         for p in params:
             p.grad = None
         with Tape() as tape:
             out = bidirectional_forward(block, Tensor(x.data, requires_grad=True))
-            backward(reduce_sum(mul(out, out)))
+            loss = reduce_sum(mul(out, out))
+            kept = tracemalloc.get_traced_memory()[0]
+            backward(loss)
         tape.nodes.clear()
+        return kept
 
     print(f"scan-dominated block: batch={batch} channels={channels} repeats={args.repeats}")
-    print("length\tforward_ms\tbackward_ms\tminflt_per_fwd\tforward_peak_mb\tbackward_peak_mb")
+    print("length\tforward_ms\tbackward_ms\tminflt_per_fwd\tforward_peak_mb\tkept_mb"
+          "\tbackward_peak_mb")
     rows = []
     fwd_times = []
     for length in lengths:
@@ -292,14 +305,14 @@ def cmd_bench(args) -> int:
             bidirectional_forward(block, x)
             fwd_peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
             tracemalloc.reset_peak()
-            train_step(x)
+            kept_mb = train_step(x) / 1e6
             peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
         finally:
             tracemalloc.stop()
         f_ms, b_ms = 1e3 * min(fwd), 1e3 * min(both)
         fwd_times.append(min(fwd))
         rows.append(f"{length}\t{f_ms:.2f}\t{b_ms:.2f}\t{min(faults)}\t{fwd_peak_mb:.3f}"
-                    f"\t{peak_mb:.3f}")
+                    f"\t{kept_mb:.3f}\t{peak_mb:.3f}")
         print(rows[-1])
 
     exponent = float(np.polyfit(np.log(lengths), np.log(fwd_times), 1)[0])

@@ -33,22 +33,24 @@ against, fed the discretization computed in plain numpy, with the state as
 (E*C, N).
 
 ``mamba_block_forward`` runs the whole block as one tape op around the
-scan's forward and gradient kernels (the ``checkpoint_lvl=1`` recipe of the
-reference ``MambaInnerFn``).  The block's sizes are those of its weights,
-so none is stored beside them.  A recorded call keeps x, y, the chunk-start
-states and the four arrays that cost most to recompute: the conv's
-pre-activation and its sigmoid, delta's pre-activation and silu(z)'s
-sigmoid.  Its backward recomputes x W_x, x', x_proj(x'), delta, z and the
-gated product by the forward's own operations, so outputs and gradients
-are bit for bit those of the block's primitive composition.  A tape-free
-call frees each array once nothing reads it; z is formed after the scan.
-The backward does the same, the arrays the call kept included: y and
-silu(z)'s sigmoid go once the gate's gradient is formed, before the scan
-gradient, and the rest once read, so a node's backward runs once, and a
-second raises ``AutodiffError``.  Its peak is in the scan gradient, which
-holds, beside what is still kept, the output gradient, x' and delta, three
-(B, L, E*C) arrays the scan's gradients overwrite or the x path reads, and
-the 2q chunk states.
+scan's kernels; its sizes are those of its weights.  A recorded call keeps
+x, y, the conv's pre-activation and the chunk-start states, less than the
+``checkpoint_lvl=1`` recipe of the reference ``MambaInnerFn``, which
+rebuilds only the conv's output and delta.  Its backward rebuilds the rest
+by the forward's own operations, so outputs and gradients are bit for bit
+those of the block's primitive composition: z, silu(z)'s sigmoid and the
+gated product; x W_x; the conv's sigmoid and x' from the pre-activation;
+x_proj(x'); delta's pre-activation and delta.  It forms delta's
+pre-activation twice, for delta and for its sigmoid, and the conv's sigmoid
+twice, for x' and for the conv's gradient, so that neither is held across
+the scan gradient.  A tape-free call runs the same operations and frees
+each array once nothing reads it; z is formed after the scan.  The
+backward lets go of y once the gate's gradient is formed and of the rest
+once read, so a node's backward runs once, and a second raises
+``AutodiffError``.  Its peak is in the scan gradient, which holds, beside
+the pre-activation and the chunk starts, the output gradient, x' and
+delta, three (B, L, E*C) arrays the scan's gradients overwrite or the x
+path reads, and the 2q chunk states.
 
 The bidirectional wrapper shares ONE set of block weights between the
 forward and the reversed scan, and runs both as one block call on the
@@ -75,9 +77,10 @@ A tape-free call runs the kernel and the head over tiles of x's rows and
 writes each tile into one preallocated (B, L, C) output.  A tile holds
 max(1, _TILE_BYTES // (directions * L * E*C * itemsize)) rows, so each of
 its stacked (rows, L, E*C) arrays holds about ``_TILE_BYTES``, and its peak,
-about five of them, stops growing with the batch.  Every op of the block
-works per row: the scan, the conv, the layer norms and the elementwise ops
-by construction, and numpy's 3-D matmul by one GEMM per batch item.  So a
+about five of them, stops growing with the batch.  Rows of L = 0 hold
+nothing, so they all run as one tile.  Every op of the block works per
+row: the scan, the conv, the layer norms and the elementwise ops by
+construction, and numpy's 3-D matmul by one GEMM per batch item.  So a
 row's output has the same bits in any tile.  The scan pays its per-step
 Python cost once per tile, which sets the budget's floor (1 MiB: time rose
 below it).  A recorded call keeps its arrays for the backward whatever the
@@ -340,31 +343,28 @@ def _mamba_block(params: MambaBlockParams, xd: np.ndarray, keep: bool):
         return (np.ascontiguousarray(part)
                 for part in np.split(np.matmul(xs, w_proj), [rank, rank + n], axis=2))
 
+    def dt_pre(dt_low):  # delta's pre-activation, dt_proj(dt) + dt_bias
+        return np.matmul(dt_low, dt_proj) + dt_bias
+
     pre = _causal_conv(np.matmul(xd, w_x), kernel) + conv_bias
-    s_pre = _sigmoid(pre)
-    xs = pre * s_pre
-    if not keep:  # nothing else reads them: freed before the scan
-        del pre, s_pre
+    xs = pre * _sigmoid(pre)
+    if not keep:  # the backward rebuilds x' from it: freed before the scan
+        del pre
     dt_low, b_in, c_in = scan_inputs(xs)
-    dt_pre = np.matmul(dt_low, dt_proj) + dt_bias
+    delta = _softplus(dt_pre(dt_low))
     del dt_low
-    delta = _softplus(dt_pre)
-    if not keep:
-        del dt_pre
     ys, starts, q = _scan_forward(delta, a_t, b_in, c_in, xs, keep)
     del xs, delta, b_in, c_in  # the backward recomputes them
     gate = np.matmul(xd, w_z)
-    s_z = _sigmoid(gate)
-    gate *= s_z  # silu(z)
-    if not keep:
-        del s_z
+    gate *= _sigmoid(gate)  # silu(z)
     out = np.matmul(ys * gate, w_out)
 
     def bwd(g, xd):
-        nonlocal ys, s_z, pre, s_pre, dt_pre, starts
+        nonlocal ys, pre, starts
         if ys is None:
             raise AutodiffError("mamba_block: backward ran already and let go of its arrays")
         z = np.matmul(xd, w_z)
+        s_z = _sigmoid(z)
         gate = z * s_z
         g_gated, g_out = _matmul_grads(g, ys * gate, w_out)
         del g
@@ -373,16 +373,16 @@ def _mamba_block(params: MambaBlockParams, xd: np.ndarray, keep: bool):
         g_gated *= ys
         ys = None
         gx, g_wz = _matmul_grads(_silu_grad(g_gated, z, s_z, overwrite=True), xd, w_z)
-        del z, g_gated
-        s_z = None
-        xs = pre * s_pre
+        del z, g_gated, s_z
+        xs = pre * _sigmoid(pre)
         dt_low, b_in, c_in = scan_inputs(xs)
-        g_delta, g_a, g_b, g_c, g_u = _scan_grads(gy, _softplus(dt_pre), a_t, b_in, c_in,
-                                                   xs, starts, q)
+        g_delta, g_a, g_b, g_c, g_u = _scan_grads(gy, _softplus(dt_pre(dt_low)), a_t, b_in,
+                                                   c_in, xs, starts, q)
         del gy, b_in, c_in
         starts = None
-        g_delta *= _sigmoid(dt_pre)  # dL/d(delta's pre-activation)
-        dt_pre = None
+        # dL/d(delta's pre-activation), formed again rather than held
+        # across the scan gradient
+        g_delta *= _sigmoid(dt_pre(dt_low))
         g_low, g_dt_proj = _matmul_grads(g_delta, dt_low, dt_proj)
         g_dt_bias = _unbroadcast(g_delta, dt_bias.shape)
         del g_delta, dt_low
@@ -390,8 +390,8 @@ def _mamba_block(params: MambaBlockParams, xd: np.ndarray, keep: bool):
         del xs
         g_u += g_xs
         del g_xs
-        g_pre = _silu_grad(g_u, pre, s_pre, overwrite=True)
-        pre = s_pre = None
+        g_pre = _silu_grad(g_u, pre, _sigmoid(pre), overwrite=True)
+        pre = None
         g_xr, g_kernel = _causal_conv_grads(g_pre, np.matmul(xd, w_x), kernel)
         g_conv_bias = _unbroadcast(g_pre, conv_bias.shape)
         del g_pre, g_u
@@ -513,8 +513,8 @@ def bidirectional_forward(params: BiBlockParams, x: Tensor) -> Tensor:
 
     # off the tape, tiles of rows whose stacked (rows, L, E*C) arrays hold
     # about _TILE_BYTES each, written into one output
-    rows = bsz if keep else max(1, _TILE_BYTES // (
-        len(reversed_rows) * length * params.mamba.A_log.shape[0] * xd.itemsize))
+    row_bytes = len(reversed_rows) * length * params.mamba.A_log.shape[0] * xd.itemsize
+    rows = bsz if keep else max(1, _TILE_BYTES // max(1, row_bytes))
     if rows >= bsz:
         out, core, mamba_bwd = block_rows(xd)
     else:

@@ -398,12 +398,14 @@ class TestBench:
         assert main(["bench", "--lengths", "8,16", "--channels", "6",
                      "--batch", "1", "--repeats", "1", "--out", str(out)]) == 0
         header = capsys.readouterr().out.splitlines()[1].split("\t")
-        assert header[-2:] == ["forward_peak_mb", "backward_peak_mb"]
+        assert header[-3:] == ["forward_peak_mb", "kept_mb", "backward_peak_mb"]
         rows = [row.split("\t") for row in out.read_text().splitlines()[:-1]]
-        forward, backward = ([float(row[header.index(name)]) for row in rows]
-                             for name in header[-2:])
+        forward, kept, backward = ([float(row[header.index(name)]) for row in rows]
+                                   for name in header[-3:])
         assert 0.0 < forward[0] < forward[1]
         assert all(f < b for f, b in zip(forward, backward))
+        # what the recorded forward keeps for its backward
+        assert all(0.0 < k < b for k, b in zip(kept, backward))
         assert not tracemalloc.is_tracing()
 
     def test_tapes_are_freed_without_the_cyclic_collector(self, monkeypatch):
@@ -550,6 +552,27 @@ class TestArgumentErrors:
                      "--set", setting, "--set", f"out_dir={out_dir}"]) == 2
         assert "config error:" in capsys.readouterr().err
         assert not (out_dir / "resolved.cfg").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--lengths", "0,8"], "two distinct lengths, each >= 1"),
+        (["--lengths=-4,8"], "two distinct lengths, each >= 1"),
+        (["--lengths", "8,8"], "two distinct lengths, each >= 1"),
+        (["--lengths", "8,x"], "--lengths must be integers"),
+        (["--batch", "0"], "--batch must be >= 1"),
+        (["--channels", "0"], "--channels must be >= 1"),
+        (["--repeats", "0"], "--repeats must be >= 1"),
+    ], ids=["zero-length", "negative-length", "one-distinct-length", "non-integer-length",
+            "zero-batch", "zero-channels", "zero-repeats"])
+    def test_bad_bench_arguments_exit_2_before_any_work(self, monkeypatch, capsys, argv,
+                                                        message):
+        def no_block(*args, **kwargs):
+            raise AssertionError("the block was built")
+
+        monkeypatch.setattr(cli, "init_bi_block", no_block)
+        assert main(["bench", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and message in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["train", "eval", "predict", "inspect-routing",
                                          "export-features"])

@@ -1,6 +1,8 @@
 """Whole-model tests: shape contracts, determinism, the frozen default
 parameter budget, and the expert-pool sharing law."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,32 @@ class TestForward:
 
         err = ad.directional_derivative_check(f, list(model.parameters().values()), seed=0)
         assert err < 1e-6
+
+
+class TestTrainStepMemory:
+    def test_a_float32_default_step_on_8_rows_peaks_under_30_mb(self):
+        # each recorded Mamba op keeps y, the conv's pre-activation and the
+        # chunk-start states, and its backward rebuilds the rest (measured:
+        # 27.7 MB; 34.6 MB while it also kept the conv's sigmoid, delta's
+        # pre-activation and silu(z)'s sigmoid)
+        ad.set_default_dtype(np.float32)
+        try:
+            model = MotionMoE(ModelConfig())
+            cfg = model.config
+            x = ad.Tensor(np.random.default_rng(0).standard_normal(
+                (8, cfg.pose_dim, cfg.history_frames)))
+            tracemalloc.start()
+            try:
+                with ad.Tape() as tape:
+                    pred, _ = model.forward(x, train_mode=True, rng=np.random.default_rng(1))
+                    ad.backward(ad.reduce_sum(ad.mul(pred, pred)))
+                tape.nodes.clear()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        finally:
+            ad.set_default_dtype(np.float64)
+        assert peak < 30e6, f"{peak / 1e6:.1f} MB"
 
 
 class TestParameterBudget:
