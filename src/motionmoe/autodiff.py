@@ -230,12 +230,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp of a non-positive argument only, so no overflow on either branch:
     # 1 / (1 + z) for x >= 0 and z / (1 + z) below, with z = exp(-|x|) <= 1,
-    # so the numerator is max(sign(x), z).  Formed in place, two arrays of
-    # x's size live; out= keeps a 0-d input an array.
+    # so the numerator is max([x >= 0], z): 1 where x >= 0, and z below,
+    # where z > 0 or it underflowed to 0.  The comparison is cheaper than
+    # np.sign and gives the same bits.  Formed in place, two arrays of x's
+    # size live; out= keeps a 0-d input an array.
     z = np.abs(x, out=np.empty_like(x))
     np.negative(z, out=z)
     np.exp(z, out=z)
-    out = np.sign(x, out=np.empty_like(x))
+    out = np.greater_equal(x, 0.0, out=np.empty_like(x))
     np.maximum(out, z, out=out)
     z += 1.0
     out /= z

@@ -12,41 +12,39 @@ One block runs, over (batch, L, C):
     out    = out_proj(y . SiLU(z))
 
 The discretization is exact (zero-order hold) on the state path and Euler
-on the input path.  ``selective_scan`` fuses it into the scan: one tape op
-that forms exp(delta_i A) and delta_i B_i one step at a time.  On a tape it
-keeps the hidden state only at the start of each chunk of q = ceil(sqrt(L))
-steps, ceil(L/q) states instead of L (Chen et al. 2016, "Training Deep Nets
-with Sublinear Memory Cost"; Gu & Dao 2023, section 3.3).  Its hand-written
-backward recomputes one chunk at a time, the discretization and the states,
-into two (q, B, N, E*C) buffers, and runs the reverse recurrence over them,
-reducing each step's gradient with respect to delta_i A into the gradients
-of delta and A as it forms it.  It reads its (B, L, .) inputs a chunk at a
-time and writes each chunk's gradients of u and delta over the output
-gradient and delta it is handed, so beside those it holds the 2q chunk
-states and chunk-long arrays, never a whole sequence more.  The
-recomputation repeats the forward's operations, so outputs and gradients
-are those of a scan that keeps every state, bit for bit.  The state is held as
-(B, N, E*C), channels innermost, in both directions, so that each per-step
-product runs over E*C contiguous values rather than N = 16.
-``selective_scan_reference`` is the naive per-step oracle it is tested
-against, fed the discretization computed in plain numpy, with the state as
-(E*C, N).
+on the input path.  The scan kernels, ``_scan_forward`` and ``_scan_grads``,
+fuse it into the scan: they form exp(delta_i A) and delta_i B_i one step at
+a time.  For a recorded call the forward keeps the hidden state only at the
+start of each chunk of q = ceil(sqrt(L)) steps, ceil(L/q) states instead of
+L (Chen et al. 2016, "Training Deep Nets with Sublinear Memory Cost"; Gu &
+Dao 2023, section 3.3).  The hand-written gradient recomputes one chunk at
+a time, the discretization and the states, into two (q, B, N, E*C) buffers,
+and runs the reverse recurrence over them, reducing each step's gradient
+with respect to delta_i A into the gradients of delta and A as it forms it.
+It reads its (B, L, .) inputs a chunk at a time and writes each chunk's
+gradients of u and delta over the output gradient and delta it is handed,
+so beside those it holds the 2q chunk states and chunk-long arrays, never a
+whole sequence more.  The recomputation repeats the forward's operations,
+so outputs and gradients are those of a scan that keeps every state, bit
+for bit.  The state is held as (B, N, E*C), channels innermost, in both
+directions, so that each per-step product runs over E*C contiguous values
+rather than N = 16.
 
-``mamba_block_forward`` runs the whole block as one tape op around the
-scan's kernels; its sizes are those of its weights.  A recorded call keeps
-x, y, the conv's pre-activation and the chunk-start states, less than the
-``checkpoint_lvl=1`` recipe of the reference ``MambaInnerFn``, which
-rebuilds only the conv's output and delta.  Its backward rebuilds the rest
-by the forward's own operations, so outputs and gradients are bit for bit
-those of the block's primitive composition: z, silu(z)'s sigmoid and the
-gated product; x W_x; the conv's sigmoid and x' from the pre-activation;
-x_proj(x'); delta's pre-activation and delta.  It forms delta's
-pre-activation twice, for delta and for its sigmoid, and the conv's sigmoid
-twice, for x' and for the conv's gradient, so that neither is held across
-the scan gradient.  A tape-free call runs the same operations and frees
-each array once nothing reads it; z is formed after the scan.  The
-backward lets go of y once the gate's gradient is formed and of the rest
-once read, so a node's backward runs once, and a second raises
+The Mamba kernel, ``_mamba_block``, runs the whole block around the scan's
+kernels; its sizes are those of its weights.  For a recorded call it keeps
+y, the conv's pre-activation and the chunk-start states, and takes x again
+in its backward: less than the ``checkpoint_lvl=1`` recipe of the reference
+``MambaInnerFn``, which rebuilds only the conv's output and delta.  Its
+backward rebuilds the rest by the forward's own operations, so outputs and
+gradients are bit for bit those of the block's primitive composition: z,
+silu(z)'s sigmoid and the gated product; x W_x; the conv's sigmoid and x'
+from the pre-activation; x_proj(x'); delta's pre-activation and delta.  It
+forms delta's pre-activation twice, for delta and for its sigmoid, and the
+conv's sigmoid twice, for x' and for the conv's gradient, so that neither
+is held across the scan gradient.  A tape-free call runs the same
+operations and frees each array once nothing reads it; z is formed after
+the scan.  The backward lets go of y once the gate's gradient is formed and
+of the rest once read, so it runs once, and a second raises
 ``AutodiffError``.  Its peak is in the scan gradient, which holds, beside
 the pre-activation and the chunk starts, the output gradient, x' and
 delta, three (B, L, E*C) arrays the scan's gradients overwrite or the x
@@ -60,18 +58,18 @@ layer stacks further, the inputs of two experts into one call, which the
 per-step backward reduction pays for in memory (see ``moe``).
 
 ``bidirectional_forward`` records the whole wrapper as one ``bi_block`` op
-over x and the block's 16 weights, and calls the Mamba kernel,
-``_mamba_block``, inside that op rather than as a node of its own.  A
-recorded call keeps what the Mamba op keeps except its stacked input, plus
-the residual sum core, one (B, L, C) array.  Its backward rebuilds the stack
-from x, and runs the LN-FFN-LN head again from core, statistics included, by
-the primitives' own operations.  It hands x's gradient to the tape as three
-shares, one per use of x (the residual, the forward rows, the reversed
-rows), so that the tape adds them in the primitive composition's order.
-Outputs and gradients are therefore bit for bit those of that composition,
-``bidirectional_core`` followed by the head's primitives.  The backward lets
-go of core once the head's gradient is formed, and of the Mamba arrays as
-the kernel's backward reads them, so it too runs once.
+over x and the block's 16 weights, and calls the Mamba kernel inside that
+op rather than as a node of its own.  A recorded call keeps what the kernel
+keeps, plus the residual sum core, one (B, L, C) array.  Its backward
+rebuilds the stack from x, and runs the LN-FFN-LN head again from core,
+statistics included, by the primitives' own operations.  It hands x's
+gradient to the tape as three shares, one per use of x (the residual, the
+forward rows, the reversed rows), so that the tape adds them in the
+primitive composition's order.  Outputs and gradients are therefore bit for
+bit those of that composition, the chain of tape primitives in
+``tests/oracles.py``.  The backward lets go of core once the head's
+gradient is formed, and of the Mamba arrays as the kernel's backward reads
+them, so it too runs once.
 
 A tape-free call runs the kernel and the head over tiles of x's rows and
 writes each tile into one preallocated (B, L, C) output.  A tile holds
@@ -89,7 +87,6 @@ tiling, so it runs as one call.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -97,8 +94,8 @@ import numpy as np
 
 from .autodiff import (AutodiffError, ShapeError, Tensor, _causal_conv,
                        _causal_conv_grads, _layernorm, _layernorm_grads, _matmul_grads,
-                       _relu_grad, _sigmoid, _silu_grad, _softplus, _unbroadcast, add, concat,
-                       is_recording, record, reverse_axis, slice_axis)
+                       _relu_grad, _sigmoid, _silu_grad, _softplus, _unbroadcast,
+                       is_recording, record)
 
 SCAN_MODES = ("bidirectional", "forward", "backward")
 # a tape-free block call's budget per stacked (rows, L, E*C) array of a row tile
@@ -178,47 +175,11 @@ def init_mamba_block(rng: np.random.Generator, channels: int, expand: int = 2,
     )
 
 
-def selective_scan(delta: Tensor, a: Tensor, b: Tensor, c: Tensor, u: Tensor) -> Tensor:
-    """Discretize and scan in one tape op:
-
-        h_i = exp(delta_i x a) . h_{i-1} + (delta_i u_i) x b_i,   h_0 = 0
-        y_i = sum_n c_i . h_i
-
-    delta: (B, L, EC) positive; a: (EC, N) negative; b, c: (B, L, N);
-    u: (B, L, EC) -> (B, L, EC).  The discretized factors are formed one step
-    at a time and never stored.  A call recorded on a tape keeps the hidden
-    state at the start of each chunk of q = ceil(sqrt(L)) steps,
-    (ceil(L/q), B, N, EC), rather than all L states.  The backward walks the
-    chunks last to first: it recomputes a chunk's exp(delta_i x a) and states
-    into two (q, B, N, EC) buffers, then runs the reverse recurrence over
-    them, reducing each step's (B, N, EC) gradient at once.  Every value is
-    formed by the same operations as in a full-state scan, so the checkpoints
-    change no bit of the output or the gradients.
-    """
-    dd, a_, bd, cd, ud = (t.data for t in (delta, a, b, c, u))
-    if dd.ndim != 3:
-        raise ShapeError(f"selective_scan: delta must be (B, L, EC), got {dd.shape}")
-    bsz, length, inner = dd.shape
-    if a_.ndim != 2 or a_.shape[0] != inner:
-        raise ShapeError(f"selective_scan: a must be ({inner}, N), got {a_.shape}")
-    n = a_.shape[1]
-    for name, arr, want in (("b", bd, (bsz, length, n)), ("c", cd, (bsz, length, n)),
-                            ("u", ud, (bsz, length, inner))):
-        if arr.shape != want:
-            raise ShapeError(f"selective_scan: {name} must be {want}, got {arr.shape}")
-    inputs = (delta, a, b, c, u)
-    a_t = np.ascontiguousarray(a_.T)  # (N, EC), for the channel-innermost state
-    ys, starts, q = _scan_forward(dd, a_t, bd, cd, ud, keep=is_recording(inputs))
-    # the gradient kernel overwrites the g and delta it is handed
-    return record("selective_scan", inputs, ys,
-                  lambda g: _scan_grads(g.astype(ud.dtype), dd.copy(), a_t, bd, cd, ud, starts, q))
-
-
 def _scan_forward(dd, a_t, bd, cd, ud, keep):
     """(y, chunk-start states, q) of the scan; the states are None unless
     ``keep``.  a_t is a^T, (N, EC)."""
     if _debug_checks and np.any(dd <= 0.0):
-        raise AutodiffError("selective_scan: delta must be strictly positive")
+        raise AutodiffError("_scan_forward: delta must be strictly positive")
     bsz, length, inner = dd.shape
     n = a_t.shape[0]
     q = math.isqrt(max(length, 1) - 1) + 1  # ceil(sqrt(L)) steps per chunk
@@ -235,7 +196,7 @@ def _scan_forward(dd, a_t, bd, cd, ud, keep):
         h *= np.exp(np.einsum("bc,nc->bnc", dd[:, i], a_t, out=step), out=step)
         h += np.einsum("bc,bn->bnc", dd[:, i] * ud[:, i], bd[:, i], out=step)
         if _debug_checks and not np.all(np.isfinite(h)):
-            raise AutodiffError("selective_scan: non-finite hidden state")
+            raise AutodiffError("_scan_forward: non-finite hidden state")
         np.matmul(cd[:, i, None, :], h, out=ys[:, i, None, :])
     return ys, starts, q
 
@@ -298,31 +259,6 @@ def _scan_grads(g, dd, a_t, bd, cd, ud, starts, q):
         np.multiply(gdu[:m], u_t[lo:hi], out=dd_k)
         dd_k += gd[:m]
     return dd, ga_t.T, gb, gc, g
-
-
-def selective_scan_reference(a_bar: np.ndarray, b_bar: np.ndarray,
-                             c: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Naive per-step recurrence, plain numpy, no tape.  Oracle for the
-    fused scan; keep it dumb."""
-    bsz, length, inner, n = a_bar.shape
-    out = np.zeros((bsz, length, inner), dtype=np.float64)
-    for b in range(bsz):
-        h = np.zeros((inner, n), dtype=np.float64)
-        for i in range(length):
-            h = a_bar[b, i] * h + b_bar[b, i] * u[b, i][:, None]
-            out[b, i] = h @ c[b, i]
-    return out
-
-
-def mamba_block_forward(params: MambaBlockParams, x: Tensor) -> Tensor:
-    """One selective-SSM block over (batch, L, C) -> (batch, L, C) as one
-    tape op; the module docstring says what a recorded call keeps."""
-    channels = params.in_proj.shape[0]
-    if x.ndim != 3 or x.shape[2] != channels:
-        raise ShapeError(f"mamba_block_forward: expected (batch, L, {channels}), got {x.shape}")
-    inputs = (x, *params.parameters().values())
-    out, bwd = _mamba_block(params, x.data, is_recording(inputs))
-    return record("mamba_block", inputs, out, functools.partial(bwd, xd=x.data))
 
 
 def _mamba_block(params: MambaBlockParams, xd: np.ndarray, keep: bool):
@@ -466,28 +402,10 @@ def init_bi_block(rng: np.random.Generator, channels: int, expand: int = 2,
     )
 
 
-def bidirectional_core(params: BiBlockParams, x: Tensor) -> Tensor:
-    """Directional scans plus the raw-input residual, before normalization,
-    as a chain of tape primitives around one block call."""
-    # both directions run as one call on a (2B, L, C) stack of x and its
-    # time reversal; their sum keeps the order (forward + reversed) + x
-    reversed_rows = _REVERSED_ROWS[params.scan_mode]
-    stacked = concat([reverse_axis(x, 1) if rev else x for rev in reversed_rows], axis=0)
-    y = mamba_block_forward(params.mamba, stacked)
-    bsz = x.shape[0]
-    out = None
-    for i, rev in enumerate(reversed_rows):
-        part = slice_axis(y, axis=0, start=i * bsz, stop=(i + 1) * bsz)
-        if rev and params.flip_back:
-            part = reverse_axis(part, 1)
-        out = part if out is None else add(out, part)
-    return add(out, x)
-
-
 def bidirectional_forward(params: BiBlockParams, x: Tensor) -> Tensor:
     """Full block LN(LN(core) + FFN(LN(core))) over the channel axis, with
-    core = ``bidirectional_core``, as one tape op; the module docstring says
-    what a recorded call keeps."""
+    core the directional scans plus x, as one tape op; the module docstring
+    says what a recorded call keeps."""
     channels = params.mamba.in_proj.shape[0]
     if x.ndim != 3 or x.shape[2] != channels:
         raise ShapeError(f"bidirectional_forward: expected (batch, L, {channels}), got {x.shape}")

@@ -288,9 +288,16 @@ class TestFrozenDerivatives:
 
 def where_sigmoid(x):
     """The sigmoid with its numerator picked by np.where: the reference
-    that the max(sign(x), z) numerator matches bit for bit."""
+    that the max([x >= 0], z) numerator matches bit for bit."""
     z = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, z) / (1.0 + z)
+
+
+def sign_sigmoid(x):
+    """The sigmoid with its numerator as max(sign(x), z), the form that the
+    comparison replaced."""
+    z = np.exp(-np.abs(x))
+    return np.maximum(np.sign(x), z) / (1.0 + z)
 
 
 def window_conv(x, kernel):
@@ -324,6 +331,19 @@ class TestBlockKernels:
                             special]).astype(dtype)
         with np.errstate(over="ignore"):
             assert same_bits(ad._sigmoid(x), where_sigmoid(x))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sigmoid_bit_identical_to_sign_form(self, dtype):
+        # around exp's underflow (±88.7, ±104, ±750), signed zeros,
+        # subnormals and infinities; NaN maps to NaN
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, -1e-45, 88.7, -88.7, 104.0,
+                   -104.0, 750.0, -750.0, 1e30, -1e30]
+        x = np.concatenate([np.random.default_rng(4).uniform(-120.0, 120.0, 200_000),
+                            special]).astype(dtype)
+        got, want = ad._sigmoid(x), sign_sigmoid(x)
+        nan = np.isnan(x)
+        assert np.isnan(got[nan]).all() and np.isnan(want[nan]).all()
+        assert got[~nan].tobytes() == want[~nan].tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_softplus_matches_logaddexp(self, dtype):

@@ -11,6 +11,7 @@ from motionmoe import model as model_module
 from motionmoe import moe, ssm
 from motionmoe.dct import dct_forward
 from motionmoe.model import ModelConfig, MotionMoE, audit_parameters
+from oracles import primitive_bi_block
 
 MICRO = dict(joints=3, history_frames=5, total_frames=8, state_dim=4,
              conv_width=2, codec_hidden=12, dropout=0.0)
@@ -145,7 +146,6 @@ class TestForward:
         # residual around the layers, the temporal stage's transpose): the
         # fused block must add its three shares of that input's adjoint in
         # the order the primitive composition does, or the last bits move
-        from test_ssm import primitive_bi_block
 
         def step():
             ad.set_default_dtype(dtype)
@@ -240,10 +240,10 @@ class TestForward:
 
 class TestTrainStepMemory:
     def test_a_float32_default_step_on_8_rows_peaks_under_30_mb(self):
-        # each recorded Mamba op keeps y, the conv's pre-activation and the
-        # chunk-start states, and its backward rebuilds the rest (measured:
-        # 27.7 MB; 34.6 MB while it also kept the conv's sigmoid, delta's
-        # pre-activation and silu(z)'s sigmoid)
+        # each recorded block's Mamba kernel keeps y, the conv's
+        # pre-activation and the chunk-start states, and its backward
+        # rebuilds the rest (measured: 27.7 MB; 34.6 MB while it also kept
+        # the conv's sigmoid, delta's pre-activation and silu(z)'s sigmoid)
         ad.set_default_dtype(np.float32)
         try:
             model = MotionMoE(ModelConfig())
