@@ -3,11 +3,15 @@
 A ``Tape`` records primitive applications in execution order (which is a
 valid topological order, since every input tensor exists before the op that
 consumes it runs).  ``backward`` walks the tape once in reverse, accumulating
-adjoints per tensor id.  The primitive set is small and closed; composite
-modules build everything else out of it, through the functional wrappers
-(``add``, ``matmul``, ...).  Values are stored in the process default dtype
-(float64 for gradient checking, float32 optionally for training) selected
-through ``set_default_dtype``.
+adjoints per tensor id, and spends it as it goes: each node drops its
+tensors and its closure once its closure has run, so a tape serves one
+backward, and what only spent nodes held is freed before the backward
+ends.  The tape and its tensors then no longer point at each other, so
+reference counting frees a step.  The primitive set is small and closed;
+composite modules build everything else out of it, through the functional
+wrappers (``add``, ``matmul``, ...).  Values are stored in the process
+default dtype (float64 for gradient checking, float32 optionally for
+training) selected through ``set_default_dtype``.
 
 Kernels lean on numpy for shape checking: ``apply_primitive`` turns the
 ``ValueError`` a kernel raises on incompatible operands into a
@@ -18,6 +22,7 @@ clipped slices, negative or boolean row indices, broadcast scales).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Sequence
 
@@ -94,6 +99,14 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+class _Spent(int):
+    """What a released tape node keeps of a tensor: its id, an int that
+    also answers to ``tid`` (cheaper to make than an object with a slot)."""
+
+    __slots__ = ()
+    tid = property(int.__index__)
+
+
 class _TapeNode:
     __slots__ = ("op", "inputs", "output", "backward")
 
@@ -103,6 +116,21 @@ class _TapeNode:
         self.inputs = inputs
         self.output = output
         self.backward = backward
+
+    def release(self) -> None:
+        """Drop the node's tensors and closure, keeping its op and the ids
+        of its tensors, so that what only the node held is freed."""
+        self.inputs = tuple([_Spent(t.tid) for t in self.inputs])
+        self.output = _Spent(self.output.tid)
+        self.backward = _spent_backward(self.op)
+
+
+@functools.cache  # one per op name, shared by its released nodes
+def _spent_backward(op: str) -> Callable[[np.ndarray], Sequence[np.ndarray | None]]:
+    def spent(g):
+        raise AutodiffError(f"{op}: backward ran already; the backward released its tape node")
+
+    return spent
 
 
 _tapes: list["Tape"] = []  # entered tapes, innermost last
@@ -176,6 +204,13 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
     Returns a map of requires-grad leaf tensors to their gradients and
     accumulates the same values into each leaf's ``grad`` buffer.  Every
     tape node is visited at most once; fan-out adjoints add.
+
+    The backward spends its tape: it releases each node once the node's
+    closure has run, or once it is passed over because no adjoint reaches
+    it, so an array that only spent nodes held is freed while the rest of
+    the backward runs.  A released node keeps its op and its tensors' ids;
+    calling it again, as a second backward over the tape does, raises
+    ``AutodiffError``.
     """
     if loss.data.ndim != 0:
         raise AutodiffError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -190,8 +225,13 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
     for node in reversed(tape.nodes):
         g_out = adjoint.pop(node.output.tid, None)
         if g_out is None:
+            node.release()
             continue
         grads_in = node.backward(g_out)
+        # checked before the zip, which would otherwise drop the surplus
+        if len(grads_in) != len(node.inputs):
+            raise AutodiffError(f"{node.op}: backward returned {len(grads_in)} gradients "
+                                f"for {len(node.inputs)} inputs")
         for tensor, g in zip(node.inputs, grads_in):
             if g is None or not tensor.requires_grad:
                 continue
@@ -205,6 +245,7 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
                 leaves[tensor.tid] = tensor
                 acc = leaf_grads.get(tensor.tid)
                 leaf_grads[tensor.tid] = np.array(g) if acc is None else acc + g
+        node.release()
 
     result: dict[Tensor, Tensor] = {}
     for tid, tensor in leaves.items():
@@ -752,13 +793,11 @@ def finite_difference_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float
         raise AutodiffError(f"finite_difference_check requires float64 input, got {x.data.dtype}")
 
     probe = Tensor(x.data.copy(), requires_grad=True, dtype=np.float64)
-    with Tape() as tape:
+    with Tape():
         out = f(probe)
         if out.data.ndim != 0:
             raise AutodiffError(f"finite_difference_check: f must be scalar-valued, got shape {out.data.shape}")
         backward(out)
-    # break the tape <-> tensor cycle so reference counting frees the tape
-    tape.nodes.clear()
     analytic = probe.grad
     if analytic is None:
         analytic = np.zeros_like(probe.data)
@@ -802,9 +841,8 @@ def directional_derivative_check(f: Callable[[], Tensor], params: Sequence[Tenso
 
     for p in params:
         p.zero_grad()
-    with Tape() as tape:
+    with Tape():
         backward(f())
-    tape.nodes.clear()
     analytic = sum(
         float((p.grad * d).sum()) for p, d in zip(params, direction) if p.grad is not None)
 

@@ -272,12 +272,11 @@ def cmd_bench(args) -> int:
         while the tape keeps what the backward reads."""
         for p in params:
             p.grad = None
-        with Tape() as tape:
+        with Tape():
             out = bidirectional_forward(block, Tensor(x.data, requires_grad=True))
             loss = reduce_sum(mul(out, out))
             kept = tracemalloc.get_traced_memory()[0]
             backward(loss)
-        tape.nodes.clear()
         return kept
 
     print(f"scan-dominated block: batch={batch} channels={channels} repeats={args.repeats}")

@@ -14,7 +14,7 @@ each first stage (S or T) once, and only if some expert with a nonzero
 weight starts with it, then applies each such expert's second stage to it.
 On a tape, the kinds that end in the same stage (ST and TT, TS and SS) run
 that stage as one call on their stacked inputs, so the full pool makes four
-block calls per layer: S first, T first, T second, S second.  Off the tape
+block calls per layer, in the order given below.  Off the tape
 each kind runs its own second stage, six calls in all.  The switch follows
 what the code observes, whether the stage input is recorded, and the two
 sides have different costs.  A small training step is dominated by per-op
@@ -28,6 +28,16 @@ stacked call's working set is no larger, but the stack's concatenated
 input and sliced outputs are extra whole-batch copies: stacking off the
 tape as well raised the forecast benchmark's peak RSS by about 2 MB, with
 no clear time saving.
+
+On the tape the first stages are recorded in pool order, then the two
+second stages in decreasing order of their backward's chunk scratch,
+rows * ceil(sqrt(L)) * E*C, read from the stage's input and weights.  At
+``ModelConfig()`` shapes that puts S second (L = 45, E*C = 150) before T
+second (L = 75, E*C = 90).  The backward runs in reverse and releases each
+node once it has run, so the costlier stage's two (q, rows, N, E*C) chunk
+buffers are allocated after the other stage's kept arrays are freed.  The
+order moves no bit: each first-stage output has at most two consumers, and
+two adjoints add to the same bits in either order.
 
 The gate reduces each sample's feature map by a temporal mean, applies one
 linear layer, keeps the top-k logits (ties to the lowest index), masks the
@@ -48,7 +58,7 @@ import numpy as np
 from .autodiff import (ShapeError, Tensor, add, concat, is_recording, matmul, mul,
                        reduce_mean, reshape, slice_axis, softmax_lastaxis,
                        take_rows, topk_mask, transpose)
-from .ssm import BiBlockParams, bidirectional_forward
+from .ssm import BiBlockParams, _chunk_steps, bidirectional_forward
 
 EXPERT_KINDS = ("ST", "TT", "TS", "SS")
 
@@ -140,7 +150,9 @@ def expert_outputs(kinds, shared_s: BiBlockParams, shared_t: BiBlockParams,
     When a second stage's input is recorded on a tape, the kinds ending in
     that stage run it as one call on their stacked inputs: four block calls
     for the full pool, against six off the tape (the module docstring says
-    why the two differ).
+    why the two differ).  On the tape the first stages are recorded first,
+    in pool order, and then the two second stages, the one whose backward
+    needs the larger chunk scratch first.
     """
     kinds = list(dict.fromkeys(kinds))
     for kind in kinds:
@@ -150,31 +162,43 @@ def expert_outputs(kinds, shared_s: BiBlockParams, shared_t: BiBlockParams,
     want = {kind: np.arange(bsz) if rows is None else np.asarray(rows[kind]) for kind in kinds}
     firsts: dict[str, tuple[np.ndarray, Tensor]] = {}
 
-    def second_input(kind: str) -> Tensor:
-        if kind[0] not in firsts:
+    def first_stage(name: str) -> tuple[np.ndarray, Tensor]:
+        if name not in firsts:
             # np.unique would import numpy.ma on first use: 6 ms and 1.7 MB
             head = np.flatnonzero(np.bincount(np.concatenate(
-                [want[k] for k in kinds if k[0] == kind[0]]), minlength=bsz))
+                [want[k] for k in kinds if k[0] == name]), minlength=bsz))
             x = features if len(head) == bsz else take_rows(features, head)
-            firsts[kind[0]] = head, _stage(kind[0], shared_s, shared_t, x)
-        head, first = firsts[kind[0]]
+            firsts[name] = head, _stage(name, shared_s, shared_t, x)
+        return firsts[name]
+
+    def second_input(kind: str) -> Tensor:
+        head, first = first_stage(kind[0])
         if len(want[kind]) < len(head):
             first = take_rows(first, np.searchsorted(head, want[kind]))
         return first
 
-    outs: dict[str, Tensor] = {}
+    if not kinds or not is_recording([first_stage(kinds[0][0])[1]]):
+        return {kind: _stage(kind[1], shared_s, shared_t, second_input(kind)) for kind in kinds}
+    ends: dict[str, list[str]] = {}
     for kind in kinds:
-        if kind in outs:
-            continue
-        group, xs = [kind], [second_input(kind)]
-        if is_recording(xs):
-            # every kind before this one is done, so the group starts with it
-            group = [k for k in kinds if k[1] == kind[1] and k not in outs]
-            xs += [second_input(k) for k in group[1:]]
-        x = xs[0] if len(xs) == 1 else concat(xs, axis=0)
-        y = _stage(kind[1], shared_s, shared_t, x)
+        first_stage(kind[0])
+        ends.setdefault(kind[1], []).append(kind)
+
+    def scratch(name: str) -> int:
+        # rows * ceil(sqrt(L)) * E*C: the stage's scan-gradient chunk buffers
+        # over the factors both blocks share, the state size and directions
+        block, length = ((shared_s, features.shape[1]) if name == "S"
+                         else (shared_t, features.shape[2]))
+        rows = sum(len(want[k]) for k in ends[name])
+        return rows * _chunk_steps(length) * block.mamba.A_log.shape[0]
+
+    outs: dict[str, Tensor] = {}
+    for name in sorted(ends, key=scratch, reverse=True):  # stable: ties keep pool order
+        group = ends[name]
+        xs = [second_input(k) for k in group]
+        y = _stage(name, shared_s, shared_t, xs[0] if len(xs) == 1 else concat(xs, axis=0))
         if len(xs) == 1:
-            outs[kind] = y
+            outs[group[0]] = y
             continue
         start = 0
         for k, part in zip(group, xs):

@@ -15,9 +15,10 @@ The discretization is exact (zero-order hold) on the state path and Euler
 on the input path.  The scan kernels, ``_scan_forward`` and ``_scan_grads``,
 fuse it into the scan: they form exp(delta_i A) and delta_i B_i one step at
 a time.  For a recorded call the forward keeps the hidden state only at the
-start of each chunk of q = ceil(sqrt(L)) steps, ceil(L/q) states instead of
-L (Chen et al. 2016, "Training Deep Nets with Sublinear Memory Cost"; Gu &
-Dao 2023, section 3.3).  The hand-written gradient recomputes one chunk at
+start of each chunk of q = ceil(sqrt(L)) steps but the first, which starts
+from h_0 = 0: ceil(L/q) - 1 states instead of L, and none when L <= q (Chen
+et al. 2016, "Training Deep Nets with Sublinear Memory Cost"; Gu & Dao
+2023, section 3.3).  The hand-written gradient recomputes one chunk at
 a time, the discretization and the states, into two (q, B, N, E*C) buffers,
 and runs the reverse recurrence over them, reducing each step's gradient
 with respect to delta_i A into the gradients of delta and A as it forms it.
@@ -175,24 +176,30 @@ def init_mamba_block(rng: np.random.Generator, channels: int, expand: int = 2,
     )
 
 
+def _chunk_steps(length: int) -> int:
+    """q = ceil(sqrt(L)), the steps in one chunk of a recorded scan."""
+    return math.isqrt(max(length, 1) - 1) + 1
+
+
 def _scan_forward(dd, a_t, bd, cd, ud, keep):
-    """(y, chunk-start states, q) of the scan; the states are None unless
-    ``keep``.  a_t is a^T, (N, EC)."""
+    """(y, chunk-start states, q) of the scan; the states, those of chunks
+    1 to ceil(L/q) - 1, are None unless ``keep``.  a_t is a^T, (N, EC)."""
     if _debug_checks and np.any(dd <= 0.0):
         raise AutodiffError("_scan_forward: delta must be strictly positive")
     bsz, length, inner = dd.shape
     n = a_t.shape[0]
-    q = math.isqrt(max(length, 1) - 1) + 1  # ceil(sqrt(L)) steps per chunk
+    q = _chunk_steps(length)
+    # chunk 0 starts from h_0 = 0, so only the later chunks' starts are kept
     chunks = -(-length // q)
-    starts = np.empty((chunks, bsz, n, inner), dtype=dd.dtype) if keep else None
+    starts = np.empty((max(chunks - 1, 0), bsz, n, inner), dtype=dd.dtype) if keep else None
     ys = np.empty((bsz, length, inner), dtype=dd.dtype)
     h = np.zeros((bsz, n, inner), dtype=dd.dtype)
     # one scratch array for exp(delta_i x a), then for the input term, so
     # that no step allocates a state-sized array
     step = np.empty_like(h)
     for i in range(length):
-        if keep and i % q == 0:
-            starts[i // q] = h
+        if keep and i and i % q == 0:
+            starts[i // q - 1] = h
         h *= np.exp(np.einsum("bc,nc->bnc", dd[:, i], a_t, out=step), out=step)
         h += np.einsum("bc,bn->bnc", dd[:, i] * ud[:, i], bd[:, i], out=step)
         if _debug_checks and not np.all(np.isfinite(h)):
@@ -227,7 +234,7 @@ def _scan_grads(g, dd, a_t, bd, cd, ud, starts, q):
     # step-major views of the (B, L, .) arrays, gb and gc as matmul outputs
     g_t, u_t, dd_t, gb_t, gc_t = (x.swapaxes(0, 1) for x in (g, ud, dd, gb[..., None],
                                                            gc[..., None]))
-    for k in range(len(starts) - 1, -1, -1):
+    for k in reversed(range(-(-length // q))):
         lo, hi = k * q, min(k * q + q, length)
         m = hi - lo
         decay, hs, b_k, g_k, dd_k = decays[:m], states[:m], b_t[lo:hi], g_t[lo:hi], dd_t[lo:hi]
@@ -236,7 +243,11 @@ def _scan_grads(g, dd, a_t, bd, cd, ud, starts, q):
         du_k = np.multiply(d_k, u_t[lo:hi], out=du[:m])
         np.exp(np.einsum("lbc,nc->lbnc", d_k, a_t, out=decay), out=decay)
         np.einsum("lbc,lbn->lbnc", du_k, b_k, out=hs)
-        prev = starts[k]
+        if k:
+            prev = starts[k - 1]
+        else:  # h_0 = 0, added as a zero state so that -0.0 sums to +0.0
+            prev = step
+            step.fill(0.0)
         for j in range(m):
             hs[j] += np.multiply(decay[j], prev, out=step)
             prev = hs[j]
@@ -247,7 +258,7 @@ def _scan_grads(g, dd, a_t, bd, cd, ud, starts, q):
             if i:
                 carry = np.multiply(hs[j], decay[j], out=decay[j] if j else gh)
                 # s_i = dL/d(delta_i x a), (B, N, EC), reduced as it is formed
-                s = np.multiply(carry, hs[j - 1] if j else starts[k], out=step)
+                s = np.multiply(carry, hs[j - 1] if j else starts[k - 1], out=step)
                 np.einsum("bnc,nc->bc", s, a_t, out=gd[j])
                 ga_t += np.einsum("bnc,bc->nc", s, d_k[j])
             else:

@@ -194,7 +194,7 @@ def run_epoch(model: MotionMoE, sequences: list[MotionSequence],
             scene_batches(cfg, sequences, settings.batch_size, shuffle_seed)):
         for p in params.values():
             p.grad = None
-        with Tape() as tape:
+        with Tape():
             pred, _ = model.forward(Tensor(hist), train_mode=True, rng=rng)
             pred4 = reshape(pred, persons)
             gt4 = Tensor(target.reshape(persons))
@@ -203,9 +203,6 @@ def run_epoch(model: MotionMoE, sequences: list[MotionSequence],
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite loss in epoch {epoch}, batch {batch_index}")
             backward(loss)
-        # a tape and its tensors point at each other; dropping the consumed
-        # nodes lets reference counting free the step instead of the cyclic GC
-        tape.nodes.clear()
         grads = {name: p.grad for name, p in params.items() if p.grad is not None}
         norms.append(adam_step(optim, params, grads, lr, settings.grad_clip))
         losses.append(value)

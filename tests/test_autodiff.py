@@ -549,6 +549,37 @@ class TestTapeMechanics:
             if enabled:
                 gc.enable()
 
+    def test_backward_frees_what_only_the_tape_held(self):
+        # no tape.nodes.clear(): the backward releases each node it spends
+        x = ad.Tensor(np.arange(4.0), requires_grad=True)
+        with ad.Tape() as tape:
+            y = ad.tanh(ad.mul(x, x))
+            alive = weakref.ref(y.data)
+            loss = ad.reduce_sum(y)
+            del y
+            assert alive() is not None  # the tape holds the intermediate
+            ad.backward(loss)
+        assert alive() is None
+        assert [node.op for node in tape.nodes] == ["mul", "tanh", "reduce_sum"]
+        np.testing.assert_allclose(x.grad, 2.0 * x.data * (1.0 - np.tanh(x.data ** 2) ** 2))
+
+    def test_a_second_backward_raises_a_typed_error(self):
+        x = ad.Tensor(np.ones(3), requires_grad=True)
+        with ad.Tape():
+            loss = ad.reduce_sum(ad.mul(x, x))
+            ad.backward(loss)
+            with pytest.raises(ad.AutodiffError, match="reduce_sum"):
+                ad.backward(loss)
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
+    def test_a_gradient_count_mismatch_names_the_op(self):
+        a = ad.Tensor(np.ones(2), requires_grad=True)
+        b = ad.Tensor(np.ones(2), requires_grad=True)
+        with ad.Tape():
+            out = ad.record("short_op", (a, b), a.data + b.data, lambda g: (g,))
+            with pytest.raises(ad.AutodiffError, match="short_op.* 1 gradients for 2 inputs"):
+                ad.backward(ad.reduce_sum(out))
+
     def test_detached_loss_raises(self):
         x = ad.Tensor(np.ones(()), requires_grad=True)
         loss = ad.reduce_sum(x)  # no active tape

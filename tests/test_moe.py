@@ -372,9 +372,11 @@ class TestSharedComputation:
         with ad.Tape():
             moe_layer_forward(router, shared_s, shared_t, EXPERT_KINDS, x)
         # the block parameters put every stage on the tape: S first and T
-        # first on 3 rows, then T second on ST's and TT's 3 + 3 rows and S
-        # second on TS's and SS's, each call with both directions stacked
-        assert calls == [("S", 6), ("T", 6), ("T", 12), ("S", 12)]
+        # first on 3 rows, then the costlier second stage's backward scratch
+        # first, S second on TS's and SS's 3 + 3 rows (12 rows * q = 3 *
+        # E*C = 14) before T second on ST's and TT's (12 * 3 * 10), each
+        # call with both directions stacked
+        assert calls == [("S", 6), ("T", 6), ("S", 12), ("T", 12)]
 
     @pytest.mark.parametrize("k,picks", [
         (4, None),

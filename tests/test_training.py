@@ -298,6 +298,20 @@ class TestEpochs:
             if enabled:
                 gc.enable()
 
+    def test_an_epoch_leaves_no_cyclic_garbage(self):
+        # a spent tape and its tensors no longer point at each other, so
+        # reference counting frees every step without clearing the tape
+        model, seqs, settings = micro_setup(epochs=1)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            run_epoch(model, seqs, settings, AdamState(), np.random.default_rng(0), epoch=0)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_evaluate_is_read_only_and_deterministic(self):
         model, seqs, settings = micro_setup()
         before = {n: p.data.copy() for n, p in model.parameters().items()}
