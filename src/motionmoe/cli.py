@@ -18,17 +18,16 @@ import numpy as np
 
 from .autodiff import (AutodiffError, Tape, Tensor, backward, mul,
                        reduce_sum, set_default_dtype)
-from .config import (ConfigError, RUN_SCHEMA, SYNTH_SCHEMA, format_config,
-                     model_config_from, parse_config_file, parse_config_text,
-                     schema_help, train_settings_from)
+from .config import (ConfigError, RUN_SCHEMA, SYNTH_SCHEMA, format_config, from_values,
+                     parse_config_file, parse_config_text, parse_value, schema_help)
 from .data import DataError, GeneratorSpec, MotionSequence, read_dataset, \
     synth_generate, unflatten_poses, write_atomic, write_dataset
-from .model import MotionMoE, audit_parameters
+from .model import ModelConfig, MotionMoE, audit_parameters
 from .moe import expert_outputs
 from .objectives import horizon_frames
 from .ssm import init_bi_block, bidirectional_forward
-from .training import (TrainingError, TrainSettings, append_log, evaluate, fit,
-                       load_checkpoint, model_from_checkpoint, scene_batches)
+from .training import (SERVE_BATCH, TrainingError, TrainSettings, append_log, evaluate,
+                       fit, load_checkpoint, model_from_checkpoint, scene_batches)
 
 FEATURE_MAGIC = "MMFX"
 
@@ -39,24 +38,14 @@ def _load_values(path, overrides: list[str], schema: dict) -> dict:
     values = parse_config_file(path, schema) if path else parse_config_text("", schema)
     for item in overrides:
         key, sep, value = item.partition("=")
-        key = key.strip()
         if not sep:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        if key not in schema:
-            raise ConfigError(f"--set: unknown key {key!r}")
-        try:
-            values[key] = schema[key][0](value.strip())
-        except ValueError as exc:
-            raise ConfigError(f"--set: bad value for {key!r}: {exc}") from None
+        values[key.strip()] = parse_value(schema, key.strip(), value, "--set")
     return values
 
 
 def cmd_synth(args) -> int:
-    values = _load_values(args.spec, args.set, SYNTH_SCHEMA)
-    try:
-        spec = GeneratorSpec(**values)
-    except DataError as exc:
-        raise ConfigError(str(exc)) from None
+    spec = from_values(GeneratorSpec, _load_values(args.spec, args.set, SYNTH_SCHEMA))
     sequences = synth_generate(spec)
     write_dataset(sequences, args.out)
     print(f"wrote {len(sequences)} sequences "
@@ -64,31 +53,28 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _set_dtype(values: dict) -> None:
-    name = values["dtype"]
-    if name not in ("float32", "float64"):
-        raise ConfigError(f"dtype must be float32 or float64, got {name!r}")
-    set_default_dtype(np.float32 if name == "float32" else np.float64)
-
-
-def _check_root_joint(name: str, root_joint: int, joints: int) -> None:
-    if not 0 <= root_joint < joints:
-        raise ConfigError(f"{name} {root_joint} is not a joint index in [0, {joints})")
+def _check_metrics(config: ModelConfig, settings: TrainSettings,
+                   horizons: str, root_joint: str) -> None:
+    """ConfigError, naming the key or flag ``horizons`` or ``root_joint``, unless
+    each horizon is a frame of the forecast window and the root joint a joint."""
+    try:
+        horizon_frames(settings.horizons, settings.fps,
+                       config.total_frames - config.history_frames)
+    except ValueError as exc:
+        raise ConfigError(f"{horizons}: {exc}") from None
+    if not 0 <= settings.root_joint < config.joints:
+        raise ConfigError(f"{root_joint} {settings.root_joint} is not a joint index "
+                          f"in [0, {config.joints})")
 
 
 def cmd_train(args) -> int:
     values = _load_values(args.config, args.set, RUN_SCHEMA)
     if not values["train_data"]:
         raise ConfigError("train_data is required (set it in the config or via --set)")
-    _set_dtype(values)
-    config = model_config_from(values)
-    settings = train_settings_from(values)
-    _check_root_joint("root_joint", settings.root_joint, config.joints)
-    try:
-        horizon_frames(settings.horizons, settings.fps,
-                       config.total_frames - config.history_frames)
-    except ValueError as exc:
-        raise ConfigError(f"horizons: {exc}") from None
+    set_default_dtype(values["dtype"])
+    config = from_values(ModelConfig, values)
+    settings = from_values(TrainSettings, values)
+    _check_metrics(config, settings, "horizons", "root_joint")
 
     train_seqs = read_dataset(values["train_data"])
     if not train_seqs:
@@ -96,14 +82,11 @@ def cmd_train(args) -> int:
     val_seqs = read_dataset(values["val_data"]) if values["val_data"] else None
 
     resume = load_checkpoint(args.resume, expected_config=config) if args.resume else None
-    if resume is not None:
-        # Adam's moments would stay in the checkpoint's dtype while the
-        # parameters took the run's
-        saved = sorted({str(arr.dtype) for name, arr in resume.tensors.items()
-                        if name.startswith("param/")})
-        if saved != [values["dtype"]]:
-            raise ConfigError(f"--resume: checkpoint {args.resume} holds {', '.join(saved)} "
-                              f"parameters, but this run's dtype is {values['dtype']}")
+    # Adam's moments would stay in the checkpoint's dtype while the parameters
+    # took the run's
+    if resume is not None and resume.param_dtype() != values["dtype"]:
+        raise ConfigError(f"--resume: checkpoint {args.resume} holds {resume.param_dtype()} "
+                          f"parameters, but this run's dtype is {values['dtype']}")
 
     out_dir = Path(settings.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -139,14 +122,12 @@ def _read_eval_pair(args):
 
 def cmd_eval(args) -> int:
     model, sequences = _read_eval_pair(args)
-    cfg = model.config
+    horizons = parse_value(RUN_SCHEMA, "horizons", args.horizons, "--horizons")
     try:
-        horizons = tuple(float(h) for h in args.horizons.split(","))
-        horizon_frames(horizons, args.fps, cfg.total_frames - cfg.history_frames)
+        settings = TrainSettings(fps=args.fps, horizons=horizons, root_joint=args.root_joint)
     except ValueError as exc:
-        raise ConfigError(f"--horizons: {exc}") from None
-    _check_root_joint("--root-joint", args.root_joint, cfg.joints)
-    settings = TrainSettings(fps=args.fps, horizons=horizons, root_joint=args.root_joint)
+        raise ConfigError(str(exc)) from None
+    _check_metrics(model.config, settings, "--horizons", "--root-joint")
     report = evaluate(model, sequences, settings)
     table = report.to_table()
     print(table)
@@ -159,10 +140,9 @@ def cmd_predict(args) -> int:
     model, sequences = _read_eval_pair(args)
     cfg = model.config
     out_seqs = []
-    batch = 16
-    for hist, _ in scene_batches(cfg, sequences, batch):
+    for hist, _ in scene_batches(cfg, sequences, SERVE_BATCH):
         first = len(out_seqs)
-        persons = [seq.persons for seq in sequences[first:first + batch]]
+        persons = [seq.persons for seq in sequences[first:first + SERVE_BATCH]]
         try:
             pred, _ = model.forward(hist)
         except ValueError:  # non-finite history: find its sequence's rows
@@ -190,7 +170,7 @@ def cmd_inspect_routing(args) -> int:
     mass = np.zeros(cfg.n_experts)
     routed = np.zeros(cfg.n_experts, dtype=int)
     count = 0
-    for hist, _ in scene_batches(cfg, sequences, 16):
+    for hist, _ in scene_batches(cfg, sequences, SERVE_BATCH):
         if args.limit and count >= args.limit:
             break
         if args.limit:
@@ -222,7 +202,7 @@ def cmd_export_features(args) -> int:
 
     rows = []
     count = 0
-    for hist, _ in scene_batches(cfg, sequences, 16):
+    for hist, _ in scene_batches(cfg, sequences, SERVE_BATCH):
         if count >= args.samples:
             break
         hist = hist[:args.samples - count]

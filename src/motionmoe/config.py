@@ -1,16 +1,19 @@
 """Flat key = value run configuration.
 
 Lines are ``key = value`` with ``#`` comments; unknown keys are rejected,
-missing keys take the defaults below, and the fully resolved configuration
-is echoed into the output directory so every run is reproducible from its
-artifacts.
+missing keys take the default of the ``ModelConfig``, ``LossWeights``,
+``TrainSettings`` or ``GeneratorSpec`` field they set (``dtype``, the paths,
+``out_dir`` and synth ``frames`` have their own), and the fully resolved
+configuration is echoed into the output directory so every run is
+reproducible from its artifacts.
 """
 
 from __future__ import annotations
 
-from .data import MOTION_KINDS
+from dataclasses import fields, is_dataclass
+
+from .data import MOTION_KINDS, DataError, GeneratorSpec
 from .model import ModelConfig
-from .objectives import LossWeights
 from .training import TrainSettings
 
 
@@ -50,61 +53,111 @@ def _parse_mix(text: str) -> dict[str, float]:
     return mix
 
 
-# key -> (parser, default, help)
-RUN_SCHEMA = {
-    # model
-    "joints": (int, 15, "joints per person"),
-    "history_frames": (int, 50, "observed frames t"),
-    "total_frames": (int, 75, "observed + predicted frames T"),
-    "n_experts": (int, 4, "experts per mixture layer"),
-    "active_experts": (int, 4, "top-k experts kept by the gate"),
-    "moe_layers": (int, 1, "stacked mixture layers"),
-    "expert_pool": (_parse_pool, ("ST", "TT", "TS", "SS"), "expert kinds, comma separated"),
-    "scan_mode": (str, "bidirectional", "bidirectional | forward | backward"),
-    "flip_back": (_parse_bool, True, "re-reverse the backward scan branch"),
-    "expand": (int, 2, "state-space channel expansion factor"),
-    "state_dim": (int, 16, "states per channel"),
-    "conv_width": (int, 4, "depthwise causal conv width"),
-    "dt_rank": (int, 0, "step-size bottleneck rank, 0 = auto"),
-    "codec_hidden": (int, 64, "codec hidden width"),
-    "dropout": (float, 0.1, "codec dropout rate"),
-    "scene_persons": (int, 1, "persons concatenated along the pose axis"),
-    "model_seed": (int, 0, "weight initialization seed"),
-    # loss
-    "alpha": (float, 1.0, "spatial loss weight"),
-    "beta": (float, 1.0, "temporal consistency loss weight"),
-    "lambda_hist": (float, 0.1, "history share of the spatial loss"),
-    # optimization
-    "epochs": (int, 200, "training epochs"),
-    "batch_size": (int, 96, "sequences per batch"),
-    "lr": (float, 0.01, "base learning rate"),
-    "beta1": (float, 0.9, "Adam beta1"),
-    "beta2": (float, 0.999, "Adam beta2"),
-    "eps": (float, 1e-8, "Adam epsilon"),
-    "grad_clip": (float, 0.0, "global gradient-norm clip, 0 = off"),
-    "checkpoint_every": (int, 0, "epochs between checkpoints, 0 = final only"),
-    "train_seed": (int, 0, "shuffling / dropout seed"),
-    "dtype": (str, "float64", "float64 | float32"),
-    # evaluation
-    "fps": (float, 25.0, "frame rate for horizon metrics"),
-    "horizons": (_parse_float_list, (0.2, 0.6, 1.0), "metric horizons in seconds"),
-    "root_joint": (int, 0, "root joint index for the aligned metric"),
-    # io
-    "train_data": (str, "", "training dataset path (.mmp1)"),
-    "val_data": (str, "", "validation dataset path, optional"),
-    "out_dir": (str, "run", "output directory"),
-}
+def _parse_dtype(text: str) -> str:
+    if text not in ("float32", "float64"):
+        raise ValueError(f"must be float32 or float64, got {text!r}")
+    return text
 
-SYNTH_SCHEMA = {
-    "sequences": (int, 64, "number of sequences"),
-    "persons": (int, 2, "persons per sequence"),
-    "frames": (int, 100, "frames per sequence"),
-    "joints": (int, 15, "joints per person"),
-    "fps": (float, 25.0, "frame rate"),
-    "seed": (int, 0, "generator seed"),
-    "mix": (_parse_mix, {k: 1.0 for k in MOTION_KINDS}, "kind:weight list"),
-    "scale": (float, 1000.0, "body scale in mm"),
-}
+
+# (dataclass, field) -> its run key, where that is not the field's name
+_RENAMED = {(ModelConfig, "seed"): "model_seed", (TrainSettings, "seed"): "train_seed",
+            (TrainSettings, "base_lr"): "lr"}
+
+
+def _to_values(obj) -> dict:
+    """Run key -> value of each field of dataclass ``obj``, nested ones included."""
+    values = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(f.default_factory):
+            values |= _to_values(value)
+        else:
+            values[_RENAMED.get((type(obj), f.name), f.name)] = value
+    return values
+
+
+def from_values(cls, values: dict):
+    """Dataclass ``cls`` with each field, nested ones included, taken from its
+    run key in ``values``; its ValueErrors and DataErrors become ConfigErrors."""
+    kwargs = {f.name: from_values(f.default_factory, values) if is_dataclass(f.default_factory)
+              else values[_RENAMED.get((cls, f.name), f.name)] for f in fields(cls)}
+    try:
+        return cls(**kwargs)
+    except (ValueError, DataError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _schema(entries: dict, defaults: dict) -> dict:
+    """key -> (parser, default, help) from key -> (parser, help)."""
+    return {key: (parser, defaults[key], help_) for key, (parser, help_) in entries.items()}
+
+
+RUN_SCHEMA = _schema({
+    # model
+    "joints": (int, "joints per person"),
+    "history_frames": (int, "observed frames t"),
+    "total_frames": (int, "observed + predicted frames T"),
+    "n_experts": (int, "experts per mixture layer"),
+    "active_experts": (int, "top-k experts kept by the gate"),
+    "moe_layers": (int, "stacked mixture layers"),
+    "expert_pool": (_parse_pool, "expert kinds, comma separated"),
+    "scan_mode": (str, "bidirectional | forward | backward"),
+    "flip_back": (_parse_bool, "re-reverse the backward scan branch"),
+    "expand": (int, "state-space channel expansion factor"),
+    "state_dim": (int, "states per channel"),
+    "conv_width": (int, "depthwise causal conv width"),
+    "dt_rank": (int, "step-size bottleneck rank, 0 = auto"),
+    "codec_hidden": (int, "codec hidden width"),
+    "dropout": (float, "codec dropout rate"),
+    "scene_persons": (int, "persons concatenated along the pose axis"),
+    "model_seed": (int, "weight initialization seed"),
+    # loss
+    "alpha": (float, "spatial loss weight"),
+    "beta": (float, "temporal consistency loss weight"),
+    "lambda_hist": (float, "history share of the spatial loss"),
+    # optimization
+    "epochs": (int, "training epochs"),
+    "batch_size": (int, "sequences per batch"),
+    "lr": (float, "base learning rate"),
+    "beta1": (float, "Adam beta1"),
+    "beta2": (float, "Adam beta2"),
+    "eps": (float, "Adam epsilon"),
+    "grad_clip": (float, "global gradient-norm clip, 0 = off"),
+    "checkpoint_every": (int, "epochs between checkpoints, 0 = final only"),
+    "train_seed": (int, "shuffling / dropout seed"),
+    "dtype": (_parse_dtype, "float64 | float32"),
+    # evaluation
+    "fps": (float, "frame rate for horizon metrics"),
+    "horizons": (_parse_float_list, "metric horizons in seconds"),
+    "root_joint": (int, "root joint index for the aligned metric"),
+    # io
+    "train_data": (str, "training dataset path (.mmp1)"),
+    "val_data": (str, "validation dataset path, optional"),
+    "out_dir": (str, "output directory"),
+}, _to_values(ModelConfig()) | _to_values(TrainSettings())
+   | {"dtype": "float64", "train_data": "", "val_data": "", "out_dir": "run"})
+
+SYNTH_SCHEMA = _schema({
+    "sequences": (int, "number of sequences"),
+    "persons": (int, "persons per sequence"),
+    "frames": (int, "frames per sequence"),
+    "joints": (int, "joints per person"),
+    "fps": (float, "frame rate"),
+    "seed": (int, "generator seed"),
+    "mix": (_parse_mix, "kind:weight list"),
+    "scale": (float, "body scale in mm"),
+}, _to_values(GeneratorSpec()) | {"frames": 100})
+
+
+def parse_value(schema: dict, key: str, text: str, where: str) -> object:
+    """``key``'s value parsed from ``text``; an unknown key or a bad value
+    raises ConfigError, prefixed with ``where``."""
+    if key not in schema:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    try:
+        return schema[key][0](text.strip())
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from None
 
 
 def parse_config_text(text: str, schema: dict, source: str = "<config>") -> dict:
@@ -117,15 +170,9 @@ def parse_config_text(text: str, schema: dict, source: str = "<config>") -> dict
         if not sep:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key = key.strip()
-        if key not in schema:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        parser = schema[key][0]
-        try:
-            values[key] = parser(value.strip())
-        except ValueError as exc:
-            raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from None
+        values[key] = parse_value(schema, key, value, f"{source}:{lineno}")
     for key, (_, default, _) in schema.items():
         values.setdefault(key, default)
     return values
@@ -160,51 +207,3 @@ def schema_help(schema: dict) -> str:
     width = max(len(k) for k in schema)
     return "\n".join(f"  {key.ljust(width)}  {help_} (default {default!r})"
                      for key, (_, default, help_) in schema.items())
-
-
-def model_config_from(values: dict) -> ModelConfig:
-    try:
-        return ModelConfig(
-            joints=values["joints"],
-            history_frames=values["history_frames"],
-            total_frames=values["total_frames"],
-            n_experts=values["n_experts"],
-            active_experts=values["active_experts"],
-            moe_layers=values["moe_layers"],
-            expert_pool=values["expert_pool"],
-            scan_mode=values["scan_mode"],
-            flip_back=values["flip_back"],
-            expand=values["expand"],
-            state_dim=values["state_dim"],
-            conv_width=values["conv_width"],
-            dt_rank=values["dt_rank"],
-            codec_hidden=values["codec_hidden"],
-            dropout=values["dropout"],
-            scene_persons=values["scene_persons"],
-            seed=values["model_seed"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def train_settings_from(values: dict) -> TrainSettings:
-    try:
-        return TrainSettings(
-            epochs=values["epochs"],
-            batch_size=values["batch_size"],
-            base_lr=values["lr"],
-            beta1=values["beta1"],
-            beta2=values["beta2"],
-            eps=values["eps"],
-            grad_clip=values["grad_clip"],
-            checkpoint_every=values["checkpoint_every"],
-            seed=values["train_seed"],
-            loss=LossWeights(alpha=values["alpha"], beta=values["beta"],
-                             lambda_hist=values["lambda_hist"]),
-            fps=values["fps"],
-            horizons=values["horizons"],
-            root_joint=values["root_joint"],
-            out_dir=values["out_dir"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None

@@ -19,6 +19,7 @@ stays inside ``spec.bone_envelope`` of its root.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import struct
 import zlib
@@ -162,11 +163,13 @@ class GeneratorSpec:
             raise DataError("sequences must be >= 0")
         if self.persons < 1 or self.frames < 1 or self.joints < 1:
             raise DataError("persons, frames and joints must be >= 1")
-        if self.fps <= 0 or self.scale <= 0:
-            raise DataError("fps and scale must be positive")
+        if not all(v > 0 and math.isfinite(v) for v in (self.fps, self.scale)):
+            raise DataError("fps and scale must be positive and finite")
         unknown = set(self.mix) - set(MOTION_KINDS)
         if unknown:
             raise DataError(f"unknown motion kinds {sorted(unknown)}")
+        if not all(w >= 0 and math.isfinite(w) for w in self.mix.values()):
+            raise DataError(f"motion mix weights must be non-negative and finite, got {self.mix}")
         if not self.mix or sum(self.mix.values()) <= 0:
             raise DataError("motion mix needs at least one positive weight")
 

@@ -83,8 +83,6 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["expert_pool"] = tuple(d["expert_pool"])
         return cls(**d)
 
 

@@ -10,6 +10,7 @@ generator).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +25,9 @@ class LossWeights:
     lambda_hist: float = 0.1  # history share inside the spatial term
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0 or self.lambda_hist < 0:
-            raise ValueError("loss weights must be non-negative")
+        weights = (self.alpha, self.beta, self.lambda_hist)
+        if not all(w >= 0 and math.isfinite(w) for w in weights):
+            raise ValueError(f"loss weights must be non-negative and finite, got {weights}")
 
 
 def _check_pose_4d(name: str, pred: Tensor, gt: Tensor) -> tuple[int, int, int, int]:
@@ -117,6 +119,9 @@ class MetricReport:
 def horizon_frames(horizons: tuple[float, ...], fps: float, window: int) -> list[int]:
     """The 1-based forecast-window frame of each horizon in seconds; raises
     ValueError unless each lands on a whole frame inside the window."""
+    for h in horizons:
+        if not math.isfinite(h * fps):
+            raise ValueError(f"horizon {h}s is not a finite frame at {fps} fps")
     offsets = [round(h * fps) for h in horizons]
     for h, offset in zip(horizons, offsets):
         if abs(h * fps - offset) > 1e-9 or offset < 1:

@@ -27,6 +27,10 @@ class TrainingError(Exception):
     """Non-finite losses or gradients, bad checkpoints, config mismatches."""
 
 
+# sequences per forward when a trained model serves a dataset
+SERVE_BATCH = 16
+
+
 def lr_at_epoch(base_lr: float, epoch: int) -> float:
     """base * (0.1 ** (1/50)) ** epoch; epoch 0 is exactly base."""
     if base_lr <= 0:
@@ -144,12 +148,14 @@ class TrainSettings:
     out_dir: str | None = None
 
     def __post_init__(self):
-        for name, low in (("batch_size", 1), ("grad_clip", 0), ("checkpoint_every", 0),
-                          ("seed", 0)):
+        for name, low in (("epochs", 0), ("batch_size", 1), ("grad_clip", 0),
+                          ("checkpoint_every", 0), ("seed", 0)):
             if not getattr(self, name) >= low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if not self.base_lr > 0:
-            raise ValueError(f"base_lr must be > 0, got {self.base_lr}")
+        for name in ("base_lr", "eps", "fps"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be > 0 and finite, got {value}")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
@@ -216,7 +222,7 @@ def run_epoch(model: MotionMoE, sequences: list[MotionSequence],
 
 
 def evaluate(model: MotionMoE, sequences: list[MotionSequence],
-             settings: TrainSettings, batch_size: int = 16):
+             settings: TrainSettings, batch_size: int = SERVE_BATCH):
     """Forecast every sequence in file order and score the forecast window."""
     cfg = model.config
     persons = (-1, cfg.joints, 3, cfg.total_frames)
@@ -304,6 +310,15 @@ class Checkpoint:
     tensors: dict[str, np.ndarray]
     adam_meta: dict
     rng_state: dict
+
+    def param_dtype(self) -> str | None:
+        """The dtype the stored parameters share, None without any."""
+        dtypes = sorted({str(arr.dtype) for name, arr in self.tensors.items()
+                         if name.startswith("param/")})
+        if len(dtypes) > 1 or not set(dtypes) <= {"float32", "float64"}:
+            raise TrainingError(f"checkpoint parameters must share one dtype, float32 or "
+                                f"float64, got {', '.join(dtypes)}")
+        return dtypes[0] if dtypes else None
 
     def optim_state(self) -> AdamState:
         state = AdamState(step=self.adam_meta["step"], beta1=self.adam_meta["beta1"],
@@ -431,13 +446,8 @@ def restore_into(model: MotionMoE, ckpt: Checkpoint) -> None:
 def model_from_checkpoint(ckpt: Checkpoint) -> MotionMoE:
     """The stored model, built in its parameters' dtype, constants included;
     the process default dtype is left as it was."""
-    dtypes = sorted({str(arr.dtype) for name, arr in ckpt.tensors.items()
-                     if name.startswith("param/")})
-    if len(dtypes) > 1 or not set(dtypes) <= {"float32", "float64"}:
-        raise TrainingError(f"checkpoint parameters must share one dtype, float32 or "
-                            f"float64, got {', '.join(dtypes)}")
     previous = get_default_dtype()
-    set_default_dtype(dtypes[0] if dtypes else previous)
+    set_default_dtype(ckpt.param_dtype() or previous)
     try:
         model = MotionMoE(ckpt.config)
     finally:

@@ -92,6 +92,15 @@ class TestSynth:
         assert main(["synth", "--set", "scale=0",
                      "--out", str(tmp_path / "x.mmp1")]) == 2
 
+    @pytest.mark.parametrize("setting", ["mix=walk:nan", "mix=walk:-1,turn:2", "fps=nan",
+                                         "scale=inf"])
+    def test_non_finite_or_negative_spec_value_exits_2_before_writing(self, tmp_path, capsys,
+                                                                      setting):
+        out = tmp_path / "x.mmp1"
+        assert main(["synth", "--set", setting, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
 
 class TestTrain:
     def test_artifacts(self, trained):
@@ -192,6 +201,20 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "config error: --resume" in err
         assert f"holds {saved} parameters" in err and f"dtype is {run}" in err
+
+
+    def test_resume_from_mixed_dtype_checkpoint_exits_1_before_writing(
+            self, tmp_path, trained, monkeypatch, capsys):
+        ckpt = load_checkpoint(trained["checkpoint"])
+        name = next(n for n in ckpt.tensors if n.startswith("param/"))
+        ckpt.tensors[name] = ckpt.tensors[name].astype(np.float32)
+        monkeypatch.setattr(cli, "load_checkpoint", lambda *args, **kwargs: ckpt)
+        out = tmp_path / "resumed"
+        assert main(["train", *MICRO_SET, "--set", f"train_data={trained['data']}",
+                     "--set", f"out_dir={out}", "--set", "epochs=3",
+                     "--resume", str(trained["checkpoint"])]) == 1
+        assert "checkpoint parameters must share one dtype" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEval:
@@ -518,6 +541,17 @@ class TestArgumentErrors:
                      "--root-joint", root_joint]) == 2
         assert f"config error: --root-joint {root_joint}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fps", ["0", "nan", "inf"])
+    def test_eval_fps_not_positive_and_finite_exits_2_before_forecasting(
+            self, trained, monkeypatch, capsys, fps):
+        def no_forecast(*args, **kwargs):
+            raise AssertionError("evaluate ran")
+
+        monkeypatch.setattr(cli, "evaluate", no_forecast)
+        assert main(["eval", "--checkpoint", str(trained["checkpoint"]),
+                     "--data", str(trained["data"]), "--fps", fps]) == 2
+        assert "config error: fps must be > 0 and finite" in capsys.readouterr().err
+
     def test_train_root_joint_outside_skeleton_exits_2_before_epoch_1(
             self, trained, tmp_path, monkeypatch, capsys):
         def no_training(*args, **kwargs):
@@ -544,7 +578,10 @@ class TestArgumentErrors:
     @pytest.mark.parametrize("setting", ["expand=0", "state_dim=0", "conv_width=0",
                                          "codec_hidden=0", "dt_rank=-3", "model_seed=-1",
                                          "lr=0", "batch_size=0", "grad_clip=-1",
-                                         "checkpoint_every=-2", "train_seed=-1", "beta1=1.5"])
+                                         "checkpoint_every=-2", "train_seed=-1", "beta1=1.5",
+                                         "eps=nan", "eps=-1", "eps=0", "lr=inf", "alpha=nan",
+                                         "lambda_hist=nan", "beta=inf", "fps=inf",
+                                         "horizons=inf", "dtype=float16", "epochs=-1"])
     def test_train_out_of_range_key_exits_2_before_writing(self, trained, tmp_path, capsys,
                                                            setting):
         out_dir = tmp_path / "run"

@@ -4,9 +4,50 @@ parsers and the round trip through format_config."""
 import pytest
 
 from motionmoe.config import (RUN_SCHEMA, SYNTH_SCHEMA, ConfigError,
-                              format_config, model_config_from,
-                              parse_config_file, parse_config_text,
-                              schema_help, train_settings_from)
+                              format_config, from_values, parse_config_file,
+                              parse_config_text, schema_help)
+from motionmoe.data import GeneratorSpec
+from motionmoe.model import ModelConfig
+from motionmoe.training import TrainSettings
+
+DEFAULT_RUN_TEXT = """\
+joints = 15
+history_frames = 50
+total_frames = 75
+n_experts = 4
+active_experts = 4
+moe_layers = 1
+expert_pool = ST,TT,TS,SS
+scan_mode = bidirectional
+flip_back = true
+expand = 2
+state_dim = 16
+conv_width = 4
+dt_rank = 0
+codec_hidden = 64
+dropout = 0.1
+scene_persons = 1
+model_seed = 0
+alpha = 1.0
+beta = 1.0
+lambda_hist = 0.1
+epochs = 200
+batch_size = 96
+lr = 0.01
+beta1 = 0.9
+beta2 = 0.999
+eps = 1e-08
+grad_clip = 0.0
+checkpoint_every = 0
+train_seed = 0
+dtype = float64
+fps = 25.0
+horizons = 0.2,0.6,1.0
+root_joint = 0
+train_data = 
+val_data = 
+out_dir = run
+"""
 
 
 class TestParsing:
@@ -92,6 +133,19 @@ class TestRoundTrip:
         keys = [line.split(" = ")[0] for line in rendered.strip().splitlines()]
         assert keys == list(RUN_SCHEMA)
 
+    def test_defaults_are_the_dataclasses_and_render_unchanged(self):
+        values = parse_config_text("", RUN_SCHEMA)
+        assert from_values(ModelConfig, values) == ModelConfig()
+        assert from_values(TrainSettings, values) == TrainSettings(out_dir="run")
+        assert format_config(values, RUN_SCHEMA) == DEFAULT_RUN_TEXT
+        synth = parse_config_text("", SYNTH_SCHEMA)
+        assert GeneratorSpec(**synth) == GeneratorSpec(frames=100)
+
+    def test_dtype_accepts_only_float32_and_float64(self):
+        assert parse_config_text("dtype = float32", RUN_SCHEMA)["dtype"] == "float32"
+        with pytest.raises(ConfigError, match="bad value for 'dtype'"):
+            parse_config_text("dtype = float16", RUN_SCHEMA)
+
     def test_schema_help_mentions_every_key(self):
         text = schema_help(RUN_SCHEMA)
         for key in RUN_SCHEMA:
@@ -103,20 +157,20 @@ class TestBridges:
         values = parse_config_text(
             "joints = 3\nhistory_frames = 5\ntotal_frames = 8\nmodel_seed = 4\n",
             RUN_SCHEMA)
-        cfg = model_config_from(values)
+        cfg = from_values(ModelConfig, values)
         assert (cfg.joints, cfg.history_frames, cfg.total_frames) == (3, 5, 8)
         assert cfg.seed == 4
 
     def test_invalid_combination_becomes_config_error(self):
         values = parse_config_text("history_frames = 80\n", RUN_SCHEMA)
         with pytest.raises(ConfigError, match="history_frames"):
-            model_config_from(values)
+            from_values(ModelConfig, values)
 
     def test_train_settings_from_values(self):
         values = parse_config_text(
             "epochs = 3\nlr = 0.5\nlambda_hist = 0.2\nhorizons = 0.04\n",
             RUN_SCHEMA)
-        settings = train_settings_from(values)
+        settings = from_values(TrainSettings, values)
         assert settings.epochs == 3
         assert settings.base_lr == 0.5
         assert settings.loss.lambda_hist == 0.2
@@ -125,7 +179,7 @@ class TestBridges:
     def test_negative_loss_weight_becomes_config_error(self):
         values = parse_config_text("alpha = -1\n", RUN_SCHEMA)
         with pytest.raises(ConfigError, match="non-negative"):
-            train_settings_from(values)
+            from_values(TrainSettings, values)
 
     @pytest.mark.parametrize("key,value,message", [
         ("expand", "0", "expand must be >= 1"),
@@ -138,9 +192,10 @@ class TestBridges:
     def test_out_of_range_model_key_becomes_config_error(self, key, value, message):
         values = parse_config_text(f"{key} = {value}\n", RUN_SCHEMA)
         with pytest.raises(ConfigError, match=message):
-            model_config_from(values)
+            from_values(ModelConfig, values)
 
     @pytest.mark.parametrize("key,value,message", [
+        ("epochs", "-1", "epochs must be >= 0"),
         ("batch_size", "0", "batch_size must be >= 1"),
         ("lr", "0", "base_lr must be > 0"),
         ("lr", "nan", "base_lr must be > 0"),
@@ -150,15 +205,23 @@ class TestBridges:
         ("beta1", "1.5", r"beta1 must be in \[0, 1\)"),
         ("beta1", "-0.1", r"beta1 must be in \[0, 1\)"),
         ("beta2", "1", r"beta2 must be in \[0, 1\)"),
+        ("eps", "nan", "eps must be > 0 and finite"),
+        ("eps", "-1", "eps must be > 0 and finite"),
+        ("eps", "0", "eps must be > 0 and finite"),
+        ("lr", "inf", "base_lr must be > 0 and finite"),
+        ("fps", "inf", "fps must be > 0 and finite"),
+        ("alpha", "nan", "non-negative and finite"),
+        ("lambda_hist", "nan", "non-negative and finite"),
+        ("beta", "inf", "non-negative and finite"),
     ])
     def test_out_of_range_training_key_becomes_config_error(self, key, value, message):
         values = parse_config_text(f"{key} = {value}\n", RUN_SCHEMA)
         with pytest.raises(ConfigError, match=message):
-            train_settings_from(values)
+            from_values(TrainSettings, values)
 
     def test_range_edges_are_accepted(self):
         values = parse_config_text("dt_rank = 0\nmodel_seed = 0\ngrad_clip = 0\n"
                                    "checkpoint_every = 0\nbeta1 = 0\nbatch_size = 1\n",
                                    RUN_SCHEMA)
-        assert model_config_from(values).dt_rank == 0
-        assert train_settings_from(values).beta1 == 0.0
+        assert from_values(ModelConfig, values).dt_rank == 0
+        assert from_values(TrainSettings, values).beta1 == 0.0

@@ -476,6 +476,8 @@ class TestCheckpoints:
         name = next(iter(ckpt.tensors))
         ckpt.tensors[name] = ckpt.tensors[name].astype(np.float32)
         with pytest.raises(TrainingError, match="float32, float64"):
+            ckpt.param_dtype()
+        with pytest.raises(TrainingError, match="float32, float64"):
             model_from_checkpoint(ckpt)
         assert ad.get_default_dtype() == np.float64
 
