@@ -7,17 +7,21 @@ adjoints per tensor id, and spends it as it goes: each node drops its
 tensors and its closure once its closure has run, so a tape serves one
 backward, and what only spent nodes held is freed before the backward
 ends.  The tape and its tensors then no longer point at each other, so
-reference counting frees a step.  The primitive set is small and closed;
-composite modules build everything else out of it, through the functional
-wrappers (``add``, ``matmul``, ...).  Values are stored in the process
+reference counting frees a step.  Values are stored in the process
 default dtype (float64 for gradient checking, float32 optionally for
 training) selected through ``set_default_dtype``.
+
+The registry (``primitive_names``) holds the primitives that production
+records, reached through the functional wrappers (``add``, ``matmul``, ...),
+and ``exp``, which only the benchmark's own tests record.  A fused op whose
+kernel lives outside the registry records itself through ``record``, as
+``ssm``'s bidirectional block does with the kernels below.
 
 Kernels lean on numpy for shape checking: ``apply_primitive`` turns the
 ``ValueError`` a kernel raises on incompatible operands into a
 ``ShapeError`` that names the primitive.  A kernel checks shapes itself only
 where numpy would accept the input with other semantics (1-D matmul,
-clipped slices, negative or boolean row indices, broadcast scales).
+clipped slices, negative or boolean row indices).
 """
 
 from __future__ import annotations
@@ -285,7 +289,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# --- kernels shared by the primitives and ssm's fused block ----------------
+# --- kernels of ssm's fused block (matmul shares _matmul_grads) ------------
 
 def _softplus(x: np.ndarray) -> np.ndarray:
     # log1p(exp(-|x|)) + max(x, 0)
@@ -429,17 +433,6 @@ def _p_exp(inputs, attrs):
     return out, bwd
 
 
-def _p_softplus(inputs, attrs):
-    (x,) = inputs
-    return _softplus(x), lambda g: (g * _sigmoid(x),)
-
-
-def _p_silu(inputs, attrs):
-    (x,) = inputs
-    s = _sigmoid(x)
-    return x * s, lambda g: (_silu_grad(g, x, s),)
-
-
 def _p_tanh(inputs, attrs):
     (x,) = inputs
     out = np.tanh(x)
@@ -450,11 +443,6 @@ def _p_tanh(inputs, attrs):
     return out, bwd
 
 
-def _p_relu(inputs, attrs):
-    (x,) = inputs
-    return np.maximum(x, 0.0), lambda g: (_relu_grad(g, x),)
-
-
 def _p_transpose(inputs, attrs):
     (x,) = inputs
     a, b = attrs["axis_a"], attrs["axis_b"]
@@ -462,17 +450,6 @@ def _p_transpose(inputs, attrs):
 
     def bwd(g):
         return (g.swapaxes(a, b),)
-
-    return out, bwd
-
-
-def _p_reverse_axis(inputs, attrs):
-    (x,) = inputs
-    axis = attrs["axis"]
-    out = np.flip(x, axis=axis)
-
-    def bwd(g):
-        return (np.ascontiguousarray(np.flip(g, axis=axis)),)
 
     return out, bwd
 
@@ -545,36 +522,6 @@ def _p_softmax_lastaxis(inputs, attrs):
         return (out * (g - dot),)
 
     return out, bwd
-
-
-def _p_layernorm_lastaxis(inputs, attrs):
-    x, gamma, beta = inputs
-    c = x.shape[-1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(
-            f"layernorm_lastaxis: scale/shift must have shape ({c},), got {gamma.shape}/{beta.shape}")
-    out, xhat, inv = _layernorm(x, gamma, beta, attrs.get("eps", 1e-5))
-    return out, lambda g: _layernorm_grads(g, xhat, inv, gamma)
-
-
-def _p_depthwise_causal_conv1d(inputs, attrs):
-    x, kernel = inputs
-    if x.ndim != 3:
-        raise ShapeError(f"depthwise_causal_conv1d: input must be (batch, length, channels), got {x.shape}")
-    if kernel.ndim != 2 or kernel.shape[0] != x.shape[2]:
-        raise ShapeError(
-            f"depthwise_causal_conv1d: kernel must be (channels={x.shape[2]}, width), got {kernel.shape}")
-    return _causal_conv(x, kernel), lambda g: _causal_conv_grads(g, x, kernel)
-
-
-def _p_broadcast(inputs, attrs):
-    (x,) = inputs
-    out = np.broadcast_to(x, attrs["shape"])
-
-    def bwd(g):
-        return (_unbroadcast(g, x.shape),)
-
-    return np.ascontiguousarray(out), bwd
 
 
 def _p_slice(inputs, attrs):
@@ -650,19 +597,12 @@ _PRIMITIVES: dict[str, Callable] = {
     "mul": _p_mul,
     "matmul": _p_matmul,
     "exp": _p_exp,
-    "softplus": _p_softplus,
-    "silu": _p_silu,
     "tanh": _p_tanh,
-    "relu": _p_relu,
     "transpose": _p_transpose,
-    "reverse_axis": _p_reverse_axis,
     "reshape": _p_reshape,
     "reduce_mean": _p_reduce_mean,
     "reduce_sum": _p_reduce_sum,
     "softmax_lastaxis": _p_softmax_lastaxis,
-    "layernorm_lastaxis": _p_layernorm_lastaxis,
-    "depthwise_causal_conv1d": _p_depthwise_causal_conv1d,
-    "broadcast": _p_broadcast,
     "slice": _p_slice,
     "concat": _p_concat,
     "take_rows": _p_take_rows,
@@ -710,28 +650,12 @@ def exp(x) -> Tensor:
     return apply_primitive("exp", (x,))
 
 
-def softplus(x) -> Tensor:
-    return apply_primitive("softplus", (x,))
-
-
-def silu(x) -> Tensor:
-    return apply_primitive("silu", (x,))
-
-
 def tanh(x) -> Tensor:
     return apply_primitive("tanh", (x,))
 
 
-def relu(x) -> Tensor:
-    return apply_primitive("relu", (x,))
-
-
 def transpose(x, axis_a: int, axis_b: int) -> Tensor:
     return apply_primitive("transpose", (x,), {"axis_a": axis_a, "axis_b": axis_b})
-
-
-def reverse_axis(x, axis: int) -> Tensor:
-    return apply_primitive("reverse_axis", (x,), {"axis": axis})
 
 
 def reshape(x, shape: Sequence[int]) -> Tensor:
@@ -748,18 +672,6 @@ def reduce_sum(x, axes=None) -> Tensor:
 
 def softmax_lastaxis(x) -> Tensor:
     return apply_primitive("softmax_lastaxis", (x,))
-
-
-def layernorm_lastaxis(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    return apply_primitive("layernorm_lastaxis", (x, gamma, beta), {"eps": eps})
-
-
-def depthwise_causal_conv1d(x, kernel) -> Tensor:
-    return apply_primitive("depthwise_causal_conv1d", (x, kernel))
-
-
-def broadcast_to(x, shape: Sequence[int]) -> Tensor:
-    return apply_primitive("broadcast", (x,), {"shape": tuple(shape)})
 
 
 def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:
@@ -821,39 +733,3 @@ def finite_difference_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-8)
     return float(np.max(np.abs(analytic - fd) / denom))
-
-
-def directional_derivative_check(f: Callable[[], Tensor], params: Sequence[Tensor],
-                                 eps: float = 1e-5, seed: int = 0) -> float:
-    """Relative error of grad . v against a central difference along one
-    random direction v over all ``params`` jointly.
-
-    Cheap full-parameter probe: two extra evaluations regardless of the
-    number of parameters.
-    """
-    rng = np.random.default_rng(seed)
-    for p in params:
-        if p.data.dtype != np.float64:
-            raise AutodiffError("directional_derivative_check requires float64 parameters")
-    direction = [rng.standard_normal(p.shape) for p in params]
-    norm = np.sqrt(sum(float((d * d).sum()) for d in direction))
-    direction = [d / norm for d in direction]
-
-    for p in params:
-        p.zero_grad()
-    with Tape():
-        backward(f())
-    analytic = sum(
-        float((p.grad * d).sum()) for p, d in zip(params, direction) if p.grad is not None)
-
-    saved = [p.data.copy() for p in params]
-    for p, d, s in zip(params, direction, saved):
-        p.data[...] = s + eps * d
-    hi = float(f().data)
-    for p, d, s in zip(params, direction, saved):
-        p.data[...] = s - eps * d
-    lo = float(f().data)
-    for p, s in zip(params, saved):
-        p.data[...] = s
-    fd = (hi - lo) / (2.0 * eps)
-    return abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-8)

@@ -87,6 +87,12 @@ def cmd_train(args) -> int:
     if resume is not None and resume.param_dtype() != values["dtype"]:
         raise ConfigError(f"--resume: checkpoint {args.resume} holds {resume.param_dtype()} "
                           f"parameters, but this run's dtype is {values['dtype']}")
+    # fit goes on with the checkpoint's Adam settings, which resolved.cfg would misstate
+    for key in ("beta1", "beta2", "eps"):
+        if resume is not None and resume.adam_meta[key] != getattr(settings, key):
+            raise ConfigError(f"--resume: checkpoint {args.resume} holds Adam {key} "
+                              f"{resume.adam_meta[key]}, but this run's {key} is "
+                              f"{getattr(settings, key)}")
 
     out_dir = Path(settings.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

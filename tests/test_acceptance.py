@@ -23,7 +23,10 @@ from motionmoe.objectives import (ape, jpe, spatial_loss,
                                   temporal_consistency_loss)
 from motionmoe.training import (AdamState, TrainSettings, evaluate, fit,
                                 load_checkpoint, run_epoch, save_checkpoint)
-from oracles import mamba_op, selective_scan_reference
+from oracles import (ORACLE_OPS, broadcast_to, depthwise_causal_conv1d,
+                     directional_derivative_check, layernorm_lastaxis, mamba_op, rand_shape,
+                     reverse_axis, selective_scan_reference, spaced_values, weighted_sum,
+                     well_scaled)
 
 
 @contextmanager
@@ -36,29 +39,9 @@ def criterion(number, label):
     print(f"criterion {number:02d} PASS: {label}", flush=True)
 
 
-def well_scaled(rng, shape):
-    sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
-    return sign * rng.uniform(0.5, 1.5, shape)
-
-
-def weighted_sum(y, weights):
-    return ad.reduce_sum(ad.mul(y, ad.Tensor(weights)))
-
-
-def rand_shape(rng, min_axes=1, max_axes=4, max_len=8):
-    ndim = int(rng.integers(min_axes, max_axes + 1))
-    return tuple(int(rng.integers(1, max_len + 1)) for _ in range(ndim))
-
-
-def spaced_values(rng, shape):
-    n = shape[-1]
-    flat = (int(np.prod(shape[:-1], dtype=int)), n)
-    base = np.argsort(rng.standard_normal(flat), axis=-1).astype(np.float64)
-    return ((base + rng.uniform(-0.4, 0.4, flat)) * 0.5).reshape(shape)
-
-
 def primitive_cases(name, rng):
-    """(f, leaf) pairs covering the given primitive for one seed."""
+    """(f, leaf) pairs covering the given primitive, registered or oracle,
+    for one seed."""
     if name in ("add", "sub", "mul"):
         shape = rand_shape(rng)
         other = ad.Tensor(well_scaled(rng, shape))
@@ -77,7 +60,8 @@ def primitive_cases(name, rng):
         shape = rand_shape(rng)
         x = ad.Tensor(rng.uniform(-2.0, 2.0, shape), requires_grad=True)
         w = well_scaled(rng, shape)
-        return [(lambda t: weighted_sum(ad.apply_primitive(name, (t,)), w), x)]
+        op = ORACLE_OPS.get(name) or getattr(ad, name)
+        return [(lambda t: weighted_sum(op(t), w), x)]
     if name == "transpose":
         shape = rand_shape(rng, min_axes=2)
         x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
@@ -90,7 +74,7 @@ def primitive_cases(name, rng):
         x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
         axis = int(rng.integers(0, len(shape)))
         w = well_scaled(rng, shape)
-        return [(lambda t: weighted_sum(ad.reverse_axis(t, axis), w), x)]
+        return [(lambda t: weighted_sum(reverse_axis(t, axis), w), x)]
     if name == "reshape":
         shape = rand_shape(rng)
         x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
@@ -115,23 +99,23 @@ def primitive_cases(name, rng):
         gamma = ad.Tensor(well_scaled(rng, (c,)), requires_grad=True)
         beta = ad.Tensor(well_scaled(rng, (c,)), requires_grad=True)
         w = well_scaled(rng, shape)
-        return [(lambda t: weighted_sum(ad.layernorm_lastaxis(t, gamma, beta), w), x),
-                (lambda t: weighted_sum(ad.layernorm_lastaxis(x, t, beta), w), gamma),
-                (lambda t: weighted_sum(ad.layernorm_lastaxis(x, gamma, t), w), beta)]
+        return [(lambda t: weighted_sum(layernorm_lastaxis(t, gamma, beta), w), x),
+                (lambda t: weighted_sum(layernorm_lastaxis(x, t, beta), w), gamma),
+                (lambda t: weighted_sum(layernorm_lastaxis(x, gamma, t), w), beta)]
     if name == "depthwise_causal_conv1d":
         b, l, c = (int(rng.integers(1, 7)) for _ in range(3))
         width = int(rng.integers(1, 5))
         x = ad.Tensor(well_scaled(rng, (b, l, c)), requires_grad=True)
         k = ad.Tensor(well_scaled(rng, (c, width)), requires_grad=True)
         w = well_scaled(rng, (b, l, c))
-        return [(lambda t: weighted_sum(ad.depthwise_causal_conv1d(t, k), w), x),
-                (lambda t: weighted_sum(ad.depthwise_causal_conv1d(x, t), w), k)]
+        return [(lambda t: weighted_sum(depthwise_causal_conv1d(t, k), w), x),
+                (lambda t: weighted_sum(depthwise_causal_conv1d(x, t), w), k)]
     if name == "broadcast":
         target = rand_shape(rng, min_axes=2)
         source = tuple(1 if rng.random() < 0.5 else s for s in target)
         x = ad.Tensor(rng.standard_normal(source), requires_grad=True)
         w = well_scaled(rng, target)
-        return [(lambda t: weighted_sum(ad.broadcast_to(t, target), w), x)]
+        return [(lambda t: weighted_sum(broadcast_to(t, target), w), x)]
     if name == "slice":
         shape = rand_shape(rng)
         axis = int(rng.integers(0, len(shape)))
@@ -189,7 +173,8 @@ def test_criterion_01_gradient_suite():
         started = time.perf_counter()
         covered = set()
         worst = 0.0
-        for name in ad.primitive_names():
+        # the registered primitives and the oracle ones, 22 ops in all
+        for name in (*ad.primitive_names(), *ORACLE_OPS):
             for seed in range(5):
                 rng = np.random.default_rng(seed)
                 for f, leaf in primitive_cases(name, rng):
@@ -197,7 +182,7 @@ def test_criterion_01_gradient_suite():
                     worst = max(worst, err)
                     assert err < 1e-6, f"{name} seed {seed}: {err:.3e}"
             covered.add(name)
-        assert covered == set(ad.primitive_names())
+        assert covered == {*ad.primitive_names(), *ORACLE_OPS} and len(covered) == 22
 
         block = ssm.init_mamba_block(np.random.default_rng(0), channels=4,
                                      expand=2, state_dim=3, conv_width=2, dt_rank=2)
@@ -229,9 +214,9 @@ def test_criterion_01_gradient_suite():
         err = ad.finite_difference_check(micro_loss, hist)
         assert err < 1e-4, f"end-to-end loss: {err:.3e}"
 
-        err = ad.directional_derivative_check(lambda: micro_loss(hist),
-                                              list(model.parameters().values()),
-                                              seed=3)
+        err = directional_derivative_check(lambda: micro_loss(hist),
+                                           list(model.parameters().values()),
+                                           seed=3)
         assert err < 1e-4, f"end-to-end parameter direction: {err:.3e}"
 
         elapsed = time.perf_counter() - started
@@ -340,8 +325,8 @@ def test_criterion_06_bidirectional_equivariance():
             params = ssm.init_bi_block(np.random.default_rng(seed), channels=6,
                                        expand=2, state_dim=4, conv_width=3)
             x = ad.Tensor(np.random.default_rng(100 + seed).standard_normal((2, 9, 6)))
-            lhs = ssm.bidirectional_forward(params, ad.reverse_axis(x, 1)).data
-            rhs = ad.reverse_axis(ssm.bidirectional_forward(params, x), 1).data
+            lhs = ssm.bidirectional_forward(params, reverse_axis(x, 1)).data
+            rhs = reverse_axis(ssm.bidirectional_forward(params, x), 1).data
             assert np.abs(lhs - rhs).max() < 1e-12, f"seed {seed}"
 
 

@@ -1,11 +1,16 @@
-"""The allocator policy set at package import: freed activation arrays stay
-in the heap, so steady-state forwards do not fault their pages in again.
-Each test runs in a fresh interpreter, since the policy is process-wide."""
+"""What package import sets: the allocator policy, under which freed
+activation arrays stay in the heap, so steady-state forwards do not fault
+their pages in again, and the version, which is pyproject's.  Each policy
+test runs in a fresh interpreter, since the policy is process-wide."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import motionmoe
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -49,3 +54,10 @@ import motionmoe
 print(motionmoe.__version__)
 """)
         assert out.strip()
+
+
+def test_package_version_is_the_pyproject_version():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(SRC).parent / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["version"] == motionmoe.__version__

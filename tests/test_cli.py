@@ -202,6 +202,24 @@ class TestTrain:
         assert "config error: --resume" in err
         assert f"holds {saved} parameters" in err and f"dtype is {run}" in err
 
+    @pytest.mark.parametrize("setting", ["eps=0.5", "beta1=0.5", "beta2=0.5"])
+    def test_resume_under_other_adam_settings_exits_2_before_writing(self, tmp_path,
+                                                                      capsys, setting):
+        # the resumed run would keep the checkpoint's Adam settings while
+        # resolved.cfg stated the new ones
+        data = synth(tmp_path)
+        out = tmp_path / "run"
+        run = ["train", *MICRO_SET, "--set", f"train_data={data}", "--set", f"out_dir={out}"]
+        assert main([*run, "--set", "epochs=1"]) == 0
+        resolved = (out / "resolved.cfg").read_bytes()
+        capsys.readouterr()
+        assert main([*run, "--set", "epochs=2", "--set", setting,
+                     "--resume", str(out / "checkpoint_00001.stmc")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --resume")
+        assert f"holds Adam {setting.split('=')[0]} " in err and "is 0.5" in err
+        assert (out / "resolved.cfg").read_bytes() == resolved
+        assert sorted(p.name for p in out.glob("*.stmc")) == ["checkpoint_00001.stmc"]
 
     def test_resume_from_mixed_dtype_checkpoint_exits_1_before_writing(
             self, tmp_path, trained, monkeypatch, capsys):

@@ -11,7 +11,7 @@ from motionmoe.moe import (EXPERT_KINDS, GateDecision, RouterParams,
                            expert_outputs, gate, init_router,
                            moe_layer_forward)
 from motionmoe.ssm import init_bi_block
-from oracles import mamba_op
+from oracles import layernorm_lastaxis, mamba_op, relu, reverse_axis
 
 
 def make_router(logit_rows, k):
@@ -230,16 +230,16 @@ def unshared_block(params, x, scan_mode, flip_back):
     if scan_mode in ("bidirectional", "forward"):
         out = mamba_op(params.mamba, x)
     if scan_mode in ("bidirectional", "backward"):
-        rev = mamba_op(params.mamba, ad.reverse_axis(x, 1))
+        rev = mamba_op(params.mamba, reverse_axis(x, 1))
         if flip_back:
-            rev = ad.reverse_axis(rev, 1)
+            rev = reverse_axis(rev, 1)
         out = rev if out is None else ad.add(out, rev)
     core = ad.add(out, x)
-    inner = ad.layernorm_lastaxis(core, params.ln_inner_gamma, params.ln_inner_beta)
-    hidden = ad.relu(ad.add(ad.matmul(inner, params.ffn_w1), params.ffn_b1))
+    inner = layernorm_lastaxis(core, params.ln_inner_gamma, params.ln_inner_beta)
+    hidden = relu(ad.add(ad.matmul(inner, params.ffn_w1), params.ffn_b1))
     ffn_out = ad.add(ad.matmul(hidden, params.ffn_w2), params.ffn_b2)
-    return ad.layernorm_lastaxis(ad.add(inner, ffn_out),
-                                 params.ln_outer_gamma, params.ln_outer_beta)
+    return layernorm_lastaxis(ad.add(inner, ffn_out),
+                              params.ln_outer_gamma, params.ln_outer_beta)
 
 
 def unshared_mixture(router, shared_s, shared_t, pool, x, scan_mode, flip_back):

@@ -15,8 +15,9 @@ import pytest
 
 from motionmoe import autodiff as ad
 from motionmoe import ssm
-from oracles import (mamba_op, primitive_bi_block, primitive_block, primitive_head, scan_op,
-                     selective_scan_reference)
+from oracles import (depthwise_causal_conv1d, mamba_op, primitive_bi_block, primitive_block,
+                     primitive_head, reverse_axis, scan_op, selective_scan_reference, silu,
+                     softplus)
 
 
 def random_scan_inputs(rng, bsz, length, inner, n, grad=False):
@@ -440,15 +441,15 @@ class TestMambaBlock:
             xz = ad.matmul(x, params.in_proj)
             xr = ad.slice_axis(xz, axis=2, start=0, stop=inner)
             z = ad.slice_axis(xz, axis=2, start=inner, stop=2 * inner)
-            xs = ad.silu(ad.add(ad.depthwise_causal_conv1d(xr, params.conv_kernel),
-                                params.conv_bias))
+            xs = silu(ad.add(depthwise_causal_conv1d(xr, params.conv_kernel),
+                             params.conv_bias))
             proj = ad.matmul(xs, params.x_proj)
-            delta = ad.softplus(ad.add(ad.matmul(ad.slice_axis(proj, 2, 0, rank),
-                                                 params.dt_proj), params.dt_bias))
+            delta = softplus(ad.add(ad.matmul(ad.slice_axis(proj, 2, 0, rank),
+                                              params.dt_proj), params.dt_bias))
             y = scan_op(delta, ad.mul(ad.exp(params.A_log), ad.Tensor(-1.0)),
                         ad.slice_axis(proj, 2, rank, rank + n),
                         ad.slice_axis(proj, 2, rank + n, rank + 2 * n), xs)
-            return ad.matmul(ad.mul(y, ad.silu(z)), params.out_proj)
+            return ad.matmul(ad.mul(y, silu(z)), params.out_proj)
 
         def run(block):
             for p in params.parameters().values():
@@ -880,8 +881,8 @@ class TestBidirectionalWrapper:
         params = ssm.init_bi_block(np.random.default_rng(seed), channels=6,
                                    expand=2, state_dim=4, conv_width=3)
         x = ad.Tensor(np.random.default_rng(100 + seed).standard_normal((2, 9, 6)))
-        lhs = ssm.bidirectional_forward(params, ad.reverse_axis(x, 1)).data
-        rhs = ad.reverse_axis(ssm.bidirectional_forward(params, x), 1).data
+        lhs = ssm.bidirectional_forward(params, reverse_axis(x, 1)).data
+        rhs = reverse_axis(ssm.bidirectional_forward(params, x), 1).data
         assert np.abs(lhs - rhs).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
@@ -894,8 +895,8 @@ class TestBidirectionalWrapper:
             params = ssm.init_bi_block(np.random.default_rng(seed), channels=6,
                                        expand=2, state_dim=4, conv_width=3)
             x = ad.Tensor(np.random.default_rng(100 + seed).standard_normal((2, 9, 6)))
-            lhs = ssm.bidirectional_forward(params, ad.reverse_axis(x, 1)).data
-            rhs = ad.reverse_axis(ssm.bidirectional_forward(params, x), 1).data
+            lhs = ssm.bidirectional_forward(params, reverse_axis(x, 1)).data
+            rhs = reverse_axis(ssm.bidirectional_forward(params, x), 1).data
         finally:
             ad.set_default_dtype(np.float64)
         assert lhs.dtype == np.float32
@@ -906,7 +907,7 @@ class TestBidirectionalWrapper:
         params = ssm.init_bi_block(np.random.default_rng(0), channels=5)
         x = ad.Tensor(np.random.default_rng(1).standard_normal((2, 7, 5)))
         fwd = mamba_op(params.mamba, x).data
-        bwd_flipped = mamba_op(params.mamba, ad.reverse_axis(x, 1)).data
+        bwd_flipped = mamba_op(params.mamba, reverse_axis(x, 1)).data
         bwd = bwd_flipped[:, ::-1]
 
         def block(scan_mode, flip_back=True):

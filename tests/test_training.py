@@ -298,6 +298,29 @@ class TestEpochs:
             if enabled:
                 gc.enable()
 
+    def test_a_train_step_records_every_registered_primitive_but_exp(self, monkeypatch):
+        # the registry holds what production records; an op that only an
+        # oracle needs is defined in tests/oracles.py
+        assert ad.primitive_names() == (
+            "add", "sub", "mul", "matmul", "exp", "tanh", "transpose", "reshape", "reduce_mean",
+            "reduce_sum", "softmax_lastaxis", "slice", "concat", "take_rows", "topk_mask")
+        tapes = []
+
+        class KeptTape(ad.Tape):
+            def __enter__(self):
+                tapes.append(self)
+                return super().__enter__()
+
+        monkeypatch.setattr(training, "Tape", KeptTape)
+        seqs = synth_generate(GeneratorSpec(**MICRO_DATA))
+        for k in (2, 4):  # take_rows gathers routed rows only while k < N
+            model = MotionMoE(ModelConfig(**{**MICRO_MODEL, "dropout": 0.1}, active_experts=k))
+            run_epoch(model, seqs, TrainSettings(epochs=1, batch_size=8), AdamState(),
+                      np.random.default_rng(0), epoch=0)
+        assert len(tapes) == 2
+        recorded = {node.op for tape in tapes for node in tape.nodes}
+        assert set(ad.primitive_names()) - recorded == {"exp"}
+
     def test_an_epoch_leaves_no_cyclic_garbage(self):
         # a spent tape and its tensors no longer point at each other, so
         # reference counting frees every step without clearing the tape
