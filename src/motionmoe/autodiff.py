@@ -15,7 +15,7 @@ The registry (``primitive_names``) holds the primitives that production
 records, reached through the functional wrappers (``add``, ``matmul``, ...),
 and ``exp``, which only the benchmark's own tests record.  A fused op whose
 kernel lives outside the registry records itself through ``record``, as
-``ssm``'s bidirectional block does with the kernels below.
+``ssm``'s bidirectional block does.
 
 Kernels lean on numpy for shape checking: ``apply_primitive`` turns the
 ``ValueError`` a kernel raises on incompatible operands into a
@@ -272,114 +272,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp of a non-positive argument only, so no overflow on either branch:
-    # 1 / (1 + z) for x >= 0 and z / (1 + z) below, with z = exp(-|x|) <= 1,
-    # so the numerator is max([x >= 0], z): 1 where x >= 0, and z below,
-    # where z > 0 or it underflowed to 0.  The comparison is cheaper than
-    # np.sign and gives the same bits.  Formed in place, two arrays of x's
-    # size live; out= keeps a 0-d input an array.
-    z = np.abs(x, out=np.empty_like(x))
-    np.negative(z, out=z)
-    np.exp(z, out=z)
-    out = np.greater_equal(x, 0.0, out=np.empty_like(x))
-    np.maximum(out, z, out=out)
-    z += 1.0
-    out /= z
-    return out
-
-
-# --- kernels of ssm's fused block (matmul shares _matmul_grads) ------------
-
-def _softplus(x: np.ndarray) -> np.ndarray:
-    # log1p(exp(-|x|)) + max(x, 0)
-    out = np.abs(x, out=np.empty_like(x))
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    np.log1p(out, out=out)
-    out += np.maximum(x, 0.0, dtype=x.dtype)
-    return out
-
-
-def _silu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray,
-               overwrite: bool = False) -> np.ndarray:
-    """dL/dx of silu(x) = x * s, given dL/d(silu(x)) and s = sigmoid(x):
-    g * s * (1 + x * (1 - s)).  ``overwrite`` forms it in g's buffer and
-    spends s's on the factor; the products commute, so the bits agree."""
-    if overwrite:
-        g *= s
-        t = np.subtract(1.0, s, out=s)
-    else:
-        g, t = g * s, 1.0 - s
-    t *= x
-    t += 1.0
-    g *= t
-    return g
-
-
-def _relu_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """dL/dx of relu(x) = max(x, 0), given dL/d(relu(x))."""
-    return g * (x > 0.0)
-
-
-def _layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5):
-    """(output, normalized x, 1 / std) of a layernorm over the last axis."""
-    c = x.shape[-1]
-    # means as sum / c: np.mean's arithmetic without its Python wrapper
-    centered = x - x.sum(axis=-1, keepdims=True) / c
-    var = (centered ** 2).sum(axis=-1, keepdims=True) / c
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    return xhat * gamma + beta, xhat, inv
-
-
-def _layernorm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: np.ndarray):
-    """(dL/dx, dL/dgamma, dL/dbeta) of ``_layernorm``, from its saved xhat and inv."""
-    lead = tuple(range(g.ndim - 1))
-    c = g.shape[-1]
-    gbeta = g.sum(axis=lead)
-    ggamma = (g * xhat).sum(axis=lead)
-    gx_hat = g * gamma
-    gx = inv * (gx_hat
-                - gx_hat.sum(axis=-1, keepdims=True) / c
-                - xhat * ((gx_hat * xhat).sum(axis=-1, keepdims=True) / c))
-    return gx, ggamma, gbeta
-
-
 def _matmul_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray):
     ga = np.matmul(g, b.swapaxes(-1, -2))
     gb = np.matmul(a.swapaxes(-1, -2), g)
     return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
-
-
-def _causal_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Depthwise causal conv of (batch, length, channels) by (channels, w)."""
-    w, length = kernel.shape[1], x.shape[1]
-    # tap w - 1 - shift reads x shifted right by shift.  Taps add up from
-    # zero in ascending order, the order of a window sum over the padded
-    # input, so results match that sum bit for bit
-    out = np.zeros_like(x, dtype=np.result_type(x, kernel))
-    for shift in reversed(range(min(w, length))):
-        out[:, shift:] += x[:, :length - shift] * kernel[:, w - 1 - shift]
-    return out
-
-
-def _causal_conv_grads(g: np.ndarray, x: np.ndarray, kernel: np.ndarray):
-    """(dL/dx, dL/dkernel) of ``_causal_conv(x, kernel)``."""
-    w, length = kernel.shape[1], x.shape[1]
-    # one reduction per tap over the left-padded input.  The padding zeros
-    # stay in each sum: with one channel, einsum's reduction runs along the
-    # length and groups its terms by position, so only the padded sums
-    # match a window sum bit for bit
-    padded = np.zeros((x.shape[0], length + w - 1, x.shape[2]), dtype=x.dtype)
-    padded[:, w - 1:] = x
-    gk = np.empty(kernel.shape, dtype=np.result_type(g, x))
-    for tap in range(w):
-        gk[:, tap] = np.einsum("blc,blc->c", g, padded[:, tap:tap + length])
-    gx = np.zeros_like(g)
-    for shift in range(min(w, length)):
-        gx[:, :length - shift] += g[:, shift:] * kernel[:, w - 1 - shift]
-    return gx, gk
 
 
 # --- primitive implementations -------------------------------------------

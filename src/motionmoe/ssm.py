@@ -51,6 +51,12 @@ the pre-activation and the chunk starts, the output gradient, x' and
 delta, three (B, L, E*C) arrays the scan's gradients overwrite or the x
 path reads, and the 2q chunk states.
 
+The block's other kernels live here too, since nothing else runs them: the
+sigmoid, softplus, the SiLU and ReLU gradients, the layer norm and the
+causal depthwise conv, with their gradients.  ``_matmul_grads`` and
+``_unbroadcast`` come from ``autodiff``, so that the block's gradients match
+the ``matmul`` and ``add`` primitives of its oracle chain bit for bit.
+
 The bidirectional wrapper shares ONE set of block weights between the
 forward and the reversed scan, and runs both as one block call on the
 (2B, L, C) stack of x and its time reversal.  It adds the raw input back,
@@ -93,9 +99,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (AutodiffError, ShapeError, Tensor, _causal_conv,
-                       _causal_conv_grads, _layernorm, _layernorm_grads, _matmul_grads,
-                       _relu_grad, _sigmoid, _silu_grad, _softplus, _unbroadcast,
+from .autodiff import (AutodiffError, ShapeError, Tensor, _matmul_grads, _unbroadcast,
                        is_recording, record)
 
 SCAN_MODES = ("bidirectional", "forward", "backward")
@@ -104,13 +108,107 @@ _TILE_BYTES = 1 << 20
 # which rows of a block's stacked call hold x's time reversal, per scan mode
 _REVERSED_ROWS = {"bidirectional": (False, True), "forward": (False,), "backward": (True,)}
 
-_debug_checks = False
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # exp of a non-positive argument only, so no overflow on either branch:
+    # 1 / (1 + z) for x >= 0 and z / (1 + z) below, with z = exp(-|x|) <= 1,
+    # so the numerator is max([x >= 0], z): 1 where x >= 0, and z below,
+    # where z > 0 or it underflowed to 0.  The comparison is cheaper than
+    # np.sign and gives the same bits.  Formed in place, two arrays of x's
+    # size live; out= keeps a 0-d input an array.
+    z = np.abs(x, out=np.empty_like(x))
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    out = np.greater_equal(x, 0.0, out=np.empty_like(x))
+    np.maximum(out, z, out=out)
+    z += 1.0
+    out /= z
+    return out
 
 
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle costly invariant checks (positive delta, finite states)."""
-    global _debug_checks
-    _debug_checks = bool(enabled)
+def _softplus(x: np.ndarray) -> np.ndarray:
+    # log1p(exp(-|x|)) + max(x, 0)
+    out = np.abs(x, out=np.empty_like(x))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0.0, dtype=x.dtype)
+    return out
+
+
+def _silu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray,
+               overwrite: bool = False) -> np.ndarray:
+    """dL/dx of silu(x) = x * s, given dL/d(silu(x)) and s = sigmoid(x):
+    g * s * (1 + x * (1 - s)).  ``overwrite`` forms it in g's buffer and
+    spends s's on the factor; the products commute, so the bits agree."""
+    if overwrite:
+        g *= s
+        t = np.subtract(1.0, s, out=s)
+    else:
+        g, t = g * s, 1.0 - s
+    t *= x
+    t += 1.0
+    g *= t
+    return g
+
+
+def _relu_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """dL/dx of relu(x) = max(x, 0), given dL/d(relu(x))."""
+    return g * (x > 0.0)
+
+
+def _layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5):
+    """(output, normalized x, 1 / std) of a layernorm over the last axis."""
+    c = x.shape[-1]
+    # means as sum / c: np.mean's arithmetic without its Python wrapper
+    centered = x - x.sum(axis=-1, keepdims=True) / c
+    var = (centered ** 2).sum(axis=-1, keepdims=True) / c
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    return xhat * gamma + beta, xhat, inv
+
+
+def _layernorm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: np.ndarray):
+    """(dL/dx, dL/dgamma, dL/dbeta) of ``_layernorm``, from its saved xhat and inv."""
+    lead = tuple(range(g.ndim - 1))
+    c = g.shape[-1]
+    gbeta = g.sum(axis=lead)
+    ggamma = (g * xhat).sum(axis=lead)
+    gx_hat = g * gamma
+    gx = inv * (gx_hat
+                - gx_hat.sum(axis=-1, keepdims=True) / c
+                - xhat * ((gx_hat * xhat).sum(axis=-1, keepdims=True) / c))
+    return gx, ggamma, gbeta
+
+
+def _causal_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Depthwise causal conv of (batch, length, channels) by (channels, w)."""
+    w, length = kernel.shape[1], x.shape[1]
+    # tap w - 1 - shift reads x shifted right by shift.  Taps add up from
+    # zero in ascending order, the order of a window sum over the padded
+    # input, so results match that sum bit for bit
+    out = np.zeros_like(x, dtype=np.result_type(x, kernel))
+    for shift in reversed(range(min(w, length))):
+        out[:, shift:] += x[:, :length - shift] * kernel[:, w - 1 - shift]
+    return out
+
+
+def _causal_conv_grads(g: np.ndarray, x: np.ndarray, kernel: np.ndarray):
+    """(dL/dx, dL/dkernel) of ``_causal_conv(x, kernel)``."""
+    w, length = kernel.shape[1], x.shape[1]
+    # one reduction per tap over the left-padded input.  The padding zeros
+    # stay in each sum: with one channel, einsum's reduction runs along the
+    # length and groups its terms by position, so only the padded sums
+    # match a window sum bit for bit
+    padded = np.zeros((x.shape[0], length + w - 1, x.shape[2]), dtype=x.dtype)
+    padded[:, w - 1:] = x
+    gk = np.empty(kernel.shape, dtype=np.result_type(g, x))
+    for tap in range(w):
+        gk[:, tap] = np.einsum("blc,blc->c", g, padded[:, tap:tap + length])
+    gx = np.zeros_like(g)
+    for shift in range(min(w, length)):
+        gx[:, :length - shift] += g[:, shift:] * kernel[:, w - 1 - shift]
+    return gx, gk
 
 
 def default_dt_rank(channels: int) -> int:
@@ -184,8 +282,6 @@ def _chunk_steps(length: int) -> int:
 def _scan_forward(dd, a_t, bd, cd, ud, keep):
     """(y, chunk-start states, q) of the scan; the states, those of chunks
     1 to ceil(L/q) - 1, are None unless ``keep``.  a_t is a^T, (N, EC)."""
-    if _debug_checks and np.any(dd <= 0.0):
-        raise AutodiffError("_scan_forward: delta must be strictly positive")
     bsz, length, inner = dd.shape
     n = a_t.shape[0]
     q = _chunk_steps(length)
@@ -202,8 +298,6 @@ def _scan_forward(dd, a_t, bd, cd, ud, keep):
             starts[i // q - 1] = h
         h *= np.exp(np.einsum("bc,nc->bnc", dd[:, i], a_t, out=step), out=step)
         h += np.einsum("bc,bn->bnc", dd[:, i] * ud[:, i], bd[:, i], out=step)
-        if _debug_checks and not np.all(np.isfinite(h)):
-            raise AutodiffError("_scan_forward: non-finite hidden state")
         np.matmul(cd[:, i, None, :], h, out=ys[:, i, None, :])
     return ys, starts, q
 

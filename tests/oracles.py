@@ -3,13 +3,14 @@
 - The oracle primitives ``softplus``, ``silu``, ``relu``, ``reverse_axis``,
   ``layernorm_lastaxis``, ``depthwise_causal_conv1d`` and ``broadcast_to``
   (op ``"broadcast"``): tape ops that production no longer records, each the
-  production kernel from ``autodiff`` recorded through ``ad.record``, so the
-  oracle chains run production's arithmetic.  ``ORACLE_OPS`` maps each op
-  name to its function.
-- ``directional_derivative_check``: a gradient check along one random
-  direction over many parameters at once, and the random shapes, values
-  and objective (``rand_shape``, ``well_scaled``, ``spaced_values``,
-  ``weighted_sum``) that the finite-difference cases are built from.
+  production kernel from ``ssm`` (``_unbroadcast`` from ``autodiff``)
+  recorded through ``ad.record``, so the oracle chains run production's
+  arithmetic.  ``ORACLE_OPS`` maps each op name to its function.
+- ``primitive_cases``: the finite-difference cases of every registered and
+  oracle op, criterion 01's table, built from random shapes, values and an
+  objective (``rand_shape``, ``well_scaled``, ``spaced_values``,
+  ``weighted_sum``); and ``directional_derivative_check``, a gradient check
+  along one random direction over many parameters at once.
 - ``selective_scan_reference``: the naive per-step recurrence, plain numpy.
 - ``scan_op`` and ``mamba_op``: thin tape ops around the production scan
   kernels and the production Mamba kernel, so that tests can record and
@@ -30,18 +31,18 @@ from motionmoe import ssm
 
 def softplus(x):
     xd = x.data
-    return ad.record("softplus", (x,), ad._softplus(xd), lambda g: (g * ad._sigmoid(xd),))
+    return ad.record("softplus", (x,), ssm._softplus(xd), lambda g: (g * ssm._sigmoid(xd),))
 
 
 def silu(x):
     xd = x.data
-    s = ad._sigmoid(xd)
-    return ad.record("silu", (x,), xd * s, lambda g: (ad._silu_grad(g, xd, s),))
+    s = ssm._sigmoid(xd)
+    return ad.record("silu", (x,), xd * s, lambda g: (ssm._silu_grad(g, xd, s),))
 
 
 def relu(x):
     xd = x.data
-    return ad.record("relu", (x,), np.maximum(xd, 0.0), lambda g: (ad._relu_grad(g, xd),))
+    return ad.record("relu", (x,), np.maximum(xd, 0.0), lambda g: (ssm._relu_grad(g, xd),))
 
 
 def reverse_axis(x, axis):
@@ -50,16 +51,16 @@ def reverse_axis(x, axis):
 
 
 def layernorm_lastaxis(x, gamma, beta, eps=1e-5):
-    out, xhat, inv = ad._layernorm(x.data, gamma.data, beta.data, eps)
+    out, xhat, inv = ssm._layernorm(x.data, gamma.data, beta.data, eps)
     gd = gamma.data
     return ad.record("layernorm_lastaxis", (x, gamma, beta), out,
-                     lambda g: ad._layernorm_grads(g, xhat, inv, gd))
+                     lambda g: ssm._layernorm_grads(g, xhat, inv, gd))
 
 
 def depthwise_causal_conv1d(x, kernel):
     xd, kd = x.data, kernel.data
-    return ad.record("depthwise_causal_conv1d", (x, kernel), ad._causal_conv(xd, kd),
-                     lambda g: ad._causal_conv_grads(g, xd, kd))
+    return ad.record("depthwise_causal_conv1d", (x, kernel), ssm._causal_conv(xd, kd),
+                     lambda g: ssm._causal_conv_grads(g, xd, kd))
 
 
 def broadcast_to(x, shape):
@@ -96,6 +97,142 @@ def spaced_values(rng, shape):
 def weighted_sum(y, weights):
     """Scalar objective with a non-trivial gradient for any y."""
     return ad.reduce_sum(ad.mul(y, ad.Tensor(weights)))
+
+
+def primitive_cases(name, rng):
+    """(f, leaf) pairs covering the given primitive, registered or oracle,
+    for one seed: criterion 01's finite-difference table."""
+    if name in ("add", "sub", "mul"):
+        shape = rand_shape(rng)
+        other = ad.Tensor(well_scaled(rng, shape))
+        x = ad.Tensor(well_scaled(rng, shape), requires_grad=True)
+        w = well_scaled(rng, shape)
+        # and an operand broadcast against a full-shape one, on either side
+        full = rand_shape(rng, min_axes=2)
+        reduced = tuple(1 if rng.random() < 0.5 else s for s in full)
+        big = ad.Tensor(well_scaled(rng, full))
+        small = ad.Tensor(well_scaled(rng, reduced), requires_grad=True)
+        wb = well_scaled(rng, full)
+        return [(lambda t: weighted_sum(ad.apply_primitive(name, (t, other)), w), x),
+                (lambda t: weighted_sum(ad.apply_primitive(name, (other, t)), w), x),
+                (lambda t: weighted_sum(ad.apply_primitive(name, (big, t)), wb), small),
+                (lambda t: weighted_sum(ad.apply_primitive(name, (t, big)), wb), small)]
+    if name == "matmul":
+        n, m, p = (int(rng.integers(1, 9)) for _ in range(3))
+        a = ad.Tensor(rng.standard_normal((n, m)), requires_grad=True)
+        b = ad.Tensor(rng.standard_normal((m, p)), requires_grad=True)
+        w = well_scaled(rng, (n, p))
+        # and a batched right operand: (D, D) @ (B, D, C)
+        batch = int(rng.integers(1, 5))
+        a2 = ad.Tensor(rng.standard_normal((n, n)), requires_grad=True)
+        b2 = ad.Tensor(rng.standard_normal((batch, n, p)), requires_grad=True)
+        w2 = well_scaled(rng, (batch, n, p))
+        return [(lambda t: weighted_sum(ad.matmul(t, b), w), a),
+                (lambda t: weighted_sum(ad.matmul(a, t), w), b),
+                (lambda t: weighted_sum(ad.matmul(t, b2), w2), a2),
+                (lambda t: weighted_sum(ad.matmul(a2, t), w2), b2)]
+    if name in ("exp", "softplus", "silu", "tanh", "relu"):
+        shape = rand_shape(rng)
+        x = ad.Tensor(rng.uniform(-2.0, 2.0, shape), requires_grad=True)
+        w = well_scaled(rng, shape)
+        op = ORACLE_OPS.get(name) or getattr(ad, name)
+        return [(lambda t: weighted_sum(op(t), w), x)]
+    if name == "transpose":
+        shape = rand_shape(rng, min_axes=2)
+        x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+        axes = rng.choice(len(shape), size=2, replace=False)
+        a, b = int(axes[0]), int(axes[1])
+        w = np.swapaxes(well_scaled(rng, shape), a, b)
+        return [(lambda t: weighted_sum(ad.transpose(t, a, b), w), x)]
+    if name == "reverse_axis":
+        shape = rand_shape(rng)
+        x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+        axis = int(rng.integers(0, len(shape)))
+        w = well_scaled(rng, shape)
+        return [(lambda t: weighted_sum(reverse_axis(t, axis), w), x)]
+    if name == "reshape":
+        shape = rand_shape(rng)
+        x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+        flat = (int(np.prod(shape)),)
+        w = well_scaled(rng, flat)
+        return [(lambda t: weighted_sum(ad.reshape(t, flat), w), x)]
+    if name in ("reduce_mean", "reduce_sum"):
+        shape = rand_shape(rng)
+        x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+        fn = ad.reduce_mean if name == "reduce_mean" else ad.reduce_sum
+        # and over a non-empty proper subset of another tensor's axes
+        sub_shape = rand_shape(rng, min_axes=2)
+        ndim = len(sub_shape)
+        size = int(rng.integers(1, ndim))
+        axes = tuple(sorted(rng.choice(ndim, size=size, replace=False).tolist()))
+        xs = ad.Tensor(rng.standard_normal(sub_shape), requires_grad=True)
+        ws = well_scaled(rng, tuple(s for i, s in enumerate(sub_shape) if i not in axes))
+        return [(lambda t: fn(t), x),
+                (lambda t: weighted_sum(fn(t, axes=axes), ws), xs)]
+    if name == "softmax_lastaxis":
+        shape = rand_shape(rng)
+        x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+        w = well_scaled(rng, shape)
+        return [(lambda t: weighted_sum(ad.softmax_lastaxis(t), w), x)]
+    if name == "layernorm_lastaxis":
+        shape = rand_shape(rng)
+        shape = shape[:-1] + (max(3, shape[-1]),)
+        c = shape[-1]
+        x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+        gamma = ad.Tensor(well_scaled(rng, (c,)), requires_grad=True)
+        beta = ad.Tensor(well_scaled(rng, (c,)), requires_grad=True)
+        w = well_scaled(rng, shape)
+        return [(lambda t: weighted_sum(layernorm_lastaxis(t, gamma, beta), w), x),
+                (lambda t: weighted_sum(layernorm_lastaxis(x, t, beta), w), gamma),
+                (lambda t: weighted_sum(layernorm_lastaxis(x, gamma, t), w), beta)]
+    if name == "depthwise_causal_conv1d":
+        b, l, c = (int(rng.integers(1, 7)) for _ in range(3))
+        width = int(rng.integers(1, 5))
+        x = ad.Tensor(well_scaled(rng, (b, l, c)), requires_grad=True)
+        k = ad.Tensor(well_scaled(rng, (c, width)), requires_grad=True)
+        w = well_scaled(rng, (b, l, c))
+        return [(lambda t: weighted_sum(depthwise_causal_conv1d(t, k), w), x),
+                (lambda t: weighted_sum(depthwise_causal_conv1d(x, t), w), k)]
+    if name == "broadcast":
+        target = rand_shape(rng, min_axes=2)
+        source = tuple(1 if rng.random() < 0.5 else s for s in target)
+        x = ad.Tensor(rng.standard_normal(source), requires_grad=True)
+        w = well_scaled(rng, target)
+        return [(lambda t: weighted_sum(broadcast_to(t, target), w), x)]
+    if name == "slice":
+        shape = rand_shape(rng)
+        axis = int(rng.integers(0, len(shape)))
+        start = int(rng.integers(0, shape[axis]))
+        stop = int(rng.integers(start + 1, shape[axis] + 1))
+        x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+        out_shape = list(shape)
+        out_shape[axis] = stop - start
+        w = well_scaled(rng, tuple(out_shape))
+        return [(lambda t: weighted_sum(ad.slice_axis(t, axis, start, stop), w), x)]
+    if name == "concat":
+        shape = rand_shape(rng)
+        axis = int(rng.integers(0, len(shape)))
+        other = ad.Tensor(rng.standard_normal(shape))
+        x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+        cat_shape = list(shape)
+        cat_shape[axis] *= 2
+        w = well_scaled(rng, tuple(cat_shape))
+        return [(lambda t: weighted_sum(ad.concat([t, other], axis), w), x),
+                (lambda t: weighted_sum(ad.concat([other, t], axis), w), x)]
+    if name == "take_rows":
+        shape = rand_shape(rng)
+        # repeated and unordered rows, so adjoints of one row accumulate
+        rows = rng.integers(0, shape[0], size=int(rng.integers(1, 2 * shape[0] + 2)))
+        x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+        w = well_scaled(rng, (len(rows),) + shape[1:])
+        return [(lambda t: weighted_sum(ad.take_rows(t, rows), w), x)]
+    if name == "topk_mask":
+        shape = rand_shape(rng)
+        x = ad.Tensor(spaced_values(rng, shape), requires_grad=True)
+        k = int(rng.integers(1, shape[-1] + 1))
+        w = well_scaled(rng, shape)
+        return [(lambda t: weighted_sum(ad.exp(ad.topk_mask(t, k)), w), x)]
+    raise AssertionError(f"no finite-difference case for primitive {name!r}")
 
 
 def directional_derivative_check(f, params, eps=1e-5, seed=0):

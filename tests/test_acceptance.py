@@ -23,10 +23,8 @@ from motionmoe.objectives import (ape, jpe, spatial_loss,
                                   temporal_consistency_loss)
 from motionmoe.training import (AdamState, TrainSettings, evaluate, fit,
                                 load_checkpoint, run_epoch, save_checkpoint)
-from oracles import (ORACLE_OPS, broadcast_to, depthwise_causal_conv1d,
-                     directional_derivative_check, layernorm_lastaxis, mamba_op, rand_shape,
-                     reverse_axis, selective_scan_reference, spaced_values, weighted_sum,
-                     well_scaled)
+from oracles import (ORACLE_OPS, directional_derivative_check, mamba_op, primitive_cases,
+                     reverse_axis, selective_scan_reference, weighted_sum)
 
 
 @contextmanager
@@ -37,119 +35,6 @@ def criterion(number, label):
         print(f"criterion {number:02d} FAIL: {label}", flush=True)
         raise
     print(f"criterion {number:02d} PASS: {label}", flush=True)
-
-
-def primitive_cases(name, rng):
-    """(f, leaf) pairs covering the given primitive, registered or oracle,
-    for one seed."""
-    if name in ("add", "sub", "mul"):
-        shape = rand_shape(rng)
-        other = ad.Tensor(well_scaled(rng, shape))
-        x = ad.Tensor(well_scaled(rng, shape), requires_grad=True)
-        w = well_scaled(rng, shape)
-        return [(lambda t: weighted_sum(ad.apply_primitive(name, (t, other)), w), x),
-                (lambda t: weighted_sum(ad.apply_primitive(name, (other, t)), w), x)]
-    if name == "matmul":
-        n, m, p = (int(rng.integers(1, 9)) for _ in range(3))
-        a = ad.Tensor(rng.standard_normal((n, m)), requires_grad=True)
-        b = ad.Tensor(rng.standard_normal((m, p)), requires_grad=True)
-        w = well_scaled(rng, (n, p))
-        return [(lambda t: weighted_sum(ad.matmul(t, b), w), a),
-                (lambda t: weighted_sum(ad.matmul(a, t), w), b)]
-    if name in ("exp", "softplus", "silu", "tanh", "relu"):
-        shape = rand_shape(rng)
-        x = ad.Tensor(rng.uniform(-2.0, 2.0, shape), requires_grad=True)
-        w = well_scaled(rng, shape)
-        op = ORACLE_OPS.get(name) or getattr(ad, name)
-        return [(lambda t: weighted_sum(op(t), w), x)]
-    if name == "transpose":
-        shape = rand_shape(rng, min_axes=2)
-        x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
-        axes = rng.choice(len(shape), size=2, replace=False)
-        a, b = int(axes[0]), int(axes[1])
-        w = np.swapaxes(well_scaled(rng, shape), a, b)
-        return [(lambda t: weighted_sum(ad.transpose(t, a, b), w), x)]
-    if name == "reverse_axis":
-        shape = rand_shape(rng)
-        x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
-        axis = int(rng.integers(0, len(shape)))
-        w = well_scaled(rng, shape)
-        return [(lambda t: weighted_sum(reverse_axis(t, axis), w), x)]
-    if name == "reshape":
-        shape = rand_shape(rng)
-        x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
-        flat = (int(np.prod(shape)),)
-        w = well_scaled(rng, flat)
-        return [(lambda t: weighted_sum(ad.reshape(t, flat), w), x)]
-    if name in ("reduce_mean", "reduce_sum"):
-        shape = rand_shape(rng)
-        x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
-        fn = ad.reduce_mean if name == "reduce_mean" else ad.reduce_sum
-        return [(lambda t: fn(t), x)]
-    if name == "softmax_lastaxis":
-        shape = rand_shape(rng)
-        x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
-        w = well_scaled(rng, shape)
-        return [(lambda t: weighted_sum(ad.softmax_lastaxis(t), w), x)]
-    if name == "layernorm_lastaxis":
-        shape = rand_shape(rng)
-        shape = shape[:-1] + (max(3, shape[-1]),)
-        c = shape[-1]
-        x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
-        gamma = ad.Tensor(well_scaled(rng, (c,)), requires_grad=True)
-        beta = ad.Tensor(well_scaled(rng, (c,)), requires_grad=True)
-        w = well_scaled(rng, shape)
-        return [(lambda t: weighted_sum(layernorm_lastaxis(t, gamma, beta), w), x),
-                (lambda t: weighted_sum(layernorm_lastaxis(x, t, beta), w), gamma),
-                (lambda t: weighted_sum(layernorm_lastaxis(x, gamma, t), w), beta)]
-    if name == "depthwise_causal_conv1d":
-        b, l, c = (int(rng.integers(1, 7)) for _ in range(3))
-        width = int(rng.integers(1, 5))
-        x = ad.Tensor(well_scaled(rng, (b, l, c)), requires_grad=True)
-        k = ad.Tensor(well_scaled(rng, (c, width)), requires_grad=True)
-        w = well_scaled(rng, (b, l, c))
-        return [(lambda t: weighted_sum(depthwise_causal_conv1d(t, k), w), x),
-                (lambda t: weighted_sum(depthwise_causal_conv1d(x, t), w), k)]
-    if name == "broadcast":
-        target = rand_shape(rng, min_axes=2)
-        source = tuple(1 if rng.random() < 0.5 else s for s in target)
-        x = ad.Tensor(rng.standard_normal(source), requires_grad=True)
-        w = well_scaled(rng, target)
-        return [(lambda t: weighted_sum(broadcast_to(t, target), w), x)]
-    if name == "slice":
-        shape = rand_shape(rng)
-        axis = int(rng.integers(0, len(shape)))
-        start = int(rng.integers(0, shape[axis]))
-        stop = int(rng.integers(start + 1, shape[axis] + 1))
-        x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
-        out_shape = list(shape)
-        out_shape[axis] = stop - start
-        w = well_scaled(rng, tuple(out_shape))
-        return [(lambda t: weighted_sum(ad.slice_axis(t, axis, start, stop), w), x)]
-    if name == "concat":
-        shape = rand_shape(rng)
-        axis = int(rng.integers(0, len(shape)))
-        other = ad.Tensor(rng.standard_normal(shape))
-        x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
-        cat_shape = list(shape)
-        cat_shape[axis] *= 2
-        w = well_scaled(rng, tuple(cat_shape))
-        return [(lambda t: weighted_sum(ad.concat([t, other], axis), w), x),
-                (lambda t: weighted_sum(ad.concat([other, t], axis), w), x)]
-    if name == "take_rows":
-        shape = rand_shape(rng)
-        # repeated and unordered rows, so adjoints of one row accumulate
-        rows = rng.integers(0, shape[0], size=int(rng.integers(1, 2 * shape[0] + 2)))
-        x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
-        w = well_scaled(rng, (len(rows),) + shape[1:])
-        return [(lambda t: weighted_sum(ad.take_rows(t, rows), w), x)]
-    if name == "topk_mask":
-        shape = rand_shape(rng)
-        x = ad.Tensor(spaced_values(rng, shape), requires_grad=True)
-        k = int(rng.integers(1, shape[-1] + 1))
-        w = well_scaled(rng, shape)
-        return [(lambda t: weighted_sum(ad.exp(ad.topk_mask(t, k)), w), x)]
-    raise AssertionError(f"no finite-difference case for primitive {name!r}")
 
 
 MICRO_MODEL = dict(joints=3, history_frames=5, total_frames=8, state_dim=4,

@@ -1,8 +1,10 @@
 """What package import sets: the allocator policy, under which freed
 activation arrays stay in the heap, so steady-state forwards do not fault
-their pages in again, and the version, which is pyproject's.  Each policy
-test runs in a fresh interpreter, since the policy is process-wide."""
+their pages in again, the version, which is pyproject's, and the private
+names that the package's modules import from each other.  Each policy test
+runs in a fresh interpreter, since the policy is process-wide."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -61,3 +63,21 @@ def test_package_version_is_the_pyproject_version():
     with open(Path(SRC).parent / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["version"] == motionmoe.__version__
+
+
+def test_modules_share_only_the_kernels_that_must_match_across_them():
+    # (from module, into module, name) of each private name imported from a
+    # sibling: the matmul and broadcast-sum gradients, which the fused block
+    # shares with the matmul and add primitives of its oracle chain, and the
+    # scan's chunk length, by which the mixture orders its stacked stages.  A
+    # kernel that only one module runs lives in that module
+    shared = set()
+    for path in sorted(Path(SRC, "motionmoe").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("motionmoe")):
+                source = (node.module or "").removeprefix("motionmoe").lstrip(".")
+                shared |= {(source, path.stem, alias.name) for alias in node.names
+                           if alias.name.startswith("_")}
+    assert shared == {("autodiff", "ssm", "_matmul_grads"), ("autodiff", "ssm", "_unbroadcast"),
+                      ("ssm", "moe", "_chunk_steps")}
