@@ -1,7 +1,8 @@
-"""Engine tests: tape bookkeeping invariants, typed shape errors and
-structural identities.  Every primitive's gradient against central finite
-differences on randomized shapes is criterion 01's table,
-``oracles.primitive_cases``."""
+"""Engine tests: every primitive against central finite differences on
+randomized shapes, plus tape bookkeeping invariants, typed shape errors and
+structural identities.  The finite-difference cases are criterion 01's table,
+``oracles.primitive_cases``; here each (op, seed) is its own test, so a
+failure names its case."""
 
 import gc
 import weakref
@@ -10,9 +11,10 @@ import numpy as np
 import pytest
 
 from motionmoe import autodiff as ad
-from oracles import (ORACLE_OPS, broadcast_to, directional_derivative_check, reverse_axis, silu,
-                     softplus)
+from oracles import (ORACLE_OPS, broadcast_to, directional_derivative_check, primitive_cases,
+                     reverse_axis, silu, softplus)
 
+SEEDS = [0, 1, 2, 3, 4]
 FD_TOL = 1e-6
 
 
@@ -57,6 +59,12 @@ BAD_OPERANDS = {
 
 
 class TestPrimitiveGradients:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("name", [*ad.primitive_names(), *ORACLE_OPS])
+    def test_finite_differences(self, name, seed):
+        for f, leaf in primitive_cases(name, np.random.default_rng(seed)):
+            check(f, leaf)
+
     @pytest.mark.parametrize("value", [-1.3, 0.0, 0.7])
     @pytest.mark.parametrize("name", ["softplus", "silu"])
     def test_elementwise_unary_zero_d(self, name, value):
