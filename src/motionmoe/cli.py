@@ -229,12 +229,18 @@ def cmd_export_features(args) -> int:
 
 
 def read_feature_export(path):
-    """(header dict, rows (n, width) float32); inverse of cmd_export_features."""
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        payload = np.frombuffer(fh.read(), dtype="<f4")
-    rows = payload.reshape(-1, header["width"])
-    return header, rows
+    """(header dict, rows (n, width) float32); inverse of cmd_export_features.
+    DataError unless it has the MMFX magic and samples x experts rows."""
+    try:
+        with open(path, "rb") as fh:
+            header = json.loads(fh.readline())
+            payload = np.frombuffer(fh.read(), dtype="<f4")
+        shape = (int(header["samples"]) * len(header["experts"]), int(header["width"]))
+        if header["magic"] != FEATURE_MAGIC or min(shape) < 0 or payload.size != np.prod(shape):
+            raise ValueError(f"magic {header['magic']!r}, {payload.size} floats for {shape} rows")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: not an {FEATURE_MAGIC} feature export: {exc}") from None
+    return header, payload.reshape(shape)
 
 
 def cmd_bench(args) -> int:

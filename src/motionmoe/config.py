@@ -21,15 +21,6 @@ class ConfigError(Exception):
     """Unknown keys, malformed values or unusable combinations."""
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
@@ -97,12 +88,10 @@ RUN_SCHEMA = _schema({
     "joints": (int, "joints per person"),
     "history_frames": (int, "observed frames t"),
     "total_frames": (int, "observed + predicted frames T"),
-    "n_experts": (int, "experts per mixture layer"),
     "active_experts": (int, "top-k experts kept by the gate"),
     "moe_layers": (int, "stacked mixture layers"),
-    "expert_pool": (_parse_pool, "expert kinds, comma separated"),
+    "expert_pool": (_parse_pool, "expert kinds, comma separated; one expert each"),
     "scan_mode": (str, "bidirectional | forward | backward"),
-    "flip_back": (_parse_bool, "re-reverse the backward scan branch"),
     "expand": (int, "state-space channel expansion factor"),
     "state_dim": (int, "states per channel"),
     "conv_width": (int, "depthwise causal conv width"),
@@ -195,8 +184,6 @@ def format_config(values: dict, schema: dict) -> str:
             rendered = ",".join(str(v) for v in value)
         elif isinstance(value, dict):
             rendered = ",".join(f"{k}:{v:g}" for k, v in value.items())
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
         else:
             rendered = str(value)
         lines.append(f"{key} = {rendered}")

@@ -24,15 +24,15 @@ from .ssm import SCAN_MODES, BiBlockParams, init_bi_block
 
 @dataclass
 class ModelConfig:
+    """The model's run keys; the expert count is the pool's length."""
+
     joints: int = 15
     history_frames: int = 50
     total_frames: int = 75
-    n_experts: int = 4
     active_experts: int = 4          # k
     moe_layers: int = 1
     expert_pool: tuple[str, ...] = ("ST", "TT", "TS", "SS")
     scan_mode: str = "bidirectional"
-    flip_back: bool = True
     expand: int = 2
     state_dim: int = 16
     conv_width: int = 4
@@ -50,9 +50,6 @@ class ModelConfig:
             raise ValueError(
                 f"need 1 <= history_frames < total_frames, got "
                 f"{self.history_frames}/{self.total_frames}")
-        if len(self.expert_pool) != self.n_experts:
-            raise ValueError(
-                f"expert_pool has {len(self.expert_pool)} entries for n_experts={self.n_experts}")
         for kind in self.expert_pool:
             if kind not in EXPERT_KINDS:
                 raise ValueError(f"unknown expert kind {kind!r}")
@@ -73,17 +70,26 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
     @property
+    def n_experts(self) -> int:
+        return len(self.expert_pool)
+
+    @property
     def pose_dim(self) -> int:
         return self.joints * 3 * self.scene_persons
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["expert_pool"] = list(self.expert_pool)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+        """A ``to_dict`` dict; one written up to 0.2.1 may also hold
+        n_experts = len(expert_pool) and flip_back = true."""
+        fields = {**d}  # a TypeError unless d is a mapping
+        config = cls(**{k: v for k, v in fields.items() if k not in ("n_experts", "flip_back")})
+        for key, valid in (("n_experts", config.n_experts), ("flip_back", True)):
+            if key in fields and (type(fields[key]) is not type(valid) or fields[key] != valid):
+                raise ValueError(f"{key} is {fields[key]!r}; this model runs only {key} = {valid!r}")
+        return config
 
 
 @dataclass
@@ -105,7 +111,7 @@ class MotionMoE:
         self.codec = init_pose_codec(rng, d, t_total, config.codec_hidden, config.dropout)
         block = (config.expand, config.state_dim, config.conv_width,
                  config.dt_rank if config.dt_rank > 0 else None,
-                 config.scan_mode, config.flip_back)
+                 config.scan_mode)
         self.layers: list[MixtureLayer] = []
         for _ in range(config.moe_layers):
             self.layers.append(MixtureLayer(

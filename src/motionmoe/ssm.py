@@ -107,6 +107,8 @@ SCAN_MODES = ("bidirectional", "forward", "backward")
 _TILE_BYTES = 1 << 20
 # which rows of a block's stacked call hold x's time reversal, per scan mode
 _REVERSED_ROWS = {"bidirectional": (False, True), "forward": (False,), "backward": (True,)}
+# the range of a new block's per-channel step sizes
+DT_MIN, DT_MAX = 0.001, 0.1
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -246,10 +248,9 @@ def _uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
 
 def init_mamba_block(rng: np.random.Generator, channels: int, expand: int = 2,
                      state_dim: int = 16, conv_width: int = 4,
-                     dt_rank: int | None = None,
-                     dt_min: float = 0.001, dt_max: float = 0.1) -> MambaBlockParams:
+                     dt_rank: int | None = None) -> MambaBlockParams:
     """Initialization follows the reference selective-SSM recipe: per-channel
-    step sizes start log-uniform in [dt_min, dt_max] (the bias stores the
+    step sizes start log-uniform in [DT_MIN, DT_MAX] (the bias stores the
     softplus preimage) and A starts at -(1..N) for every channel."""
     if channels < 1 or expand < 1 or state_dim < 1 or conv_width < 1:
         raise ValueError("channels, expand, state_dim and conv_width must be positive")
@@ -257,7 +258,7 @@ def init_mamba_block(rng: np.random.Generator, channels: int, expand: int = 2,
         dt_rank = default_dt_rank(channels)
     inner = expand * channels
 
-    dt = np.exp(rng.uniform(np.log(dt_min), np.log(dt_max), size=inner))
+    dt = np.exp(rng.uniform(np.log(DT_MIN), np.log(DT_MAX), size=inner))
     dt_bias = dt + np.log(-np.expm1(-dt))  # softplus(dt_bias) == dt
 
     a = np.tile(np.arange(1, state_dim + 1, dtype=np.float64), (inner, 1))
@@ -449,13 +450,11 @@ class BiBlockParams:
     """Shared-weight bidirectional block plus its LN/FFN head.
 
     Both scan directions reuse the single ``mamba`` instance; the wrapper
-    owns only normalization and feed-forward parameters.  Two settings,
-    fixed when the block is built, pick its scan directions.  ``scan_mode``
-    (one of ``SCAN_MODES``) scans the input forward, scans its time
-    reversal ("backward"), or sums both ("bidirectional").  ``flip_back=True``
-    re-reverses the reversed scan's output so that both summands are in
-    input frame order; False keeps the reversed-frame sum as literally
-    written in the source formulation.
+    owns only normalization and feed-forward parameters.  ``scan_mode`` (one
+    of ``SCAN_MODES``), fixed when the block is built, scans the input
+    forward, scans its time reversal ("backward"), or sums both
+    ("bidirectional").  A reversed scan's output is flipped back into input
+    frame order, so that a "bidirectional" block commutes with time reversal.
     """
 
     mamba: MambaBlockParams
@@ -468,7 +467,6 @@ class BiBlockParams:
     ffn_w2: Tensor  # (2C, C)
     ffn_b2: Tensor  # (C,)
     scan_mode: str = "bidirectional"
-    flip_back: bool = True
 
     def parameters(self) -> dict[str, Tensor]:
         out = {f"mamba/{k}": v for k, v in self.mamba.parameters().items()}
@@ -487,8 +485,7 @@ class BiBlockParams:
 
 def init_bi_block(rng: np.random.Generator, channels: int, expand: int = 2,
                   state_dim: int = 16, conv_width: int = 4,
-                  dt_rank: int | None = None, scan_mode: str = "bidirectional",
-                  flip_back: bool = True) -> BiBlockParams:
+                  dt_rank: int | None = None, scan_mode: str = "bidirectional") -> BiBlockParams:
     if scan_mode not in SCAN_MODES:
         raise ValueError(f"scan_mode must be one of {SCAN_MODES}, got {scan_mode!r}")
     mamba = init_mamba_block(rng, channels, expand, state_dim, conv_width, dt_rank)
@@ -503,7 +500,7 @@ def init_bi_block(rng: np.random.Generator, channels: int, expand: int = 2,
         ffn_b1=Tensor(np.zeros(2 * channels), requires_grad=True),
         ffn_w2=Tensor(_uniform(rng, 2 * channels, (2 * channels, channels)), requires_grad=True),
         ffn_b2=Tensor(np.zeros(channels), requires_grad=True),
-        scan_mode=scan_mode, flip_back=flip_back,
+        scan_mode=scan_mode,
     )
 
 
@@ -515,7 +512,6 @@ def bidirectional_forward(params: BiBlockParams, x: Tensor) -> Tensor:
     if x.ndim != 3 or x.shape[2] != channels:
         raise ShapeError(f"bidirectional_forward: expected (batch, L, {channels}), got {x.shape}")
     reversed_rows = _REVERSED_ROWS[params.scan_mode]
-    flips = [rev and params.flip_back for rev in reversed_rows]
     weights = params.parameters()
     head = [t.data for name, t in weights.items() if not name.startswith("mamba/")]
     # x once per gradient contribution: the engine adds repeated inputs in
@@ -529,7 +525,7 @@ def bidirectional_forward(params: BiBlockParams, x: Tensor) -> Tensor:
         """(output, core, the Mamba kernel's backward) over the rows xr."""
         n = xr.shape[0]
         y, mamba_bwd = _mamba_block(params.mamba, _stack(xr, reversed_rows), keep)
-        parts = [y[i * n:(i + 1) * n, ::-1 if flip else 1] for i, flip in enumerate(flips)]
+        parts = [y[i * n:(i + 1) * n, ::-1 if rev else 1] for i, rev in enumerate(reversed_rows)]
         core = (parts[0] + parts[1] if len(parts) == 2 else parts[0]) + xr
         del y, parts
         return _head(core, *head)[0], core, mamba_bwd
@@ -554,9 +550,7 @@ def bidirectional_forward(params: BiBlockParams, x: Tensor) -> Tensor:
         core = None
         # the stacked gradient goes straight in, so that the kernel's
         # backward can let it go after its first use
-        g_stack, *g_mamba = mamba_bwd(
-            np.concatenate([g_core[:, ::-1] if flip else g_core for flip in flips], axis=0),
-            _stack(xd, reversed_rows))
+        g_stack, *g_mamba = mamba_bwd(_stack(g_core, reversed_rows), _stack(xd, reversed_rows))
         mamba_bwd = None
         g_rows = [np.ascontiguousarray(g_stack[i * bsz:(i + 1) * bsz, ::-1 if rev else 1])
                   for i, rev in enumerate(reversed_rows)]

@@ -418,8 +418,13 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
     for name, dtype, shape, count, lo in layout:
         arr = np.frombuffer(raw, dtype=dtype, count=count, offset=lo)
         tensors[name] = arr.reshape(shape).copy()
+    # what a resume reads, so that a header without it fails here, naming it
+    adam = header.get("adam") if isinstance(header.get("adam"), dict) else {}
+    for name in ("epoch", "adam.step", "adam.beta1", "adam.beta2", "adam.eps", "rng_state"):
+        if (adam if name.startswith("adam.") else header).get(name.removeprefix("adam.")) is None:
+            raise TrainingError(f"checkpoint header lacks the field {name!r}")
     return Checkpoint(config=config, epoch=header["epoch"], tensors=tensors,
-                      adam_meta=header["adam"], rng_state=header["rng_state"])
+                      adam_meta=adam, rng_state=header["rng_state"])
 
 
 def _check_config(stored: ModelConfig, wanted: ModelConfig | None) -> None:

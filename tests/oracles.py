@@ -338,7 +338,7 @@ def primitive_bi_block(params, x):
     out = None
     for i, rev in enumerate(reversed_rows):
         part = ad.slice_axis(y, axis=0, start=i * bsz, stop=(i + 1) * bsz)
-        if rev and params.flip_back:
+        if rev:
             part = reverse_axis(part, 1)
         out = part if out is None else ad.add(out, part)
     return primitive_head(params, ad.add(out, x))

@@ -10,7 +10,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from motionmoe import autodiff as ad
 from motionmoe import ssm
@@ -191,10 +190,10 @@ def test_criterion_05_sharing_audit():
     with criterion(5, "expert-pool parameter count identical for N=1 and N=4 "
                       "pools (exact)"):
         hetero = audit_parameters(MotionMoE(ModelConfig(
-            **MICRO_MODEL, n_experts=4, active_experts=4,
+            **MICRO_MODEL, active_experts=4,
             expert_pool=("ST", "TT", "TS", "SS"))))
         homo = audit_parameters(MotionMoE(ModelConfig(
-            **MICRO_MODEL, n_experts=1, active_experts=1, expert_pool=("ST",))))
+            **MICRO_MODEL, active_experts=1, expert_pool=("ST",))))
         pool_hetero = (hetero.per_module["layer0/spatial"]
                        + hetero.per_module["layer0/temporal"])
         pool_homo = (homo.per_module["layer0/spatial"]

@@ -81,3 +81,23 @@ def test_modules_share_only_the_kernels_that_must_match_across_them():
                            if alias.name.startswith("_")}
     assert shared == {("autodiff", "ssm", "_matmul_grads"), ("autodiff", "ssm", "_unbroadcast"),
                       ("ssm", "moe", "_chunk_steps")}
+
+
+def test_every_imported_name_is_used():
+    # in the package's modules and in the tests; the names listed in
+    # ``__all__`` are the package's exports
+    unused = []
+    for path in sorted([*Path(SRC, "motionmoe").glob("*.py"),
+                        *Path(__file__).parent.glob("*.py")]):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used |= {elt.value for elt in node.value.elts}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                unused += [f"{path.name}: {name}" for alias in node.names
+                           if (name := alias.asname or alias.name.split(".")[0]) not in used]
+    assert not unused, unused

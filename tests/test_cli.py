@@ -14,12 +14,13 @@ import pytest
 from motionmoe import autodiff as ad
 from motionmoe import cli, training
 from motionmoe.cli import main, read_feature_export
-from motionmoe.data import MAGIC, batch_iter, flatten_poses, read_dataset
+from motionmoe.data import MAGIC, DataError, batch_iter, flatten_poses, read_dataset
 from motionmoe.dct import dct_forward
 from motionmoe.model import ModelConfig, MotionMoE
 from motionmoe.moe import expert_outputs
 from motionmoe.training import (AdamState, load_checkpoint, model_from_checkpoint,
                                 save_checkpoint)
+from test_training import restamped
 
 MICRO_SET = ["--set", "joints=3", "--set", "history_frames=5",
              "--set", "total_frames=8", "--set", "state_dim=4",
@@ -247,6 +248,31 @@ class TestEval:
         assert table.count("\n") == 3
         assert table.rstrip("\n") in capsys.readouterr().out
 
+    def test_a_checkpoint_written_up_to_0_2_1_gives_the_same_table(self, trained, tmp_path,
+                                                                   capsys):
+        # such a header's config also holds n_experts, the pool's length, and
+        # flip_back = true
+        old = tmp_path / "old.stmc"
+        old.write_bytes(restamped(trained["checkpoint"].read_bytes(),
+                                  lambda header: header["config"].update(n_experts=4,
+                                                                         flip_back=True)))
+        tables = []
+        for ckpt in (trained["checkpoint"], old):
+            assert main(["eval", "--checkpoint", str(ckpt), "--data", str(trained["data"]),
+                         "--horizons", "0.04,0.12"]) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("key,value", [("flip_back", False), ("n_experts", 3)])
+    def test_a_removed_key_off_its_one_value_exits_1_naming_it(self, trained, tmp_path,
+                                                               capsys, key, value):
+        old = tmp_path / "old.stmc"
+        old.write_bytes(restamped(trained["checkpoint"].read_bytes(),
+                                  lambda header: header["config"].update({key: value})))
+        assert main(["eval", "--checkpoint", str(old), "--data", str(trained["data"])]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint holds an invalid config: ") and key in err
+
     def test_bad_checkpoint_exits_1(self, trained, tmp_path):
         bogus = tmp_path / "bogus.stmc"
         bogus.write_bytes(b"JUNKJUNKJUNK")
@@ -386,6 +412,28 @@ class TestExportFeatures:
             expected.append(np.concatenate([out.mean(axis=2), out.mean(axis=1)], axis=1))
         np.testing.assert_allclose(rows, np.concatenate(expected).astype(np.float32),
                                    rtol=1e-6, atol=1e-6)
+
+    @staticmethod
+    def export(path, rows, magic="MMFX"):
+        """A feature export of 2 samples x 1 expert of width 3 that holds ``rows`` rows."""
+        header = {"magic": magic, "samples": 2, "experts": ["ST"], "width": 3}
+        path.write_bytes(json.dumps(header).encode() + b"\n"
+                         + np.arange(3 * rows, dtype="<f4").tobytes())
+        return path
+
+    def test_another_magic_raises_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="not an MMFX feature export: magic 'MMP1'"):
+            read_feature_export(self.export(tmp_path / "f.bin", 2, magic="MMP1"))
+        (tmp_path / "g.bin").write_bytes(b"MMP1\x00\x01\n")
+        with pytest.raises(DataError, match="not an MMFX feature export: Expecting value"):
+            read_feature_export(tmp_path / "g.bin")
+
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    def test_a_payload_of_other_than_samples_times_experts_rows_raises_data_error(
+            self, tmp_path, rows):
+        assert read_feature_export(self.export(tmp_path / "f.bin", 2))[1].shape == (2, 3)
+        with pytest.raises(DataError, match=rf"{3 * rows} floats for \(2, 3\) rows"):
+            read_feature_export(self.export(tmp_path / "f.bin", rows))
 
 
 class TestAtomicOut:
@@ -606,6 +654,16 @@ class TestArgumentErrors:
         assert main(["train", *MICRO_SET, "--set", f"train_data={trained['data']}",
                      "--set", setting, "--set", f"out_dir={out_dir}"]) == 2
         assert "config error:" in capsys.readouterr().err
+        assert not (out_dir / "resolved.cfg").exists()
+
+    @pytest.mark.parametrize("setting", ["flip_back=true", "n_experts=4"])
+    def test_train_removed_key_exits_2_before_writing(self, trained, tmp_path, capsys,
+                                                      setting):
+        out_dir = tmp_path / "run"
+        assert main(["train", *MICRO_SET, "--set", f"train_data={trained['data']}",
+                     "--set", setting, "--set", f"out_dir={out_dir}"]) == 2
+        key = setting.split("=")[0]
+        assert f"config error: --set: unknown key '{key}'" in capsys.readouterr().err
         assert not (out_dir / "resolved.cfg").exists()
 
     @pytest.mark.parametrize("argv, message", [

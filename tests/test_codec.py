@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from motionmoe import autodiff as ad
-from motionmoe.codec import (GcnLayer, PoseCodec, apply_dropout,
+from motionmoe.codec import (GcnLayer, apply_dropout,
                              init_gcn_layer, init_pose_codec, padding_matrix)
 
 

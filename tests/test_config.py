@@ -14,12 +14,10 @@ DEFAULT_RUN_TEXT = """\
 joints = 15
 history_frames = 50
 total_frames = 75
-n_experts = 4
 active_experts = 4
 moe_layers = 1
 expert_pool = ST,TT,TS,SS
 scan_mode = bidirectional
-flip_back = true
 expand = 2
 state_dim = 16
 conv_width = 4
@@ -93,14 +91,11 @@ class TestParsing:
 
 
 class TestValueParsers:
-    def test_bool_spellings(self):
-        for text, expected in [("true", True), ("1", True), ("Yes", True),
-                               ("on", True), ("false", False), ("0", False),
-                               ("No", False), ("off", False)]:
-            values = parse_config_text(f"flip_back = {text}", RUN_SCHEMA)
-            assert values["flip_back"] is expected
-        with pytest.raises(ConfigError, match="not a boolean"):
-            parse_config_text("flip_back = maybe", RUN_SCHEMA)
+    @pytest.mark.parametrize("key", ["n_experts", "flip_back"])
+    def test_the_keys_removed_in_0_3_are_unknown(self, key):
+        assert key not in RUN_SCHEMA
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config_text(f"{key} = 4", RUN_SCHEMA)
 
     def test_float_list(self):
         values = parse_config_text("horizons = 0.2, 0.6,1.0", RUN_SCHEMA)
@@ -122,8 +117,8 @@ class TestValueParsers:
 class TestRoundTrip:
     def test_format_then_parse_is_identity(self):
         text = ("joints = 3\nhistory_frames = 5\ntotal_frames = 8\n"
-                "expert_pool = ST,TT\nn_experts = 2\nactive_experts = 2\n"
-                "flip_back = false\nhorizons = 0.04,0.12\ndropout = 0.0\n")
+                "expert_pool = ST,TT\nactive_experts = 2\n"
+                "horizons = 0.04,0.12\ndropout = 0.0\n")
         values = parse_config_text(text, RUN_SCHEMA)
         rendered = format_config(values, RUN_SCHEMA)
         assert parse_config_text(rendered, RUN_SCHEMA) == values

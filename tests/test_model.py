@@ -33,7 +33,8 @@ class TestConfig:
             ModelConfig(history_frames=75, total_frames=75)
         with pytest.raises(ValueError, match="active_experts"):
             ModelConfig(active_experts=5)
-        with pytest.raises(ValueError, match="expert_pool"):
+        # the expert count is the pool's length, so a pool shorter than k is refused
+        with pytest.raises(ValueError, match=r"active_experts must be in \[1, 2\]"):
             ModelConfig(expert_pool=("ST", "TT"))
         with pytest.raises(ValueError, match="expert kind"):
             ModelConfig(expert_pool=("ST", "TT", "TS", "QQ"))
@@ -41,6 +42,24 @@ class TestConfig:
             ModelConfig(scan_mode="sideways")
         with pytest.raises(ValueError, match="dropout"):
             ModelConfig(dropout=1.0)
+
+    def test_the_expert_count_is_the_pool_length(self):
+        assert ModelConfig().n_experts == len(ModelConfig().expert_pool) == 4
+        assert ModelConfig(expert_pool=("TS",), active_experts=1).n_experts == 1
+        assert "n_experts" not in ModelConfig().to_dict()
+
+    @pytest.mark.parametrize("legacy,error", [
+        ({"n_experts": 4, "flip_back": True}, None),
+        ({"n_experts": 3}, "n_experts"), ({"n_experts": 4.0}, "n_experts"),
+        ({"flip_back": False}, "flip_back"), ({"flip_back": 1}, "flip_back"),
+    ])
+    def test_from_dict_drops_the_keys_of_0_2_1_only_at_their_one_value(self, legacy, error):
+        d = {**ModelConfig().to_dict(), **legacy}
+        if error is None:
+            assert ModelConfig.from_dict(d) == ModelConfig()
+        else:
+            with pytest.raises(ValueError, match=error):
+                ModelConfig.from_dict(d)
 
     def test_scene_persons_widen_pose(self):
         cfg = ModelConfig(joints=15, scene_persons=2)
@@ -104,13 +123,12 @@ class TestForward:
         assert pred.shape == (2, 9, 8)
         assert len(decisions) == layers
 
-    @pytest.mark.parametrize("mode,flip_back", [("bidirectional", True), ("forward", True),
-                                                ("backward", False)])
-    def test_blocks_carry_the_config_scan_setting(self, mode, flip_back):
-        model = micro_model(scan_mode=mode, flip_back=flip_back, moe_layers=2)
+    @pytest.mark.parametrize("mode", ["bidirectional", "forward", "backward"])
+    def test_blocks_carry_the_config_scan_setting(self, mode):
+        model = micro_model(scan_mode=mode, moe_layers=2)
         for layer in model.layers:
             for block in (layer.spatial, layer.temporal):
-                assert (block.scan_mode, block.flip_back) == (mode, flip_back)
+                assert block.scan_mode == mode
 
     @pytest.mark.parametrize("recorded,block_calls", [(True, 4), (False, 6)])
     def test_forward_reaches_the_module_globals(self, recorded, block_calls, monkeypatch):
@@ -324,10 +342,8 @@ class TestParameterBudget:
         assert audit.sharing_ok and not audit.duplicates
 
     def test_expert_pool_size_does_not_change_block_budget(self):
-        n4 = audit_parameters(micro_model(n_experts=4,
-                                          expert_pool=("ST", "TT", "TS", "SS")))
-        n1 = audit_parameters(micro_model(n_experts=1, active_experts=1,
-                                          expert_pool=("ST",)))
+        n4 = audit_parameters(micro_model(expert_pool=("ST", "TT", "TS", "SS")))
+        n1 = audit_parameters(micro_model(active_experts=1, expert_pool=("ST",)))
         blocks4 = n4.per_module["layer0/spatial"] + n4.per_module["layer0/temporal"]
         blocks1 = n1.per_module["layer0/spatial"] + n1.per_module["layer0/temporal"]
         assert blocks4 == blocks1

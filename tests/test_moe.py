@@ -7,7 +7,7 @@ import pytest
 from motionmoe import autodiff as ad
 from motionmoe import ssm
 from motionmoe.model import ModelConfig, MotionMoE
-from motionmoe.moe import (EXPERT_KINDS, GateDecision, RouterParams,
+from motionmoe.moe import (EXPERT_KINDS, RouterParams,
                            expert_outputs, gate, init_router,
                            moe_layer_forward)
 from motionmoe.ssm import init_bi_block
@@ -223,16 +223,14 @@ class TestMixture:
                               ad.Tensor(np.zeros((1, 5, 6))))
 
 
-def unshared_block(params, x, scan_mode, flip_back):
+def unshared_block(params, x, scan_mode):
     """A bidirectional block as two separate Mamba calls, one per direction,
     followed by the LN/FFN head."""
     out = None
     if scan_mode in ("bidirectional", "forward"):
         out = mamba_op(params.mamba, x)
     if scan_mode in ("bidirectional", "backward"):
-        rev = mamba_op(params.mamba, reverse_axis(x, 1))
-        if flip_back:
-            rev = reverse_axis(rev, 1)
+        rev = reverse_axis(mamba_op(params.mamba, reverse_axis(x, 1)), 1)
         out = rev if out is None else ad.add(out, rev)
     core = ad.add(out, x)
     inner = layernorm_lastaxis(core, params.ln_inner_gamma, params.ln_inner_beta)
@@ -242,15 +240,14 @@ def unshared_block(params, x, scan_mode, flip_back):
                               params.ln_outer_gamma, params.ln_outer_beta)
 
 
-def unshared_mixture(router, shared_s, shared_t, pool, x, scan_mode, flip_back):
+def unshared_mixture(router, shared_s, shared_t, pool, x, scan_mode):
     """The mixture with every expert composed from scratch: no stage is
     shared between experts and no block stacks its two directions."""
     def spatial(f):
-        return unshared_block(shared_s, f, scan_mode, flip_back)
+        return unshared_block(shared_s, f, scan_mode)
 
     def temporal(f):
-        return ad.transpose(unshared_block(shared_t, ad.transpose(f, 1, 2),
-                                           scan_mode, flip_back), 1, 2)
+        return ad.transpose(unshared_block(shared_t, ad.transpose(f, 1, 2), scan_mode), 1, 2)
 
     stages = {"S": spatial, "T": temporal}
     decision = gate(router, x)
@@ -266,35 +263,33 @@ def unshared_mixture(router, shared_s, shared_t, pool, x, scan_mode, flip_back):
 
 
 class TestSharedComputation:
-    def make_layer(self, pool, k, scan_mode="bidirectional", flip_back=True):
+    def make_layer(self, pool, k, scan_mode="bidirectional"):
         rng = np.random.default_rng(20)
         d, t = 5, 7
         router = init_router(rng, d, len(pool), k)
         shared_s = init_bi_block(rng, channels=t, expand=2, state_dim=3, conv_width=2,
-                                 scan_mode=scan_mode, flip_back=flip_back)
+                                 scan_mode=scan_mode)
         shared_t = init_bi_block(rng, channels=d, expand=2, state_dim=3, conv_width=2,
-                                 scan_mode=scan_mode, flip_back=flip_back)
+                                 scan_mode=scan_mode)
         params = [router.gate_weight, router.gate_bias,
                   *shared_s.parameters().values(), *shared_t.parameters().values()]
         return router, shared_s, shared_t, params
 
-    @pytest.mark.parametrize("pool,k,scan_mode,flip_back", [
-        (EXPERT_KINDS, 4, "bidirectional", True),
-        (EXPERT_KINDS, 2, "bidirectional", True),
-        (("TS",), 1, "bidirectional", True),
-        (("SS", "ST", "SS"), 3, "bidirectional", True),
-        (EXPERT_KINDS, 4, "forward", True),
-        (EXPERT_KINDS, 4, "backward", True),
-        (EXPERT_KINDS, 4, "bidirectional", False),
-        (EXPERT_KINDS, 3, "backward", False),
+    @pytest.mark.parametrize("pool,k,scan_mode", [
+        (EXPERT_KINDS, 4, "bidirectional"),
+        (EXPERT_KINDS, 2, "bidirectional"),
+        (("TS",), 1, "bidirectional"),
+        (("SS", "ST", "SS"), 3, "bidirectional"),
+        (EXPERT_KINDS, 4, "forward"),
+        (EXPERT_KINDS, 4, "backward"),
     ])
-    def test_matches_unshared_composition(self, pool, k, scan_mode, flip_back):
-        router, shared_s, shared_t, params = self.make_layer(pool, k, scan_mode, flip_back)
+    def test_matches_unshared_composition(self, pool, k, scan_mode):
+        router, shared_s, shared_t, params = self.make_layer(pool, k, scan_mode)
         rng = np.random.default_rng(21)
         x_data = rng.standard_normal((4, 5, 7))
         w_data = rng.standard_normal((4, 5, 7))
         self.assert_matches_unshared(router, shared_s, shared_t, params, pool, x_data,
-                                     w_data, scan_mode, flip_back)
+                                     w_data, scan_mode)
 
     @pytest.mark.parametrize("picks", [
         # T first serves row 2 alone (TT); S first serves every row
@@ -310,11 +305,11 @@ class TestSharedComputation:
         decision = gate(router, ad.Tensor(x_data))
         np.testing.assert_array_equal(decision.kept, picks)
         self.assert_matches_unshared(router, shared_s, shared_t, params, EXPERT_KINDS,
-                                     x_data, w_data, "bidirectional", True)
+                                     x_data, w_data, "bidirectional")
 
     @staticmethod
     def assert_matches_unshared(router, shared_s, shared_t, params, pool, x_data,
-                                w_data, scan_mode, flip_back):
+                                w_data, scan_mode):
         """The layer reads the scan setting from its blocks, the oracle from
         the arguments."""
         w = ad.Tensor(w_data)
@@ -329,7 +324,7 @@ class TestSharedComputation:
             return out.data, [grads[p].data for p in params] + [grads[x].data]
 
         out, grads = run(lambda *args: moe_layer_forward(*args)[0])
-        ref_out, ref_grads = run(lambda *args: unshared_mixture(*args, scan_mode, flip_back))
+        ref_out, ref_grads = run(lambda *args: unshared_mixture(*args, scan_mode))
 
         assert np.abs(out - ref_out).max() <= 1e-12 * np.abs(ref_out).max()
         # some entries are sums that cancel to orders below the rest (the

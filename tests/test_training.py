@@ -33,6 +33,18 @@ def micro_setup(model_seed=0, data_seed=0, **settings_overrides):
     return model, seqs, settings
 
 
+def restamped(raw: bytes, edit) -> bytes:
+    """The version-2 checkpoint ``raw`` with ``edit`` applied to its header
+    dict, re-checksummed, so that only the edited header is wrong."""
+    head = struct.Struct("<4sIQ")
+    magic, version, head_len = head.unpack_from(raw)
+    header = json.loads(raw[head.size:head.size + head_len])
+    edit(header)
+    head_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return b"".join(data.with_crc([head.pack(magic, version, len(head_bytes)), head_bytes,
+                                   raw[head.size + head_len:-4]]))
+
+
 class TestSchedule:
     def test_decade_per_fifty_epochs(self):
         assert lr_at_epoch(0.01, 0) == 0.01
@@ -608,23 +620,61 @@ class TestCheckpoints:
         for name, p in model.parameters().items():
             np.testing.assert_array_equal(ckpt.tensors[f"param/{name}"], p.data)
 
-    @pytest.mark.parametrize("key,value", [("expand", 0), ("seed", -1), ("n_experts", 3)])
+    @pytest.mark.parametrize("key,value", [("expand", 0), ("seed", -1), ("n_experts", 3),
+                                           ("flip_back", False)])
     def test_an_invalid_stored_config_raises_training_error(self, tmp_path, key, value):
         model, seqs, settings = micro_setup(epochs=1)
         settings.out_dir = str(tmp_path)
         fit(model, seqs, None, settings)
-        raw = (tmp_path / "checkpoint_00001.stmc").read_bytes()
-        head = struct.Struct("<4sIQ")
-        magic, version, head_len = head.unpack_from(raw)
-        header = json.loads(raw[head.size:head.size + head_len])
-        header["config"][key] = value
-        head_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        # re-checksummed, so that only the stored config is wrong
         damaged = tmp_path / "damaged.stmc"
-        damaged.write_bytes(b"".join(data.with_crc([head.pack(magic, version, len(head_bytes)),
-                                                    head_bytes, raw[head.size + head_len:-4]])))
+        damaged.write_bytes(restamped((tmp_path / "checkpoint_00001.stmc").read_bytes(),
+                                      lambda header: header["config"].update({key: value})))
         with pytest.raises(TrainingError, match=f"invalid config: .*{key}"):
             load_checkpoint(damaged)
+
+    @pytest.mark.parametrize("stored", [[], None, "ST,TT"])
+    def test_a_stored_config_that_is_not_an_object_raises_training_error(self, tmp_path,
+                                                                         stored):
+        model, _, _ = micro_setup()
+        path = tmp_path / "ckpt.stmc"
+        save_checkpoint(path, model, AdamState(), 1, np.random.default_rng(0))
+        path.write_bytes(restamped(path.read_bytes(),
+                                   lambda header: header.update(config=stored)))
+        with pytest.raises(TrainingError, match="invalid config: .*mapping"):
+            load_checkpoint(path)
+
+    def test_a_header_written_up_to_0_2_1_loads(self, tmp_path):
+        # such a header's config also holds n_experts, the pool's length, and
+        # flip_back = true
+        model, _, _ = micro_setup()
+        path = tmp_path / "current.stmc"
+        save_checkpoint(path, model, AdamState(), 3, np.random.default_rng(0))
+        old = tmp_path / "old.stmc"
+        old.write_bytes(restamped(path.read_bytes(), lambda header: header["config"].update(
+            n_experts=4, flip_back=True)))
+        ckpt, want = load_checkpoint(old, expected_config=model.config), load_checkpoint(path)
+        assert (ckpt.config, ckpt.epoch, ckpt.adam_meta) == (want.config, 3, want.adam_meta)
+        assert ckpt.config.n_experts == 4
+        assert ckpt.tensors.keys() == want.tensors.keys()
+        for name, arr in want.tensors.items():
+            assert ckpt.tensors[name].tobytes() == arr.tobytes()
+
+    @pytest.mark.parametrize("field", ["epoch", "adam", "adam.step", "adam.beta1",
+                                       "adam.beta2", "adam.eps", "rng_state"])
+    def test_a_header_without_a_resume_field_raises_training_error(self, tmp_path, field):
+        model, _, _ = micro_setup()
+        path = tmp_path / "ckpt.stmc"
+        save_checkpoint(path, model, AdamState(), 1, np.random.default_rng(0))
+
+        def drop(header):
+            *parents, last = field.split(".")
+            for key in parents:
+                header = header[key]
+            del header[last]
+
+        path.write_bytes(restamped(path.read_bytes(), drop))
+        with pytest.raises(TrainingError, match=f"lacks the field '{field}"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("writer", ["checkpoint", "dataset"])
     def test_failed_write_leaves_no_partial_target(self, tmp_path, monkeypatch, writer):
