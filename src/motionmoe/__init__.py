@@ -21,9 +21,9 @@ def _keep_freed_pages() -> None:
 
 _keep_freed_pages()
 
-from .autodiff import (AutodiffError, ShapeError, Tape, Tensor,
-                       apply_primitive, backward, finite_difference_check,
-                       get_default_dtype, primitive_names, set_default_dtype)
+from .autodiff import (AutodiffError, ShapeError, Tape, Tensor, backward,
+                       finite_difference_check, get_default_dtype, primitive_names,
+                       set_default_dtype)
 from .data import GeneratorSpec, MotionSequence, read_dataset, synth_generate, write_dataset
 from .model import ModelConfig, MotionMoE, audit_parameters
 from .objectives import LossWeights, ape, jpe, report_at_horizons, total_loss
@@ -31,12 +31,12 @@ from .training import (AdamState, TrainSettings, evaluate, fit,
                        load_checkpoint, lr_at_epoch, model_from_checkpoint,
                        save_checkpoint)
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "AdamState", "AutodiffError", "GeneratorSpec", "LossWeights",
     "ModelConfig", "MotionMoE", "MotionSequence", "ShapeError", "Tape",
-    "Tensor", "TrainSettings", "ape", "apply_primitive", "audit_parameters",
+    "Tensor", "TrainSettings", "ape", "audit_parameters",
     "backward", "evaluate", "finite_difference_check", "fit",
     "get_default_dtype", "jpe", "load_checkpoint", "lr_at_epoch",
     "model_from_checkpoint", "primitive_names", "read_dataset",

@@ -12,13 +12,15 @@ default dtype (float64 for gradient checking, float32 optionally for
 training) selected through ``set_default_dtype``.
 
 The registry (``primitive_names``) holds the primitives that production
-records, reached through the functional wrappers (``add``, ``matmul``, ...),
-and ``exp``, which only the benchmark's own tests record.  A fused op whose
-kernel lives outside the registry records itself through ``record``, as
-``ssm``'s bidirectional block does.
+records, and ``exp``, which only the benchmark's own tests record.  Each is
+defined once, as a kernel on arrays under the ``_primitive`` decorator,
+which registers it under its op name and makes it the public function that
+takes Tensors (``add``, ``matmul``, ``slice_axis``, ...) and records the op.
+A fused op whose kernel lives outside the registry records itself through
+``record``, as ``ssm``'s bidirectional block does.
 
-Kernels lean on numpy for shape checking: ``apply_primitive`` turns the
-``ValueError`` a kernel raises on incompatible operands into a
+Kernels lean on numpy for shape checking: a primitive's function turns the
+``ValueError`` its kernel raises on incompatible operands into a
 ``ShapeError`` that names the primitive.  A kernel checks shapes itself only
 where numpy would accept the input with other semantics (1-D matmul,
 clipped slices, negative or boolean row indices).
@@ -34,7 +36,7 @@ import numpy as np
 
 
 class AutodiffError(Exception):
-    """Engine misuse: detached losses, unknown primitives, bad dtypes."""
+    """Engine misuse: detached losses, spent tapes, bad dtypes."""
 
 
 class ShapeError(AutodiffError):
@@ -180,7 +182,7 @@ def record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     tape when any input participates in differentiation.
 
     This is the extension point for fused operations that keep a primitive
-    interface but do not belong to the public ``apply_primitive`` registry.
+    interface but are not registered primitives (``primitive_names``).
     """
     inputs = tuple(inputs)
     out_arr = np.asarray(out_data)
@@ -278,86 +280,96 @@ def _matmul_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray):
     return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
 
-# --- primitive implementations -------------------------------------------
-# Each returns (output array, backward closure).  Closures capture input
-# arrays, never Tensors, so tapes hold no cycles through grad buffers.
+# --- primitives ------------------------------------------------------------
+# Each kernel takes its operands' arrays, then its attributes, and returns
+# (output array, backward closure).  Closures capture input arrays, never
+# Tensors, so tapes hold no cycles through grad buffers.
 
-def _p_add(inputs, attrs):
-    a, b = inputs
-    out = a + b
+_registry: list[str] = []
 
+
+def _primitive(name: str, operands: int | None):
+    """Register the decorated kernel as primitive ``name`` and return its
+    Tensor-level function, which takes ``operands`` positional operands (one
+    sequence of them when None), then the kernel's attributes, and records
+    the op."""
+    def register(kernel):
+        _registry.append(name)
+
+        @functools.wraps(kernel)
+        def op(*args, **attrs):
+            given = args[0] if operands is None else args[:operands]
+            tensors = tuple([t if isinstance(t, Tensor) else Tensor(t) for t in given])
+            arrays = [t.data for t in tensors]
+            try:
+                out_data, bwd = (kernel(arrays, *args[1:], **attrs) if operands is None
+                                 else kernel(*arrays, *args[operands:], **attrs))
+            except ValueError as exc:  # numpy's shape checks, AxisError included
+                shapes = ", ".join(str(t.shape) for t in tensors)
+                raise ShapeError(f"{name}: {exc} (operand shapes {shapes})") from None
+            return record(name, tensors, out_data, bwd)
+
+        return op
+
+    return register
+
+
+def primitive_names() -> tuple[str, ...]:
+    return tuple(_registry)
+
+
+@_primitive("add", 2)
+def add(a, b, /):
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return out, bwd
+    return a + b, bwd
 
 
-def _p_sub(inputs, attrs):
-    a, b = inputs
-    out = a - b
-
+@_primitive("sub", 2)
+def sub(a, b, /):
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-    return out, bwd
+    return a - b, bwd
 
 
-def _p_mul(inputs, attrs):
-    a, b = inputs
-    out = a * b
-
+@_primitive("mul", 2)
+def mul(a, b, /):
     def bwd(g):
         return _unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)
 
-    return out, bwd
+    return a * b, bwd
 
 
-def _p_matmul(inputs, attrs):
-    a, b = inputs
+@_primitive("matmul", 2)
+def matmul(a, b, /):
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must have ndim >= 2, got {a.shape} @ {b.shape}")
     return np.matmul(a, b), lambda g: _matmul_grads(g, a, b)
 
 
-def _p_exp(inputs, attrs):
-    (x,) = inputs
+@_primitive("exp", 1)
+def exp(x, /):
     out = np.exp(x)
-
-    def bwd(g):
-        return (g * out,)
-
-    return out, bwd
+    return out, lambda g: (g * out,)
 
 
-def _p_tanh(inputs, attrs):
-    (x,) = inputs
+@_primitive("tanh", 1)
+def tanh(x, /):
     out = np.tanh(x)
-
-    def bwd(g):
-        return (g * (1.0 - out * out),)
-
-    return out, bwd
+    return out, lambda g: (g * (1.0 - out * out),)
 
 
-def _p_transpose(inputs, attrs):
-    (x,) = inputs
-    a, b = attrs["axis_a"], attrs["axis_b"]
-    out = x.swapaxes(a, b)
-
-    def bwd(g):
-        return (g.swapaxes(a, b),)
-
-    return out, bwd
+@_primitive("transpose", 1)
+def transpose(x, /, axis_a: int, axis_b: int):
+    return x.swapaxes(axis_a, axis_b), lambda g: (g.swapaxes(axis_a, axis_b),)
 
 
-def _p_reshape(inputs, attrs):
-    (x,) = inputs
-    out = x.reshape(attrs["shape"])  # numpy semantics, so one -1 is allowed
-
-    def bwd(g):
-        return (g.reshape(x.shape),)
-
-    return out, bwd
+@_primitive("reshape", 1)
+def reshape(x, /, shape: Sequence[int]):
+    # numpy semantics, so one -1 is allowed
+    return x.reshape(tuple(shape)), lambda g: (g.reshape(x.shape),)
 
 
 def _normalize_axes(axes, ndim, name):
@@ -375,10 +387,9 @@ def _axis_err(name, axis, ndim):
     raise ShapeError(f"{name}: axis {axis} out of range for ndim {ndim}")
 
 
-def _reduce(inputs, attrs, use_mean):
-    (x,) = inputs
+def _reduce(x, axes, use_mean):
     name = "reduce_mean" if use_mean else "reduce_sum"
-    axes = _normalize_axes(attrs.get("axes"), x.ndim, name)
+    axes = _normalize_axes(axes, x.ndim, name)
     count = 1
     for a in axes:
         count *= x.shape[a]
@@ -397,16 +408,18 @@ def _reduce(inputs, attrs, use_mean):
     return out, bwd
 
 
-def _p_reduce_mean(inputs, attrs):
-    return _reduce(inputs, attrs, use_mean=True)
+@_primitive("reduce_mean", 1)
+def reduce_mean(x, /, axes=None):
+    return _reduce(x, axes, use_mean=True)
 
 
-def _p_reduce_sum(inputs, attrs):
-    return _reduce(inputs, attrs, use_mean=False)
+@_primitive("reduce_sum", 1)
+def reduce_sum(x, /, axes=None):
+    return _reduce(x, axes, use_mean=False)
 
 
-def _p_softmax_lastaxis(inputs, attrs):
-    (x,) = inputs
+@_primitive("softmax_lastaxis", 1)
+def softmax_lastaxis(x, /):
     if x.ndim < 1:
         raise ShapeError("softmax_lastaxis: needs at least one axis")
     shifted = x - np.max(x, axis=-1, keepdims=True)
@@ -420,9 +433,8 @@ def _p_softmax_lastaxis(inputs, attrs):
     return out, bwd
 
 
-def _p_slice(inputs, attrs):
-    (x,) = inputs
-    axis, start, stop = attrs["axis"], attrs["start"], attrs["stop"]
+@_primitive("slice", 1)
+def slice_axis(x, /, axis: int, start: int, stop: int):
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"slice: axis {axis} out of range for shape {x.shape}")
     axis = axis % x.ndim
@@ -430,20 +442,19 @@ def _p_slice(inputs, attrs):
     if not (0 <= start <= stop <= n):
         raise ShapeError(f"slice: window [{start}, {stop}) invalid for axis of length {n}")
     idx = (slice(None),) * axis + (slice(start, stop),)
-    out = x[idx]
 
     def bwd(g):
         gx = np.zeros(x.shape, dtype=x.dtype)
         gx[idx] = g
         return (gx,)
 
-    return np.ascontiguousarray(out), bwd
+    return np.ascontiguousarray(x[idx]), bwd
 
 
-def _p_concat(inputs, attrs):
-    axis = attrs["axis"]
-    out = np.concatenate(inputs, axis=axis)
-    bounds = list(itertools.accumulate((arr.shape[axis] for arr in inputs), initial=0))
+@_primitive("concat", None)
+def concat(arrays, /, axis: int):
+    out = np.concatenate(arrays, axis=axis)
+    bounds = list(itertools.accumulate((arr.shape[axis] for arr in arrays), initial=0))
     lead = (slice(None),) * (axis % out.ndim)
 
     def bwd(g):
@@ -453,9 +464,10 @@ def _p_concat(inputs, attrs):
     return out, bwd
 
 
-def _p_take_rows(inputs, attrs):
-    (x,) = inputs
-    rows = np.asarray(attrs["rows"])
+@_primitive("take_rows", 1)
+def take_rows(x, /, rows):
+    """``x[rows]`` along axis 0 for a 1-D integer index array."""
+    rows = np.asarray(rows)
     if (x.ndim == 0 or rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer)
             or (rows.size and not 0 <= rows.min() <= rows.max() < x.shape[0])):
         raise ShapeError(f"take_rows: rows must be 1-D integers inside axis 0 of {x.shape}, "
@@ -469,9 +481,8 @@ def _p_take_rows(inputs, attrs):
     return x[rows], bwd
 
 
-def _p_topk_mask(inputs, attrs):
-    (x,) = inputs
-    k = attrs["k"]
+@_primitive("topk_mask", 1)
+def topk_mask(x, /, k: int):
     n = x.shape[-1]
     if not 1 <= k <= n:
         raise ShapeError(f"topk_mask: k={k} outside [1, {n}]")
@@ -479,112 +490,7 @@ def _p_topk_mask(inputs, attrs):
     order = np.argsort(-x, axis=-1, kind="stable")
     mask = np.zeros(x.shape, dtype=bool)
     np.put_along_axis(mask, order[..., :k], True, axis=-1)
-    out = np.where(mask, x, -np.inf)
-
-    def bwd(g):
-        return (g * mask,)
-
-    return out, bwd
-
-
-_PRIMITIVES: dict[str, Callable] = {
-    "add": _p_add,
-    "sub": _p_sub,
-    "mul": _p_mul,
-    "matmul": _p_matmul,
-    "exp": _p_exp,
-    "tanh": _p_tanh,
-    "transpose": _p_transpose,
-    "reshape": _p_reshape,
-    "reduce_mean": _p_reduce_mean,
-    "reduce_sum": _p_reduce_sum,
-    "softmax_lastaxis": _p_softmax_lastaxis,
-    "slice": _p_slice,
-    "concat": _p_concat,
-    "take_rows": _p_take_rows,
-    "topk_mask": _p_topk_mask,
-}
-
-
-def primitive_names() -> tuple[str, ...]:
-    return tuple(_PRIMITIVES)
-
-
-def apply_primitive(name: str, inputs: Sequence[Tensor], attrs: dict | None = None) -> Tensor:
-    """Evaluate a registered primitive and record it on the active tape."""
-    fn = _PRIMITIVES.get(name)
-    if fn is None:
-        raise AutodiffError(f"unknown primitive {name!r}")
-    tensors = tuple([t if isinstance(t, Tensor) else Tensor(t) for t in inputs])
-    try:
-        out_data, bwd = fn(tuple([t.data for t in tensors]), attrs or {})
-    except ValueError as exc:  # numpy's shape checks, AxisError included
-        shapes = ", ".join(str(t.shape) for t in tensors)
-        raise ShapeError(f"{name}: {exc} (operand shapes {shapes})") from None
-    return record(name, tensors, out_data, bwd)
-
-
-# --- functional wrappers ---------------------------------------------------
-
-def add(a, b) -> Tensor:
-    return apply_primitive("add", (a, b))
-
-
-def sub(a, b) -> Tensor:
-    return apply_primitive("sub", (a, b))
-
-
-def mul(a, b) -> Tensor:
-    return apply_primitive("mul", (a, b))
-
-
-def matmul(a, b) -> Tensor:
-    return apply_primitive("matmul", (a, b))
-
-
-def exp(x) -> Tensor:
-    return apply_primitive("exp", (x,))
-
-
-def tanh(x) -> Tensor:
-    return apply_primitive("tanh", (x,))
-
-
-def transpose(x, axis_a: int, axis_b: int) -> Tensor:
-    return apply_primitive("transpose", (x,), {"axis_a": axis_a, "axis_b": axis_b})
-
-
-def reshape(x, shape: Sequence[int]) -> Tensor:
-    return apply_primitive("reshape", (x,), {"shape": tuple(shape)})
-
-
-def reduce_mean(x, axes=None) -> Tensor:
-    return apply_primitive("reduce_mean", (x,), {"axes": axes})
-
-
-def reduce_sum(x, axes=None) -> Tensor:
-    return apply_primitive("reduce_sum", (x,), {"axes": axes})
-
-
-def softmax_lastaxis(x) -> Tensor:
-    return apply_primitive("softmax_lastaxis", (x,))
-
-
-def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:
-    return apply_primitive("slice", (x,), {"axis": axis, "start": start, "stop": stop})
-
-
-def concat(tensors: Sequence, axis: int) -> Tensor:
-    return apply_primitive("concat", tuple(tensors), {"axis": axis})
-
-
-def take_rows(x, rows) -> Tensor:
-    """``x[rows]`` along axis 0 for a 1-D integer index array."""
-    return apply_primitive("take_rows", (x,), {"rows": rows})
-
-
-def topk_mask(x, k: int) -> Tensor:
-    return apply_primitive("topk_mask", (x,), {"k": k})
+    return np.where(mask, x, -np.inf), lambda g: (g * mask,)
 
 
 # --- gradient verification -------------------------------------------------

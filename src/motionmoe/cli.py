@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import (AutodiffError, Tape, Tensor, backward, mul,
+from .autodiff import (AutodiffError, Tape, Tensor, backward, get_default_dtype, mul,
                        reduce_sum, set_default_dtype)
 from .config import (ConfigError, RUN_SCHEMA, SYNTH_SCHEMA, format_config, from_values,
                      parse_config_file, parse_config_text, parse_value, schema_help)
@@ -71,50 +71,55 @@ def cmd_train(args) -> int:
     values = _load_values(args.config, args.set, RUN_SCHEMA)
     if not values["train_data"]:
         raise ConfigError("train_data is required (set it in the config or via --set)")
+    # the run's dtype, and the caller's again once the run ends or fails
+    previous = get_default_dtype()
     set_default_dtype(values["dtype"])
-    config = from_values(ModelConfig, values)
-    settings = from_values(TrainSettings, values)
-    _check_metrics(config, settings, "horizons", "root_joint")
+    try:
+        config = from_values(ModelConfig, values)
+        settings = from_values(TrainSettings, values)
+        _check_metrics(config, settings, "horizons", "root_joint")
 
-    train_seqs = read_dataset(values["train_data"])
-    if not train_seqs:
-        raise ConfigError(f"training dataset {values['train_data']} is empty")
-    val_seqs = read_dataset(values["val_data"]) if values["val_data"] else None
+        train_seqs = read_dataset(values["train_data"])
+        if not train_seqs:
+            raise ConfigError(f"training dataset {values['train_data']} is empty")
+        val_seqs = read_dataset(values["val_data"]) if values["val_data"] else None
 
-    resume = load_checkpoint(args.resume, expected_config=config) if args.resume else None
-    # Adam's moments would stay in the checkpoint's dtype while the parameters
-    # took the run's
-    if resume is not None and resume.param_dtype() != values["dtype"]:
-        raise ConfigError(f"--resume: checkpoint {args.resume} holds {resume.param_dtype()} "
-                          f"parameters, but this run's dtype is {values['dtype']}")
-    # fit goes on with the checkpoint's Adam settings, which resolved.cfg would misstate
-    for key in ("beta1", "beta2", "eps"):
-        if resume is not None and resume.adam_meta[key] != getattr(settings, key):
-            raise ConfigError(f"--resume: checkpoint {args.resume} holds Adam {key} "
-                              f"{resume.adam_meta[key]}, but this run's {key} is "
-                              f"{getattr(settings, key)}")
+        resume = load_checkpoint(args.resume, expected_config=config) if args.resume else None
+        # Adam's moments would stay in the checkpoint's dtype while the parameters
+        # took the run's
+        if resume is not None and resume.param_dtype() != values["dtype"]:
+            raise ConfigError(f"--resume: checkpoint {args.resume} holds {resume.param_dtype()} "
+                              f"parameters, but this run's dtype is {values['dtype']}")
+        # fit goes on with the checkpoint's Adam settings, which resolved.cfg would misstate
+        for key in ("beta1", "beta2", "eps"):
+            if resume is not None and resume.adam_meta[key] != getattr(settings, key):
+                raise ConfigError(f"--resume: checkpoint {args.resume} holds Adam {key} "
+                                  f"{resume.adam_meta[key]}, but this run's {key} is "
+                                  f"{getattr(settings, key)}")
 
-    out_dir = Path(settings.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_atomic(out_dir / "resolved.cfg", [format_config(values, RUN_SCHEMA).encode()])
+        out_dir = Path(settings.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_atomic(out_dir / "resolved.cfg", [format_config(values, RUN_SCHEMA).encode()])
 
-    model = MotionMoE(config)
-    audit = audit_parameters(model)
-    print(f"model parameters: {audit.total}")
+        model = MotionMoE(config)
+        audit = audit_parameters(model)
+        print(f"model parameters: {audit.total}")
 
-    log_path = out_dir / "train_log.jsonl"
-    started = time.perf_counter()
-    # one record per epoch as it ends, so a stopped run keeps its log
-    log = fit(model, train_seqs, val_seqs, settings, resume=resume,
-              hooks=(lambda _model, record: append_log(log_path, [record]),))
-    elapsed = time.perf_counter() - started
-    if log:
-        last = log[-1]
-        extra = f" val_jpe={last['val_jpe']:.3f}" if "val_jpe" in last else ""
-        print(f"trained {len(log)} epochs in {elapsed:.1f}s, "
-              f"final loss {last['train_loss']:.6f}{extra}")
-    print(f"artifacts in {out_dir}")
-    return 0
+        log_path = out_dir / "train_log.jsonl"
+        started = time.perf_counter()
+        # one record per epoch as it ends, so a stopped run keeps its log
+        log = fit(model, train_seqs, val_seqs, settings, resume=resume,
+                  hooks=(lambda _model, record: append_log(log_path, [record]),))
+        elapsed = time.perf_counter() - started
+        if log:
+            last = log[-1]
+            extra = f" val_jpe={last['val_jpe']:.3f}" if "val_jpe" in last else ""
+            print(f"trained {len(log)} epochs in {elapsed:.1f}s, "
+                  f"final loss {last['train_loss']:.6f}{extra}")
+        print(f"artifacts in {out_dir}")
+        return 0
+    finally:
+        set_default_dtype(previous)
 
 
 def _read_eval_pair(args):

@@ -207,16 +207,7 @@ def audit_parameters(model: MotionMoE) -> ParameterAudit:
         seen[p.tid] = name
         module = "/".join(name.split("/")[:2])
         per_module[module] = per_module.get(module, 0) + p.size
-    total = sum(per_module.values())
-
-    sharing_ok = not duplicates
-    for i, layer in enumerate(model.layers):
-        expected = (sum(p.size for p in layer.router.parameters().values())
-                    + sum(p.size for p in layer.spatial.parameters().values())
-                    + sum(p.size for p in layer.temporal.parameters().values()))
-        got = sum(count for module, count in per_module.items()
-                  if module.startswith(f"layer{i}/"))
-        if got != expected:
-            sharing_ok = False
-    return ParameterAudit(per_module=per_module, total=total,
-                          sharing_ok=sharing_ok, duplicates=duplicates)
+    # parameters() lists each layer's router and two blocks and nothing
+    # else, so an aliased tensor is the one way to break the sharing
+    return ParameterAudit(per_module=per_module, total=sum(per_module.values()),
+                          sharing_ok=not duplicates, duplicates=duplicates)

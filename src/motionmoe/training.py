@@ -372,6 +372,34 @@ def save_checkpoint(path, model: MotionMoE, optim: AdamState, epoch: int,
     write_atomic(path, with_crc(chunks))
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_fraction(value) -> bool:
+    return type(value) in (int, float) and 0 <= value < 1
+
+
+def _is_pcg64_state(value) -> bool:
+    try:
+        np.random.PCG64(0).state = value
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return False
+    return True
+
+
+# (field, what a resume needs of it, its check)
+_RESUME_FIELDS = (
+    ("epoch", "an integer >= 0", _is_count),
+    ("adam.step", "an integer >= 0", _is_count),
+    ("adam.beta1", "a number in [0, 1)", _is_fraction),
+    ("adam.beta2", "a number in [0, 1)", _is_fraction),
+    ("adam.eps", "a finite number > 0",
+     lambda value: type(value) in (int, float) and 0 < value < math.inf),
+    ("rng_state", "a PCG64 state", _is_pcg64_state),
+)
+
+
 def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpoint:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -418,11 +446,16 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
     for name, dtype, shape, count, lo in layout:
         arr = np.frombuffer(raw, dtype=dtype, count=count, offset=lo)
         tensors[name] = arr.reshape(shape).copy()
-    # what a resume reads, so that a header without it fails here, naming it
+    # what a resume reads, so that a header without it, or with a value a
+    # resume cannot use, fails here, naming it
     adam = header.get("adam") if isinstance(header.get("adam"), dict) else {}
-    for name in ("epoch", "adam.step", "adam.beta1", "adam.beta2", "adam.eps", "rng_state"):
-        if (adam if name.startswith("adam.") else header).get(name.removeprefix("adam.")) is None:
+    for name, what, valid in _RESUME_FIELDS:
+        value = (adam if name.startswith("adam.") else header).get(name.removeprefix("adam."))
+        if value is None:
             raise TrainingError(f"checkpoint header lacks the field {name!r}")
+        if not valid(value):
+            raise TrainingError(f"checkpoint header field {name!r} must be {what}, "
+                                f"got {value!r:.60}")
     return Checkpoint(config=config, epoch=header["epoch"], tensors=tensors,
                       adam_meta=adam, rng_state=header["rng_state"])
 

@@ -113,10 +113,11 @@ def primitive_cases(name, rng):
         big = ad.Tensor(well_scaled(rng, full))
         small = ad.Tensor(well_scaled(rng, reduced), requires_grad=True)
         wb = well_scaled(rng, full)
-        return [(lambda t: weighted_sum(ad.apply_primitive(name, (t, other)), w), x),
-                (lambda t: weighted_sum(ad.apply_primitive(name, (other, t)), w), x),
-                (lambda t: weighted_sum(ad.apply_primitive(name, (big, t)), wb), small),
-                (lambda t: weighted_sum(ad.apply_primitive(name, (t, big)), wb), small)]
+        op = getattr(ad, name)
+        return [(lambda t: weighted_sum(op(t, other), w), x),
+                (lambda t: weighted_sum(op(other, t), w), x),
+                (lambda t: weighted_sum(op(big, t), wb), small),
+                (lambda t: weighted_sum(op(t, big), wb), small)]
     if name == "matmul":
         n, m, p = (int(rng.integers(1, 9)) for _ in range(3))
         a = ad.Tensor(rng.standard_normal((n, m)), requires_grad=True)

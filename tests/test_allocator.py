@@ -1,8 +1,8 @@
 """What package import sets: the allocator policy, under which freed
 activation arrays stay in the heap, so steady-state forwards do not fault
-their pages in again, the version, which is pyproject's, and the private
-names that the package's modules import from each other.  Each policy test
-runs in a fresh interpreter, since the policy is process-wide."""
+their pages in again, the version, which is pyproject's, the exports, and
+the private names that the package's modules import from each other.  Each
+policy test runs in a fresh interpreter, since the policy is process-wide."""
 
 import ast
 import os
@@ -63,6 +63,11 @@ def test_package_version_is_the_pyproject_version():
     with open(Path(SRC).parent / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["version"] == motionmoe.__version__
+
+
+def test_every_export_resolves():
+    # a stale entry in __all__ would break ``from motionmoe import *``
+    assert [name for name in motionmoe.__all__ if not hasattr(motionmoe, name)] == []
 
 
 def test_modules_share_only_the_kernels_that_must_match_across_them():

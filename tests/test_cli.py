@@ -183,21 +183,18 @@ class TestTrain:
                                                             capsys, saved, run):
         data = synth(tmp_path)
         first = tmp_path / "first"
-        try:
-            assert main(["train", *MICRO_SET, "--set", f"train_data={data}",
-                         "--set", f"out_dir={first}", "--set", "epochs=1",
-                         "--set", f"dtype={saved}"]) == 0
+        assert main(["train", *MICRO_SET, "--set", f"train_data={data}",
+                     "--set", f"out_dir={first}", "--set", "epochs=1",
+                     "--set", f"dtype={saved}"]) == 0
 
-            def no_training(*args, **kwargs):
-                raise AssertionError("fit ran")
+        def no_training(*args, **kwargs):
+            raise AssertionError("fit ran")
 
-            monkeypatch.setattr(cli, "fit", no_training)
-            assert main(["train", *MICRO_SET, "--set", f"train_data={data}",
-                         "--set", f"out_dir={tmp_path / 'resumed'}", "--set", "epochs=3",
-                         "--set", f"dtype={run}",
-                         "--resume", str(first / "checkpoint_00001.stmc")]) == 2
-        finally:
-            ad.set_default_dtype(np.float64)
+        monkeypatch.setattr(cli, "fit", no_training)
+        assert main(["train", *MICRO_SET, "--set", f"train_data={data}",
+                     "--set", f"out_dir={tmp_path / 'resumed'}", "--set", "epochs=3",
+                     "--set", f"dtype={run}",
+                     "--resume", str(first / "checkpoint_00001.stmc")]) == 2
         assert not (tmp_path / "resumed").exists()
         err = capsys.readouterr().err
         assert "config error: --resume" in err
@@ -221,6 +218,35 @@ class TestTrain:
         assert f"holds Adam {setting.split('=')[0]} " in err and "is 0.5" in err
         assert (out / "resolved.cfg").read_bytes() == resolved
         assert sorted(p.name for p in out.glob("*.stmc")) == ["checkpoint_00001.stmc"]
+
+    @pytest.mark.parametrize("field,value", [("epoch", "1"), ("rng_state", {})])
+    def test_resume_from_a_header_field_of_the_wrong_type_exits_1_before_writing(
+            self, tmp_path, trained, capsys, field, value):
+        damaged = tmp_path / "damaged.stmc"
+        damaged.write_bytes(restamped(trained["checkpoint"].read_bytes(),
+                                      lambda header: header.update({field: value})))
+        out = tmp_path / "resumed"
+        assert main(["train", *MICRO_SET, "--set", f"train_data={trained['data']}",
+                     "--set", f"out_dir={out}", "--set", "epochs=3",
+                     "--resume", str(damaged)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: checkpoint header field '{field}'")
+        assert not (out / "resolved.cfg").exists() and not list(out.glob("*.stmc"))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_train_leaves_the_callers_default_dtype(self, tmp_path, trained, dtype):
+        run = ["train", *MICRO_SET, "--set", f"train_data={trained['data']}",
+               "--set", "epochs=1", "--set", f"dtype={dtype}"]
+        for caller in (np.float64, np.float32):
+            ad.set_default_dtype(caller)
+            try:
+                assert main([*run, "--set", f"out_dir={tmp_path / 'ok'}"]) == 0
+                assert ad.get_default_dtype() is caller
+                # and after a run that fails once the run's dtype is set
+                assert main([*run, "--set", f"out_dir={tmp_path / 'bad'}",
+                             "--set", f"val_data={tmp_path / 'absent.mmp1'}"]) == 1
+                assert ad.get_default_dtype() is caller
+            finally:
+                ad.set_default_dtype(np.float64)
 
     def test_resume_from_mixed_dtype_checkpoint_exits_1_before_writing(
             self, tmp_path, trained, monkeypatch, capsys):

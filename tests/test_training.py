@@ -676,6 +676,29 @@ class TestCheckpoints:
         with pytest.raises(TrainingError, match=f"lacks the field '{field}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("epoch", "1"), ("epoch", -1), ("epoch", True), ("epoch", 1.0), ("adam.step", "3"),
+        ("adam.step", -1), ("adam.beta1", 1.0), ("adam.beta1", "0.9"), ("adam.beta2", -0.1),
+        ("adam.beta2", False), ("adam.eps", 0), ("adam.eps", float("inf")), ("adam.eps", "1e-8"),
+        ("rng_state", {}), ("rng_state", "PCG64"),
+        ("rng_state", {"bit_generator": "PCG64", "state": {"state": -1, "inc": 1},
+                       "has_uint32": 0, "uinteger": 0})])
+    def test_a_header_field_a_resume_cannot_use_raises_training_error(self, tmp_path, field,
+                                                                      value):
+        model, _, _ = micro_setup()
+        path = tmp_path / "ckpt.stmc"
+        save_checkpoint(path, model, AdamState(), 1, np.random.default_rng(0))
+
+        def replace(header):
+            *parents, last = field.split(".")
+            for key in parents:
+                header = header[key]
+            header[last] = value
+
+        path.write_bytes(restamped(path.read_bytes(), replace))
+        with pytest.raises(TrainingError, match=f"header field '{field}' must be "):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("writer", ["checkpoint", "dataset"])
     def test_failed_write_leaves_no_partial_target(self, tmp_path, monkeypatch, writer):
         model, seqs, _ = micro_setup()
