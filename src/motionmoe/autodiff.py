@@ -19,6 +19,10 @@ takes Tensors (``add``, ``matmul``, ``slice_axis``, ...) and records the op.
 A fused op whose kernel lives outside the registry records itself through
 ``record``, as ``ssm``'s bidirectional block does.
 
+A module's weights are the ``Tensor`` fields of a dataclass that subclasses
+``Module``, whose ``parameters()`` walks the fields, nested modules and
+lists of them included, so that a weight is listed once, as a field.
+
 Kernels lean on numpy for shape checking: a primitive's function turns the
 ``ValueError`` its kernel raises on incompatible operands into a
 ``ShapeError`` that names the primitive.  A kernel checks shapes itself only
@@ -28,6 +32,7 @@ clipped slices, negative or boolean row indices).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 from typing import Callable, Sequence
@@ -103,6 +108,26 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+class Module:
+    """Base of the dataclasses that hold weights: their fields list them once."""
+
+    def parameters(self) -> dict[str, Tensor]:
+        """Name -> weight, walking the fields in order: a ``Tensor`` is
+        named by its field, a ``Module``'s weights by ``field/name`` and a
+        list's items by ``field{i}``; any other field is a setting."""
+        out: dict[str, Tensor] = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            items = ([(f"{f.name}{i}", v) for i, v in enumerate(value)]
+                     if isinstance(value, list) else [(f.name, value)])
+            for name, item in items:
+                if isinstance(item, Tensor):
+                    out[name] = item
+                elif isinstance(item, Module):
+                    out.update((f"{name}/{k}", t) for k, t in item.parameters().items())
+        return out
 
 
 class _Spent(int):

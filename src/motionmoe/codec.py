@@ -2,9 +2,12 @@
 encoder/decoder that maps DCT coefficient matrices to latent features.
 
 The graph is over the D = J*3 pose coordinates with a fully learnable dense
-adjacency; a layer computes act(A x W + b).  Encoder and decoder are both
-three layers (T -> hidden -> hidden -> T) with tanh on the hidden layers,
-a residual on the middle (width-preserving) layer, and inverted dropout.
+adjacency; a layer computes A x W + b.  The encoder (``PoseCodec.enc``) and
+the decoder (``dec``) are both three layers, T -> hidden -> hidden -> T, run
+by one fixed recipe: tanh of the first layer, then dropout; tanh of the
+middle layer, then dropout, plus the middle layer's input; the last layer,
+linear.  Dropout is inverted, at the codec's one rate, and draws its masks
+in that order.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, add, matmul, mul, tanh
+from .autodiff import Module, ShapeError, Tensor, add, matmul, mul, tanh
 
 
 def padding_matrix(history: int, total_frames: int) -> np.ndarray:
@@ -39,77 +42,61 @@ def apply_dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 
 @dataclass
-class GcnLayer:
+class GcnLayer(Module):
     adjacency: Tensor  # (D, D), learnable
     weight: Tensor     # (C_in, C_out)
     bias: Tensor       # (C_out,)
-    activation: str = "tanh"   # "tanh" or "none"
-    residual: bool = False
-    dropout: float = 0.0
 
-    def forward(self, x: Tensor, train_mode: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
+        """A x W + b over (batch, D, C_in) input."""
         if x.ndim != 3 or x.shape[1] != self.adjacency.shape[0]:
             raise ShapeError(
                 f"GcnLayer: expected (batch, {self.adjacency.shape[0]}, C_in), got {x.shape}")
         if x.shape[2] != self.weight.shape[0]:
             raise ShapeError(
                 f"GcnLayer: input width {x.shape[2]} != weight rows {self.weight.shape[0]}")
-        y = add(matmul(matmul(self.adjacency, x), self.weight), self.bias)
-        if self.activation == "tanh":
-            y = tanh(y)
-        elif self.activation != "none":
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if train_mode and self.dropout > 0.0:
-            if rng is None:
-                raise ValueError("dropout in train mode needs an explicit rng")
-            y = apply_dropout(y, self.dropout, rng)
-        if self.residual:
-            y = add(y, x)
-        return y
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"adjacency": self.adjacency, "weight": self.weight, "bias": self.bias}
+        return add(matmul(matmul(self.adjacency, x), self.weight), self.bias)
 
 
-def init_gcn_layer(rng: np.random.Generator, dim: int, c_in: int, c_out: int,
-                   activation: str, residual: bool, dropout: float) -> GcnLayer:
+def init_gcn_layer(rng: np.random.Generator, dim: int, c_in: int, c_out: int) -> GcnLayer:
     # identity + small noise keeps early propagation close to per-node
     adjacency = Tensor(np.eye(dim) + 0.01 * rng.standard_normal((dim, dim)),
                        requires_grad=True)
     bound = 1.0 / np.sqrt(c_in)
     weight = Tensor(rng.uniform(-bound, bound, size=(c_in, c_out)), requires_grad=True)
     bias = Tensor(np.zeros(c_out), requires_grad=True)
-    return GcnLayer(adjacency, weight, bias, activation, residual, dropout)
+    return GcnLayer(adjacency, weight, bias)
 
 
 @dataclass
-class PoseCodec:
-    encoder: list[GcnLayer]
-    decoder: list[GcnLayer]
+class PoseCodec(Module):
+    enc: list[GcnLayer]  # three layers each, run by the module docstring's recipe
+    dec: list[GcnLayer]
+    dropout: float
 
     def encode(self, coeffs: Tensor, train_mode: bool = False,
                rng: np.random.Generator | None = None) -> Tensor:
-        return _run_stack(self.encoder, coeffs, train_mode, rng)
+        return self._run(self.enc, coeffs, train_mode, rng)
 
     def decode(self, features: Tensor, train_mode: bool = False,
                rng: np.random.Generator | None = None) -> Tensor:
-        return _run_stack(self.decoder, features, train_mode, rng)
+        return self._run(self.dec, features, train_mode, rng)
 
-    def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for side, layers in (("enc", self.encoder), ("dec", self.decoder)):
-            for i, layer in enumerate(layers):
-                for name, p in layer.parameters().items():
-                    out[f"{side}{i}/{name}"] = p
-        return out
+    def _run(self, layers: list[GcnLayer], x: Tensor, train_mode: bool,
+             rng: np.random.Generator | None) -> Tensor:
+        first, middle, last = layers
 
+        def hidden(layer, h):
+            y = tanh(layer.forward(h))
+            if train_mode and self.dropout > 0.0:
+                if rng is None:
+                    raise ValueError("dropout in train mode needs an explicit rng")
+                y = apply_dropout(y, self.dropout, rng)
+            return y
 
-def _run_stack(layers: list[GcnLayer], x: Tensor, train_mode: bool,
-               rng: np.random.Generator | None) -> Tensor:
-    for layer in layers:
-        x = layer.forward(x, train_mode, rng)
-    return x
+        h = hidden(first, x)
+        h = add(hidden(middle, h), h)
+        return last.forward(h)
 
 
 def init_pose_codec(rng: np.random.Generator, pose_dim: int, frames: int,
@@ -117,10 +104,7 @@ def init_pose_codec(rng: np.random.Generator, pose_dim: int, frames: int,
     """Both stacks run frames -> hidden -> hidden -> frames over the pose graph."""
 
     def stack():
-        return [
-            init_gcn_layer(rng, pose_dim, frames, hidden, "tanh", False, dropout),
-            init_gcn_layer(rng, pose_dim, hidden, hidden, "tanh", True, dropout),
-            init_gcn_layer(rng, pose_dim, hidden, frames, "none", False, 0.0),
-        ]
+        return [init_gcn_layer(rng, pose_dim, c_in, c_out)
+                for c_in, c_out in ((frames, hidden), (hidden, hidden), (hidden, frames))]
 
-    return PoseCodec(encoder=stack(), decoder=stack())
+    return PoseCodec(enc=stack(), dec=stack(), dropout=dropout)

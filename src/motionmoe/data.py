@@ -56,8 +56,8 @@ class MotionSequence:
                             f"got {self.positions.shape}")
         if not np.all(np.isfinite(self.positions)):
             raise DataError("positions contain non-finite values")
-        if self.fps <= 0:
-            raise DataError(f"fps must be positive, got {self.fps}")
+        if not 0 < self.fps < math.inf:
+            raise DataError(f"fps must be positive and finite, got {self.fps}")
 
     @property
     def persons(self) -> int:

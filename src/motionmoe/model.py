@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, add, matmul
+from .autodiff import Module, ShapeError, Tensor, add, matmul
 from .codec import init_pose_codec, padding_matrix
 from .dct import DctBasis, dct_forward, dct_inverse
 from .moe import (EXPERT_KINDS, GateDecision, RouterParams, init_router,
@@ -93,7 +93,7 @@ class ModelConfig:
 
 
 @dataclass
-class MixtureLayer:
+class MixtureLayer(Module):
     router: RouterParams
     spatial: BiBlockParams
     temporal: BiBlockParams
@@ -171,16 +171,9 @@ class MotionMoE:
         return dct_inverse(decoded, self.basis), decisions
 
     def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for name, p in self.codec.parameters().items():
-            out[f"codec/{name}"] = p
+        out = {f"codec/{k}": v for k, v in self.codec.parameters().items()}
         for i, layer in enumerate(self.layers):
-            for name, p in layer.router.parameters().items():
-                out[f"layer{i}/router/{name}"] = p
-            for name, p in layer.spatial.parameters().items():
-                out[f"layer{i}/spatial/{name}"] = p
-            for name, p in layer.temporal.parameters().items():
-                out[f"layer{i}/temporal/{name}"] = p
+            out.update((f"layer{i}/{k}", v) for k, v in layer.parameters().items())
         return out
 
 

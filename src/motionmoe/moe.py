@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (ShapeError, Tensor, add, concat, is_recording, matmul, mul,
+from .autodiff import (Module, ShapeError, Tensor, add, concat, is_recording, matmul, mul,
                        reduce_mean, reshape, slice_axis, softmax_lastaxis,
                        take_rows, topk_mask, transpose)
 from .ssm import BiBlockParams, _chunk_steps, bidirectional_forward
@@ -64,7 +64,7 @@ EXPERT_KINDS = ("ST", "TT", "TS", "SS")
 
 
 @dataclass
-class RouterParams:
+class RouterParams(Module):
     gate_weight: Tensor  # (D, N)
     gate_bias: Tensor    # (N,)
     k: int
@@ -77,9 +77,6 @@ class RouterParams:
     @property
     def n_experts(self) -> int:
         return self.gate_weight.shape[1]
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"gate_weight": self.gate_weight, "gate_bias": self.gate_bias}
 
 
 def init_router(rng: np.random.Generator, pose_dim: int, n_experts: int, k: int) -> RouterParams:

@@ -99,8 +99,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (AutodiffError, ShapeError, Tensor, _matmul_grads, _unbroadcast,
-                       is_recording, record)
+from .autodiff import (AutodiffError, Module, ShapeError, Tensor, _matmul_grads,
+                       _unbroadcast, is_recording, record)
 
 SCAN_MODES = ("bidirectional", "forward", "backward")
 # a tape-free block call's budget per stacked (rows, L, E*C) array of a row tile
@@ -218,7 +218,7 @@ def default_dt_rank(channels: int) -> int:
 
 
 @dataclass
-class MambaBlockParams:
+class MambaBlockParams(Module):
     in_proj: Tensor      # (C, 2*E*C)
     conv_kernel: Tensor  # (E*C, W)
     conv_bias: Tensor    # (E*C,)
@@ -227,18 +227,6 @@ class MambaBlockParams:
     dt_bias: Tensor      # (E*C,)
     A_log: Tensor        # (E*C, N)
     out_proj: Tensor     # (E*C, C)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {
-            "in_proj": self.in_proj,
-            "conv_kernel": self.conv_kernel,
-            "conv_bias": self.conv_bias,
-            "x_proj": self.x_proj,
-            "dt_proj": self.dt_proj,
-            "dt_bias": self.dt_bias,
-            "A_log": self.A_log,
-            "out_proj": self.out_proj,
-        }
 
 
 def _uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -373,8 +361,9 @@ def _mamba_block(params: MambaBlockParams, xd: np.ndarray, keep: bool):
     gradient and the input again, and returns the gradients of the input and
     of the weights in ``params.parameters()`` order.  It lets go of what
     was saved as it goes, so it runs once."""
-    w_in, kernel, conv_bias, w_proj, dt_proj, dt_bias, a_log, w_out = (
-        t.data for t in params.parameters().values())
+    w_in, kernel, conv_bias = params.in_proj.data, params.conv_kernel.data, params.conv_bias.data
+    w_proj, dt_proj, dt_bias = params.x_proj.data, params.dt_proj.data, params.dt_bias.data
+    a_log, w_out = params.A_log.data, params.out_proj.data
     (inner, n), rank = a_log.shape, dt_proj.shape[0]
     # slicing the weight, not the (B, L, 2*E*C) activation, keeps x and z
     # from being materialized together; z is formed only after the scan
@@ -446,7 +435,7 @@ def _mamba_block(params: MambaBlockParams, xd: np.ndarray, keep: bool):
 
 
 @dataclass
-class BiBlockParams:
+class BiBlockParams(Module):
     """Shared-weight bidirectional block plus its LN/FFN head.
 
     Both scan directions reuse the single ``mamba`` instance; the wrapper
@@ -455,6 +444,10 @@ class BiBlockParams:
     forward, scans its time reversal ("backward"), or sums both
     ("bidirectional").  A reversed scan's output is flipped back into input
     frame order, so that a "bidirectional" block commutes with time reversal.
+
+    ``parameters()`` names the Mamba weights ``mamba/<field>``, then the
+    head's eight by field, in the order ``_head`` takes them; ``scan_mode``
+    is a setting, not a weight.
     """
 
     mamba: MambaBlockParams
@@ -467,20 +460,6 @@ class BiBlockParams:
     ffn_w2: Tensor  # (2C, C)
     ffn_b2: Tensor  # (C,)
     scan_mode: str = "bidirectional"
-
-    def parameters(self) -> dict[str, Tensor]:
-        out = {f"mamba/{k}": v for k, v in self.mamba.parameters().items()}
-        out.update({
-            "ln_inner_gamma": self.ln_inner_gamma,
-            "ln_inner_beta": self.ln_inner_beta,
-            "ln_outer_gamma": self.ln_outer_gamma,
-            "ln_outer_beta": self.ln_outer_beta,
-            "ffn_w1": self.ffn_w1,
-            "ffn_b1": self.ffn_b1,
-            "ffn_w2": self.ffn_w2,
-            "ffn_b2": self.ffn_b2,
-        })
-        return out
 
 
 def init_bi_block(rng: np.random.Generator, channels: int, expand: int = 2,

@@ -425,7 +425,11 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
         for entry in header["tensors"]:
             dtype = np.dtype(entry["dtype"])
             shape = tuple(int(n) for n in entry["shape"])
-            count = int(np.prod(shape, dtype=np.int64)) or 1
+            if dtype not in (np.float32, np.float64) or min(shape, default=0) < 0:
+                raise TrainingError(f"checkpoint header has a malformed tensor entry: "
+                                    f"{entry['name']!r} has dtype {entry['dtype']!r} and "
+                                    f"shape {entry['shape']!r}")
+            count = math.prod(shape)
             lo = base + int(entry["offset"])
             if lo < base or lo + count * dtype.itemsize > end:
                 raise TrainingError(

@@ -1,8 +1,9 @@
 """What package import sets: the allocator policy, under which freed
 activation arrays stay in the heap, so steady-state forwards do not fault
-their pages in again, the version, which is pyproject's, the exports, and
-the private names that the package's modules import from each other.  Each
-policy test runs in a fresh interpreter, since the policy is process-wide."""
+their pages in again, the version, which is pyproject's, the exports, the
+private names that the package's modules import from each other, and the
+classes that define ``parameters``.  Each policy test runs in a fresh
+interpreter, since the policy is process-wide."""
 
 import ast
 import os
@@ -86,6 +87,20 @@ def test_modules_share_only_the_kernels_that_must_match_across_them():
                            if alias.name.startswith("_")}
     assert shared == {("autodiff", "ssm", "_matmul_grads"), ("autodiff", "ssm", "_unbroadcast"),
                       ("ssm", "moe", "_chunk_steps")}
+
+
+def test_only_the_module_base_and_the_model_list_parameters():
+    # a module's weights are its dataclass fields, which ``Module.parameters``
+    # walks; a hand-written list beside them can miss a field, which is then
+    # never trained, checkpointed or audited.  ``MotionMoE`` names its codec
+    # and layers
+    owners = []
+    for path in sorted(Path(SRC, "motionmoe").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                owners += [f"{path.stem}.{node.name}" for item in node.body
+                           if isinstance(item, ast.FunctionDef) and item.name == "parameters"]
+    assert owners == ["autodiff.Module", "model.MotionMoE"]
 
 
 def test_every_imported_name_is_used():

@@ -299,6 +299,17 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint holds an invalid config: ") and key in err
 
+    @pytest.mark.parametrize("entry,message", [
+        ({"shape": [0]}, "checkpoint parameter 'codec/enc0/adjacency' has shape (0,)"),
+        ({"shape": [-2]}, "checkpoint header has a malformed tensor entry"),
+        ({"dtype": "object"}, "checkpoint header has a malformed tensor entry")])
+    def test_a_malformed_tensor_entry_exits_1(self, trained, tmp_path, capsys, entry, message):
+        damaged = tmp_path / "damaged.stmc"
+        damaged.write_bytes(restamped(trained["checkpoint"].read_bytes(),
+                                      lambda header: header["tensors"][0].update(entry)))
+        assert main(["eval", "--checkpoint", str(damaged), "--data", str(trained["data"])]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_bad_checkpoint_exits_1(self, trained, tmp_path):
         bogus = tmp_path / "bogus.stmc"
         bogus.write_bytes(b"JUNKJUNKJUNK")

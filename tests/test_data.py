@@ -9,7 +9,7 @@ import pytest
 from motionmoe.data import (FORMAT_VERSION, MAGIC, DataError, GeneratorSpec,
                             MotionSequence, batch_iter, flatten_poses,
                             read_dataset, synth_generate, unflatten_poses,
-                            write_dataset)
+                            with_crc, write_dataset)
 
 
 def tiny_spec(**overrides):
@@ -139,9 +139,20 @@ class TestSequenceValidation:
         with pytest.raises(DataError, match="at least one person, frame and joint"):
             read_dataset(path)
 
-    def test_fps_guard(self):
-        with pytest.raises(DataError, match="fps"):
-            MotionSequence(np.zeros((1, 2, 2, 3), dtype=np.float32), 0.0)
+    @pytest.mark.parametrize("fps", [0.0, -25.0, float("nan"), float("inf"), float("-inf")])
+    def test_fps_guard(self, fps):
+        with pytest.raises(DataError, match="fps must be positive"):
+            MotionSequence(np.zeros((1, 2, 2, 3), dtype=np.float32), fps)
+
+    @pytest.mark.parametrize("fps", [float("nan"), float("inf")])
+    def test_file_with_a_non_finite_fps_rejected(self, tmp_path, fps):
+        # re-checksummed, so that only the fps is wrong
+        path = tmp_path / "motion.bin"
+        write_dataset(synth_generate(tiny_spec(sequences=2)), path)
+        raw = path.read_bytes()[:-4]
+        path.write_bytes(b"".join(with_crc([raw[:24], struct.pack("<f", fps), raw[28:]])))
+        with pytest.raises(DataError, match="fps must be positive"):
+            read_dataset(path)
 
 
 class TestGenerator:

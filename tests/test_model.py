@@ -374,3 +374,33 @@ class TestParameterBudget:
         assert any(n.startswith("layer1/spatial/mamba/") for n in names)
         assert any(n.startswith("layer1/temporal/ffn") or
                    n.startswith("layer1/temporal/") for n in names)
+
+    def test_parameter_names_and_shapes_in_checkpoint_order(self):
+        # the names and order that .stmc files store parameters under: a
+        # rename or a reorder makes existing checkpoints unreadable.  D = 9
+        # pose coordinates, T = 8 frames, hidden 12, N = 4 states, conv
+        # width 2, dt rank 1, 4 experts
+        codec = [(f"codec/{side}{i}/{leaf}", shape)
+                 for side in ("enc", "dec")
+                 for i, (c_in, c_out) in enumerate([(8, 12), (12, 12), (12, 8)])
+                 for leaf, shape in [("adjacency", (9, 9)), ("weight", (c_in, c_out)),
+                                     ("bias", (c_out,))]]
+
+        def block(c):
+            e = 2 * c
+            return [("mamba/in_proj", (c, 2 * e)), ("mamba/conv_kernel", (e, 2)),
+                    ("mamba/conv_bias", (e,)), ("mamba/x_proj", (e, 1 + 2 * 4)),
+                    ("mamba/dt_proj", (1, e)), ("mamba/dt_bias", (e,)),
+                    ("mamba/A_log", (e, 4)), ("mamba/out_proj", (e, c)),
+                    ("ln_inner_gamma", (c,)), ("ln_inner_beta", (c,)),
+                    ("ln_outer_gamma", (c,)), ("ln_outer_beta", (c,)),
+                    ("ffn_w1", (c, 2 * c)), ("ffn_b1", (2 * c,)),
+                    ("ffn_w2", (2 * c, c)), ("ffn_b2", (c,))]
+
+        layers = [(f"layer{i}/{name}", shape)
+                  for i in range(2)
+                  for name, shape in [("router/gate_weight", (9, 4)), ("router/gate_bias", (4,)),
+                                      *[(f"spatial/{n}", s) for n, s in block(8)],
+                                      *[(f"temporal/{n}", s) for n, s in block(9)]]]
+        model = micro_model(moe_layers=2)
+        assert [(name, p.shape) for name, p in model.parameters().items()] == codec + layers

@@ -676,6 +676,32 @@ class TestCheckpoints:
         with pytest.raises(TrainingError, match=f"lacks the field '{field}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("entry,message", [
+        *[(entry, "malformed tensor entry: 'param/codec/enc0/adjacency' has dtype")
+          for entry in ({"shape": [-2]}, {"shape": [3, -1]}, {"dtype": "object"},
+                        {"dtype": "int64"}, {"dtype": ">f8"})],
+        # a size that wraps to 0 in int64 must not pass the bounds check
+        ({"shape": [2 ** 32, 2 ** 32]}, "'param/codec/enc0/adjacency' runs past the end")])
+    def test_a_malformed_tensor_entry_raises_training_error(self, tmp_path, entry, message):
+        model, _, _ = micro_setup()
+        path = tmp_path / "ckpt.stmc"
+        save_checkpoint(path, model, AdamState(), 1, np.random.default_rng(0))
+        path.write_bytes(restamped(path.read_bytes(),
+                                   lambda header: header["tensors"][0].update(entry)))
+        with pytest.raises(TrainingError, match=message):
+            load_checkpoint(path)
+
+    def test_a_zero_size_tensor_entry_loads_and_fails_the_shape_check(self, tmp_path):
+        model, _, _ = micro_setup()
+        path = tmp_path / "ckpt.stmc"
+        save_checkpoint(path, model, AdamState(), 1, np.random.default_rng(0))
+        path.write_bytes(restamped(path.read_bytes(),
+                                   lambda header: header["tensors"][0].update(shape=[0])))
+        ckpt = load_checkpoint(path)
+        assert ckpt.tensors["param/codec/enc0/adjacency"].shape == (0,)
+        with pytest.raises(TrainingError, match="'codec/enc0/adjacency' has shape \\(0,\\)"):
+            model_from_checkpoint(ckpt)
+
     @pytest.mark.parametrize("field,value", [
         ("epoch", "1"), ("epoch", -1), ("epoch", True), ("epoch", 1.0), ("adam.step", "3"),
         ("adam.step", -1), ("adam.beta1", 1.0), ("adam.beta1", "0.9"), ("adam.beta2", -0.1),
