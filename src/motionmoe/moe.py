@@ -12,32 +12,36 @@ A kind names its two stages in order, S for spatial and T for temporal:
 Experts share computation as well as weights: a mixture layer computes
 each first stage (S or T) once, and only if some expert with a nonzero
 weight starts with it, then applies each such expert's second stage to it.
-On a tape, the kinds that end in the same stage (ST and TT, TS and SS) run
-that stage as one call on their stacked inputs, so the full pool makes four
-block calls per layer, in the order given below.  Off the tape
-each kind runs its own second stage, six calls in all.  The switch follows
-what the code observes, whether the stage input is recorded, and the two
-sides have different costs.  A small training step is dominated by per-op
-Python, and stacking halves the second stages' kernel calls and so their
-per-step Python loops.  It does not save tape nodes: its concat and slice
-nodes outnumber the block nodes it saves (60 against 58 per forward of the
-overfit problem), yet per-kind calls there ran about 10% slower per epoch.
-A tape-free forecast is dominated by the block's arithmetic, which stacking
-leaves as it is.  Its block calls run in row tiles (see ``ssm``), so a
-stacked call's working set is no larger, but the stack's concatenated
-input and sliced outputs are extra whole-batch copies: stacking off the
-tape as well raised the forecast benchmark's peak RSS by about 2 MB, with
-no clear time saving.
+One rule, the same on and off the tape, decides how the second stages
+run.  The kinds that end in the same stage (ST and TT, TS and SS) run it as
+one call on their stacked inputs while that call's scan-gradient chunk
+buffer, directions * rows * ceil(sqrt(L)) * N * E*C * itemsize
+(``ssm._scan_chunk_bytes``), fits ``ssm._TILE_BYTES``, the budget of the
+tape-free row tiles; otherwise each kind runs its own call.  A stack saves
+per-step Python: it halves the second stages' kernel calls and so their
+scan loops, which is what a small training step pays for (the overfit
+problem, whose stacks hold about 0.2 MB, ran about 10% slower per epoch
+with per-kind calls), though not tape nodes (its concat and slice nodes
+outnumber the block nodes it saves, 60 against 58 per forward there).  A
+large stack costs memory instead.  Recorded, it doubles the rows of the
+chunk buffers its backward holds at the step's peak; off the tape, where
+the row tiles keep the block's working set as it is, its concatenated
+input and sliced outputs are extra whole-batch copies.  At
+``ModelConfig()`` in float32 on 8 rows the stacks would hold 2.15 and
+1.66 MB, so each kind runs its own call, and a traced train step peaks at
+18.7 MB against 22.6 MB stacked.  A tape-free row has the same bits in any
+stack, so the rule moves no forecast bit.
 
-On the tape the first stages are recorded in pool order, then the two
-second stages in decreasing order of their backward's chunk scratch,
-rows * ceil(sqrt(L)) * E*C, read from the stage's input and weights.  At
-``ModelConfig()`` shapes that puts S second (L = 45, E*C = 150) before T
-second (L = 75, E*C = 90).  The backward runs in reverse and releases each
-node once it has run, so the costlier stage's two (q, rows, N, E*C) chunk
-buffers are allocated after the other stage's kept arrays are freed.  The
-order moves no bit: each first-stage output has at most two consumers, and
-two adjoints add to the same bits in either order.
+The first stages run first, in pool order, then the second-stage calls in
+decreasing order of their chunk buffers; at ``ModelConfig()`` shapes S
+second (L = 45, E*C = 150) comes before T second (L = 75, E*C = 90).  On a
+tape the backward runs in reverse and releases each node once it has run,
+so the costliest call's chunk buffers are allocated after the other calls'
+kept arrays are freed.  Where each second stage is one call, the order
+moves no bit: each first-stage output has at most two consumers, and two
+adjoints add to the same bits in either order.  Per-kind calls give each
+block's weights three consumers, and there the order sets the gradients'
+last bits.
 
 The gate reduces each sample's feature map by a temporal mean, applies one
 linear layer, keeps the top-k logits (ties to the lowest index), masks the
@@ -55,10 +59,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Module, ShapeError, Tensor, add, concat, is_recording, matmul, mul,
-                       reduce_mean, reshape, slice_axis, softmax_lastaxis,
-                       take_rows, topk_mask, transpose)
-from .ssm import BiBlockParams, _chunk_steps, bidirectional_forward
+from .autodiff import (Module, ShapeError, Tensor, add, concat, matmul, mul, reduce_mean,
+                       reshape, slice_axis, softmax_lastaxis, take_rows, topk_mask, transpose)
+from .ssm import _TILE_BYTES, BiBlockParams, _scan_chunk_bytes, bidirectional_forward
 
 EXPERT_KINDS = ("ST", "TT", "TS", "SS")
 
@@ -144,12 +147,13 @@ def expert_outputs(kinds, shared_s: BiBlockParams, shared_t: BiBlockParams,
     rows.  ``None`` means every row.  A stage whose rows are the whole batch
     is not gathered.
 
-    When a second stage's input is recorded on a tape, the kinds ending in
-    that stage run it as one call on their stacked inputs: four block calls
-    for the full pool, against six off the tape (the module docstring says
-    why the two differ).  On the tape the first stages are recorded first,
-    in pool order, and then the two second stages, the one whose backward
-    needs the larger chunk scratch first.
+    The first stages run first, in pool order.  The kinds ending in the
+    same stage then run it as one call on their stacked inputs if that
+    call's scan-gradient chunk buffer fits one row tile, and each in its
+    own call otherwise, on and off the tape alike: four block calls for the
+    full pool on small inputs, six on ``ModelConfig()``'s 8-row batches.
+    The second-stage calls run in decreasing order of their chunk buffers
+    (the module docstring says why).
     """
     kinds = list(dict.fromkeys(kinds))
     for kind in kinds:
@@ -174,26 +178,25 @@ def expert_outputs(kinds, shared_s: BiBlockParams, shared_t: BiBlockParams,
             first = take_rows(first, np.searchsorted(head, want[kind]))
         return first
 
-    if not kinds or not is_recording([first_stage(kinds[0][0])[1]]):
-        return {kind: _stage(kind[1], shared_s, shared_t, second_input(kind)) for kind in kinds}
     ends: dict[str, list[str]] = {}
     for kind in kinds:
         first_stage(kind[0])
         ends.setdefault(kind[1], []).append(kind)
 
-    def scratch(name: str) -> int:
-        # rows * ceil(sqrt(L)) * E*C: the stage's scan-gradient chunk buffers
-        # over the factors both blocks share, the state size and directions
-        block, length = ((shared_s, features.shape[1]) if name == "S"
+    def scratch(group: list[str]) -> int:
+        # the chunk buffer of the group's second-stage call
+        block, length = ((shared_s, features.shape[1]) if group[0][1] == "S"
                          else (shared_t, features.shape[2]))
-        rows = sum(len(want[k]) for k in ends[name])
-        return rows * _chunk_steps(length) * block.mamba.A_log.shape[0]
+        rows = sum(len(want[k]) for k in group)
+        return _scan_chunk_bytes(block, rows, length, features.data.dtype)
 
+    calls = [call for group in ends.values()
+             for call in ([group] if scratch(group) <= _TILE_BYTES else [[k] for k in group])]
     outs: dict[str, Tensor] = {}
-    for name in sorted(ends, key=scratch, reverse=True):  # stable: ties keep pool order
-        group = ends[name]
+    for group in sorted(calls, key=scratch, reverse=True):  # stable: ties keep pool order
         xs = [second_input(k) for k in group]
-        y = _stage(name, shared_s, shared_t, xs[0] if len(xs) == 1 else concat(xs, axis=0))
+        y = _stage(group[0][1], shared_s, shared_t,
+                   xs[0] if len(xs) == 1 else concat(xs, axis=0))
         if len(xs) == 1:
             outs[group[0]] = y
             continue

@@ -60,9 +60,10 @@ the ``matmul`` and ``add`` primitives of its oracle chain bit for bit.
 The bidirectional wrapper shares ONE set of block weights between the
 forward and the reversed scan, and runs both as one block call on the
 (2B, L, C) stack of x and its time reversal.  It adds the raw input back,
-and finishes with LN(LN(core) + FFN(LN(core))).  On a tape the mixture
-layer stacks further, the inputs of two experts into one call, which the
-per-step backward reduction pays for in memory (see ``moe``).
+and finishes with LN(LN(core) + FFN(LN(core))).  The mixture layer stacks
+further, the inputs of two experts into one call, only while the call's
+scan-gradient chunk buffer, ``_scan_chunk_bytes``, fits ``_TILE_BYTES``
+(see ``moe``).
 
 ``bidirectional_forward`` records the whole wrapper as one ``bi_block`` op
 over x and the block's 16 weights, and calls the Mamba kernel inside that
@@ -481,6 +482,16 @@ def init_bi_block(rng: np.random.Generator, channels: int, expand: int = 2,
         ffn_b2=Tensor(np.zeros(channels), requires_grad=True),
         scan_mode=scan_mode,
     )
+
+
+def _scan_chunk_bytes(params: BiBlockParams, rows: int, length: int, dtype) -> int:
+    """Bytes of each of the two (q, directions * rows, N, E*C) chunk buffers
+    that the scan gradient of a recorded block call on (rows, length, C)
+    data of ``dtype`` holds, q = ceil(sqrt(L)) steps long."""
+    inner, n = params.mamba.A_log.shape
+    steps = min(_chunk_steps(length), length)
+    itemsize = np.result_type(dtype, params.mamba.A_log.data).itemsize
+    return len(_REVERSED_ROWS[params.scan_mode]) * rows * steps * n * inner * itemsize
 
 
 def bidirectional_forward(params: BiBlockParams, x: Tensor) -> Tensor:

@@ -161,19 +161,28 @@ class TrainSettings:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
 
-def scene_batches(config: ModelConfig, sequences: list[MotionSequence],
-                  batch_size: int, shuffle_seed: int | None = None):
-    """Yield (history, target) of shape (scenes, pose_dim, t / T) for batches
-    of batch_size sequences.  A scene is scene_persons consecutive persons of
-    one sequence on the pose axis; ``reshape(-1, joints, 3, T)`` splits it
-    back into persons.  Mismatched joints, or persons that do not divide into
-    scenes, raise DataError before the first batch."""
+def _check_scenes(config: ModelConfig, sequences: list[MotionSequence]) -> None:
+    """Raise DataError unless the model can read every sequence: its joint
+    count, persons that divide into scenes, and total_frames frames."""
     for i, seq in enumerate(sequences):
         if seq.joints != config.joints:
             raise DataError(f"sequence {i} has {seq.joints} joints, the model {config.joints}")
         if seq.persons % config.scene_persons:
             raise DataError(f"sequence {i} has {seq.persons} person(s), not a multiple of "
                             f"scene_persons={config.scene_persons}")
+        if seq.frames < config.total_frames:
+            raise DataError(f"sequence {i} has {seq.frames} frames, "
+                            f"needs >= {config.total_frames}")
+
+
+def scene_batches(config: ModelConfig, sequences: list[MotionSequence],
+                  batch_size: int, shuffle_seed: int | None = None):
+    """Yield (history, target) of shape (scenes, pose_dim, t / T) for batches
+    of batch_size sequences.  A scene is scene_persons consecutive persons of
+    one sequence on the pose axis; ``reshape(-1, joints, 3, T)`` splits it
+    back into persons.  Sequences that ``_check_scenes`` refuses raise
+    DataError before the first batch."""
+    _check_scenes(config, sequences)
     for hist, target in batch_iter(sequences, batch_size, config.history_frames,
                                    config.total_frames, shuffle_seed):
         yield (hist.reshape(-1, config.pose_dim, config.history_frames),
@@ -248,7 +257,10 @@ def fit(model: MotionMoE, train_seqs: list[MotionSequence],
 
     When ``resume`` is given, training continues from its epoch with the
     optimizer and RNG state restored, reproducing an uninterrupted run.
+    Validation sequences that ``_check_scenes`` refuses raise DataError
+    before the first step.
     """
+    _check_scenes(model.config, val_seqs or [])
     if resume is not None:
         restore_into(model, resume)
         optim = resume.optim_state()

@@ -75,8 +75,9 @@ def test_modules_share_only_the_kernels_that_must_match_across_them():
     # (from module, into module, name) of each private name imported from a
     # sibling: the matmul and broadcast-sum gradients, which the fused block
     # shares with the matmul and add primitives of its oracle chain, and the
-    # scan's chunk length, by which the mixture orders its stacked stages.  A
-    # kernel that only one module runs lives in that module
+    # scan gradient's chunk buffer size and the tile budget, by which the
+    # mixture stacks and orders its second stages.  A kernel that only one
+    # module runs lives in that module
     shared = set()
     for path in sorted(Path(SRC, "motionmoe").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -86,7 +87,7 @@ def test_modules_share_only_the_kernels_that_must_match_across_them():
                 shared |= {(source, path.stem, alias.name) for alias in node.names
                            if alias.name.startswith("_")}
     assert shared == {("autodiff", "ssm", "_matmul_grads"), ("autodiff", "ssm", "_unbroadcast"),
-                      ("ssm", "moe", "_chunk_steps")}
+                      ("ssm", "moe", "_TILE_BYTES"), ("ssm", "moe", "_scan_chunk_bytes")}
 
 
 def test_only_the_module_base_and_the_model_list_parameters():

@@ -335,8 +335,8 @@ class TestSharedComputation:
         for g, ref in zip(grads, ref_grads):
             assert np.abs(g - ref).max() <= 1e-12 * scale
 
-    @pytest.mark.parametrize("pool,calls", [(EXPERT_KINDS, 6), (("ST",), 2),
-                                            (("ST", "ST", "TT", "ST"), 4)])
+    @pytest.mark.parametrize("pool,calls", [(EXPERT_KINDS, [6, 6, 12, 12]), (("ST",), [6, 6]),
+                                            (("ST", "ST", "TT", "ST"), [6, 6, 12])])
     def test_block_and_mamba_calls_per_layer(self, pool, calls, monkeypatch):
         router, shared_s, shared_t, _ = self.make_layer(pool, len(pool))
         counted = []
@@ -349,8 +349,10 @@ class TestSharedComputation:
         monkeypatch.setattr(ssm, "_mamba_block", counting)
         x = ad.Tensor(np.random.default_rng(22).standard_normal((3, 5, 7)))
         moe_layer_forward(router, shared_s, shared_t, pool, x)
-        # one stacked call per block application, both directions at once
-        assert counted == [6] * calls
+        # one call per first stage on 3 rows, both directions at once; the
+        # kinds ending in the same stage stack their 3 + 3 rows into one
+        # call, since its chunk buffer fits one tile
+        assert counted == calls
 
     def test_recorded_layer_stacks_each_second_stage(self, monkeypatch):
         router, shared_s, shared_t, _ = self.make_layer(EXPERT_KINDS, 4)
@@ -468,9 +470,11 @@ class TestRowDispatch:
                              [(0, 1), (0, 3), (1, 2), (0, 1)])
         calls = self.block_calls(router, shared_s, shared_t, x_data, monkeypatch)
         # each call stacks both directions, so it gets 2x the routed rows:
-        # S first on rows {0, 1, 3}, ST's second stage on {0, 1, 3}, T first
-        # on {0, 2, 3}, TT's second stage on {0, 2, 3}, TS's on {2}, SS's on {1}
-        assert calls == [("S", 6), ("T", 6), ("T", 6), ("T", 6), ("S", 2), ("S", 2)]
+        # S first on rows {0, 1, 3}, T first on {0, 2, 3}, then the stacked
+        # second stages, larger chunk buffer first: ST's rows {0, 1, 3} and
+        # TT's {0, 2, 3} in the temporal block, TS's {2} and SS's {1} in the
+        # spatial block
+        assert calls == [("S", 6), ("T", 6), ("T", 12), ("S", 4)]
 
     def test_first_stage_no_routed_kind_needs_is_never_called(self, monkeypatch):
         router, shared_s, shared_t = self.make_layer(1)

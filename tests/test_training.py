@@ -386,6 +386,22 @@ class TestScenes:
         for n, p in model.parameters().items():
             np.testing.assert_array_equal(p.data, before[n])
 
+    @pytest.mark.parametrize("spec,error", [
+        (dict(joints=4), "4 joints, the model 3"),
+        (dict(persons=3), r"3 person\(s\), not a multiple of scene_persons=2"),
+        (dict(frames=7), "7 frames, needs >= 8"),
+    ], ids=["joints", "persons", "frames"])
+    def test_validation_data_the_model_cannot_read_raises_before_a_step(self, spec, error,
+                                                                        monkeypatch):
+        model = MotionMoE(ModelConfig(**MICRO_MODEL, scene_persons=2))
+        seqs = synth_generate(GeneratorSpec(**{**MICRO_DATA, "persons": 2}))
+        val = synth_generate(GeneratorSpec(**{**MICRO_DATA, "persons": 2, **spec}))
+        steps = []
+        monkeypatch.setattr(training, "run_epoch", lambda *args, **kwargs: steps.append(args))
+        with pytest.raises(DataError, match=error):
+            fit(model, seqs, val, TrainSettings(epochs=1, batch_size=2, horizons=(0.04,)))
+        assert steps == []
+
     def test_other_joint_count_raises(self):
         model, _, settings = micro_setup()
         seqs = synth_generate(GeneratorSpec(**{**MICRO_DATA, "joints": 4}))
