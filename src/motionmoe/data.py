@@ -263,6 +263,13 @@ def unflatten_poses(flat: np.ndarray) -> np.ndarray:
     return flat.reshape(m, d // 3, 3, t).transpose(0, 3, 1, 2)
 
 
+def check_frames(sequences: list[MotionSequence], total_frames: int) -> None:
+    """Raise DataError if a sequence is shorter than total_frames."""
+    for i, seq in enumerate(sequences):
+        if seq.frames < total_frames:
+            raise DataError(f"sequence {i} has {seq.frames} frames, needs >= {total_frames}")
+
+
 def batch_iter(sequences: list[MotionSequence], batch_size: int,
                history_frames: int, total_frames: int,
                shuffle_seed: int | None = None):
@@ -277,9 +284,7 @@ def batch_iter(sequences: list[MotionSequence], batch_size: int,
     if not 0 < history_frames < total_frames:
         raise DataError(
             f"need 0 < history_frames < total_frames, got {history_frames}/{total_frames}")
-    for i, seq in enumerate(sequences):
-        if seq.frames < total_frames:
-            raise DataError(f"sequence {i} has {seq.frames} frames, needs >= {total_frames}")
+    check_frames(sequences, total_frames)
 
     order = np.arange(len(sequences))
     if shuffle_seed is not None:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .autodiff import (Tape, Tensor, backward, get_default_dtype, reshape,
                        set_default_dtype)
-from .data import (DataError, MotionSequence, batch_iter, crc_matches, with_crc,
-                   write_atomic)
+from .data import (DataError, MotionSequence, batch_iter, check_frames, crc_matches,
+                   with_crc, write_atomic)
 from .model import ModelConfig, MotionMoE
 from .objectives import LossWeights, report_at_horizons, total_loss
 
@@ -170,9 +170,7 @@ def _check_scenes(config: ModelConfig, sequences: list[MotionSequence]) -> None:
         if seq.persons % config.scene_persons:
             raise DataError(f"sequence {i} has {seq.persons} person(s), not a multiple of "
                             f"scene_persons={config.scene_persons}")
-        if seq.frames < config.total_frames:
-            raise DataError(f"sequence {i} has {seq.frames} frames, "
-                            f"needs >= {config.total_frames}")
+    check_frames(sequences, config.total_frames)
 
 
 def scene_batches(config: ModelConfig, sequences: list[MotionSequence],

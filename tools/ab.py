@@ -1,20 +1,20 @@
 """Paired in-process timing of one perfbench workload on two checkouts.
 
     python3 tools/ab.py PARENT CHANGE --workload train_default
-    python3 tools/ab.py PARENT CHANGE --workload forecast_scene --pairs 20 --seed 3
 
 Both trees' ``src/motionmoe`` packages are imported into this one process
 (``digest.load_tree``), and each sets the workload up as perfbench's worker
-does, from the spec that ``perfbench/worker.py`` holds, on the same data
-file.  A request is what the worker times: one training epoch, with a
-checkpoint every ``CHECKPOINT_EVERY`` epochs, or one forecast of a batch of
-scenes.  After one untimed warm-up request per side, the two sides take
-turns: each pair times ``--requests`` requests per side, one side's then the
+does, from the spec that ``perfbench/worker.py`` holds and its variant 0
+(perfbench's ``--seed 0``), on the same data file.  A request is what the
+worker times: one training epoch, with a checkpoint every
+``CHECKPOINT_EVERY`` epochs, or one forecast of a batch of scenes.  After
+one untimed warm-up request per side, the two sides take turns: each of
+``PAIRS`` pairs times ``REQUESTS`` requests per side, one side's then the
 other's, and the side that starts alternates from request to request.  The
 two requests of one turn run the same epoch or batch back to back, and a
-pair's ratio is the median of its turns' ratios.  The
-cyclic collector runs before every request, outside its time, so that one
-side's garbage is not collected on the other's clock.
+pair's ratio is the median of its turns' ratios.  The cyclic collector runs
+before every request, outside its time, so that one side's garbage is not
+collected on the other's clock.
 
 A ratio is CHANGE's time over PARENT's.  The report gives the
 median ratio, the share of pairs that CHANGE won (ratio below 1) and the
@@ -40,23 +40,28 @@ import numpy as np
 
 from digest import load_tree, workload_specs
 
+# Two copies of one tree read within 2% of each other, and a copy slowed by
+# 10% loses at least 90% of the pairs, on every workload (BENCH_stack_rule.json).
+PAIRS = 20
+REQUESTS = 20
+SEED = 0  # perfbench's variant 0: it seeds the data, the model and the shuffling
+
 
 class Side:
     """One tree's set-up of the workload; ``request()`` runs one request."""
 
-    def __init__(self, mm, spec: dict, variant: int, data_path: Path, out_dir: Path,
-                 checkpoint_every: int):
+    def __init__(self, mm, spec: dict, data_path: Path, out_dir: Path, checkpoint_every: int):
         self.mm, self.spec = mm, spec
         self.training = importlib.import_module(f"{mm.__name__}.training")
         mm.set_default_dtype(spec["dtype"])
         self.seqs = mm.read_dataset(data_path)
-        config = mm.ModelConfig(**{"seed": variant, **spec["model"]})
+        config = mm.ModelConfig(**{"seed": SEED, **spec["model"]})
         self.config = config
         if spec["kind"] == "train":
             self.model = mm.MotionMoE(config)
             self.settings = mm.TrainSettings(
                 epochs=10 ** 9, batch_size=spec["batch"], horizons=spec["horizons"],
-                seed=variant, checkpoint_every=checkpoint_every, out_dir=str(out_dir))
+                seed=SEED, checkpoint_every=checkpoint_every, out_dir=str(out_dir))
             self.optim = mm.AdamState(beta1=self.settings.beta1, beta2=self.settings.beta2,
                                       eps=self.settings.eps)
             self.rng = np.random.default_rng(self.settings.seed)
@@ -65,7 +70,7 @@ class Side:
         else:
             path = out_dir / "model.stmc"
             mm.save_checkpoint(path, mm.MotionMoE(config), mm.AdamState(), 0,
-                               np.random.default_rng(variant))
+                               np.random.default_rng(SEED))
             self.model = mm.model_from_checkpoint(mm.load_checkpoint(path,
                                                                      expected_config=config))
             data = importlib.import_module(f"{mm.__name__}.data")
@@ -112,14 +117,8 @@ def main(argv=None) -> int:
     ap.add_argument("change", metavar="CHANGE", help="checkout root of the change")
     specs = workload_specs()
     ap.add_argument("--workload", required=True, choices=sorted(specs["WORKLOADS"]))
-    ap.add_argument("--seed", type=int, default=0, help="as perfbench's --seed")
-    ap.add_argument("--pairs", type=int, default=20)
-    ap.add_argument("--requests", type=int, default=5, help="timed requests per side per pair")
     args = ap.parse_args(argv)
-    if args.pairs < 1 or args.requests < 1:
-        ap.error("--pairs and --requests must be >= 1")
     spec = specs["WORKLOADS"][args.workload]["full"]
-    variant = args.seed % specs["VARIANTS"]
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -128,20 +127,19 @@ def main(argv=None) -> int:
         parent.set_default_dtype(spec["dtype"])
         data_path = tmp / "data.mmp1"
         parent.write_dataset(parent.synth_generate(
-            parent.GeneratorSpec(**spec["data"], seed=variant)), data_path)
+            parent.GeneratorSpec(**spec["data"], seed=SEED)), data_path)
         sides = []
         for mm in (parent, change):
             out_dir = tmp / mm.__name__
             out_dir.mkdir()
-            sides.append(Side(mm, spec, variant, data_path, out_dir,
-                              specs["CHECKPOINT_EVERY"]))
+            sides.append(Side(mm, spec, data_path, out_dir, specs["CHECKPOINT_EVERY"]))
         for side in sides:
             side.timed()  # warm-up
         times, ratios = [[], []], []
         turn = 0
-        for _ in range(args.pairs):
+        for _ in range(PAIRS):
             rounds = []
-            for _ in range(args.requests):
+            for _ in range(REQUESTS):
                 t = [0.0, 0.0]
                 for i in (turn, 1 - turn):
                     t[i] = sides[i].timed()
@@ -157,8 +155,7 @@ def main(argv=None) -> int:
     won = sum(r < 1.0 for r in ratios) / len(ratios)
     print(f"{args.workload}: median ratio {median:.4f}, change faster in "
           f"{won:.0%} of {len(ratios)} pairs, quartiles {q1:.4f}-{q3:.4f}")
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "pairs": len(ratios),
-                      "requests_per_pair": args.requests,
+    print(json.dumps({"workload": args.workload, "pairs": PAIRS, "requests_per_pair": REQUESTS,
                       "parent_request_s": statistics.median(times[0]),
                       "change_request_s": statistics.median(times[1]),
                       "median_ratio": median, "won": won, "ratio_q1": q1, "ratio_q3": q3,

@@ -18,8 +18,10 @@ and fixed random inputs, the parts are:
 The configs are ``ModelConfig()`` on 8 rows; the models of perfbench's
 ``train_overfit`` and ``forecast_scene`` on one batch of their scenes (8 and
 16), read from ``perfbench/worker.py``; and a micro model with k = 2, two
-persons per scene and two mixture layers on 4 scenes.  Exit code 0 means every part matched (or
-one tree was given), 1 that some part differs.
+persons per scene and two mixture layers on 4 scenes.  A workload that only
+forecasts gets only the forecast part, the one output it produces.  Exit
+code 0 means every part matched (or one tree was given), 1 that some part
+differs.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ DTYPES = ("float32", "float64")
 def workload_specs(path: Path = WORKER) -> dict:
     """perfbench's WORKLOADS table, read from the worker's source without
     running the worker: only the assignments it is built from are run."""
-    names = {"_MICRO", "_MICRO_DATA", "WORKLOADS", "CHECKPOINT_EVERY", "VARIANTS"}
+    names = {"_MICRO", "_MICRO_DATA", "WORKLOADS", "CHECKPOINT_EVERY"}
     tree = ast.parse(path.read_text(), str(path))
     body = [node for node in tree.body if isinstance(node, ast.Assign)
             and any(isinstance(t, ast.Name) and t.id in names for t in node.targets)]
@@ -51,22 +53,22 @@ def workload_specs(path: Path = WORKER) -> dict:
     return namespace
 
 
-def configs() -> dict[str, tuple[dict, int]]:
-    """name -> (ModelConfig overrides, batch rows)."""
+def configs() -> dict[str, tuple[dict, int, bool]]:
+    """name -> (ModelConfig overrides, batch rows, whether it trains)."""
     workloads = workload_specs()["WORKLOADS"]
 
     def workload(name):  # a batch of the workload's scenes
         spec = workloads[name]["full"]
         persons = spec["data"]["persons"] // spec["model"].get("scene_persons", 1)
-        return spec["model"], spec["batch"] * persons
+        return spec["model"], spec["batch"] * persons, spec["kind"] == "train"
 
     return {
-        "default": ({}, 8),
+        "default": ({}, 8, True),
         "train_overfit": workload("train_overfit"),
         "forecast_scene": workload("forecast_scene"),
         "micro_k2_scenes": (dict(joints=3, history_frames=5, total_frames=8, state_dim=4,
                                  conv_width=2, codec_hidden=12, active_experts=2,
-                                 scene_persons=2, moe_layers=2), 4),
+                                 scene_persons=2, moe_layers=2), 4, True),
     }
 
 
@@ -97,8 +99,9 @@ def _module_of(name: str) -> str:
     return parts[0] if parts[0] == "codec" else "/".join(parts[:2])
 
 
-def digests(mm, overrides: dict, rows: int, dtype: str) -> dict[str, str]:
-    """part -> sha256 for one config and dtype, run by the package ``mm``."""
+def digests(mm, overrides: dict, rows: int, train: bool, dtype: str) -> dict[str, str]:
+    """part -> sha256 for one config and dtype, run by the package ``mm``;
+    only the forecast unless ``train``."""
     ad = importlib.import_module(f"{mm.__name__}.autodiff")
     previous = mm.get_default_dtype()
     mm.set_default_dtype(dtype)
@@ -112,8 +115,10 @@ def digests(mm, overrides: dict, rows: int, dtype: str) -> dict[str, str]:
         params = model.parameters()
         optim = mm.AdamState()
         dropout_rng = np.random.default_rng(1)
-        train = importlib.import_module(f"{mm.__name__}.training")
+        training = importlib.import_module(f"{mm.__name__}.training")
         out = {"forecast": _sha(model.forward(mm.Tensor(hist))[0].data)}
+        if not train:
+            return out
         for step in (1, 2):
             for p in params.values():
                 p.grad = None
@@ -129,7 +134,7 @@ def digests(mm, overrides: dict, rows: int, dtype: str) -> dict[str, str]:
                 for name, g in grads.items():
                     modules.setdefault(_module_of(name), []).append(g)
                 out.update({f"grad/{m}": _sha(*gs) for m, gs in modules.items()})
-            train.adam_step(optim, params, grads, 0.01)
+            training.adam_step(optim, params, grads, 0.01)
         out["params"] = _sha(*(p.data for p in params.values()))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.stmc"
@@ -142,9 +147,9 @@ def digests(mm, overrides: dict, rows: int, dtype: str) -> dict[str, str]:
 
 def tree_digests(mm) -> dict[tuple[str, str, str], str]:
     return {(config, dtype, part): sha
-            for config, (overrides, rows) in configs().items()
+            for config, (overrides, rows, train) in configs().items()
             for dtype in DTYPES
-            for part, sha in digests(mm, overrides, rows, dtype).items()}
+            for part, sha in digests(mm, overrides, rows, train, dtype).items()}
 
 
 def main(argv=None) -> int:
