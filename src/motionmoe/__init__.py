@@ -31,7 +31,7 @@ from .training import (AdamState, TrainSettings, evaluate, fit,
                        load_checkpoint, lr_at_epoch, model_from_checkpoint,
                        save_checkpoint)
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "AdamState", "AutodiffError", "GeneratorSpec", "LossWeights",

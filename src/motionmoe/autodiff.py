@@ -386,11 +386,6 @@ def tanh(x, /):
     return out, lambda g: (g * (1.0 - out * out),)
 
 
-@_primitive("transpose", 1)
-def transpose(x, /, axis_a: int, axis_b: int):
-    return x.swapaxes(axis_a, axis_b), lambda g: (g.swapaxes(axis_a, axis_b),)
-
-
 @_primitive("reshape", 1)
 def reshape(x, /, shape: Sequence[int]):
     # numpy semantics, so one -1 is allowed

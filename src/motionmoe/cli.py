@@ -26,8 +26,8 @@ from .model import ModelConfig, MotionMoE, audit_parameters
 from .moe import expert_outputs
 from .objectives import horizon_frames
 from .ssm import init_bi_block, bidirectional_forward
-from .training import (SERVE_BATCH, TrainingError, TrainSettings, append_log, evaluate,
-                       fit, load_checkpoint, model_from_checkpoint, scene_batches)
+from .training import (SERVE_BATCH, TrainingError, TrainSettings, _check_scenes, append_log,
+                       evaluate, fit, load_checkpoint, model_from_checkpoint, scene_batches)
 
 FEATURE_MAGIC = "MMFX"
 
@@ -83,6 +83,12 @@ def cmd_train(args) -> int:
         if not train_seqs:
             raise ConfigError(f"training dataset {values['train_data']} is empty")
         val_seqs = read_dataset(values["val_data"]) if values["val_data"] else None
+        # data the model cannot read fails the run before it writes anything
+        for key, seqs in (("train_data", train_seqs), ("val_data", val_seqs or [])):
+            try:
+                _check_scenes(config, seqs)
+            except DataError as exc:
+                raise DataError(f"{key} {values[key]}: {exc}") from None
 
         resume = load_checkpoint(args.resume, expected_config=config) if args.resume else None
         # Adam's moments would stay in the checkpoint's dtype while the parameters

@@ -116,8 +116,8 @@ class MotionMoE:
         for _ in range(config.moe_layers):
             self.layers.append(MixtureLayer(
                 router=init_router(rng, d, config.n_experts, config.active_experts),
-                spatial=init_bi_block(rng, t_total, *block),
-                temporal=init_bi_block(rng, d, *block),
+                spatial=init_bi_block(rng, t_total, *block, axis=1),
+                temporal=init_bi_block(rng, d, *block, axis=2),
             ))
 
     def encode(self, history: Tensor | np.ndarray, train_mode: bool = False,

@@ -4,7 +4,11 @@ All experts in one layer are built from the SAME two shared blocks: a
 spatial block (scan axis = pose coordinate, channels = frequency bins) and
 a temporal block (scan axis = frequency bin, channels = pose coordinates).
 Choosing an expert only chooses a composition order, never new parameters.
-A kind names its two stages in order, S for spatial and T for temporal:
+A stage is one call of its block on (batch, D, T) features: each block
+owns the axis it scans (``BiBlockParams.axis``, 1 for the spatial block and
+2 for the temporal one), so no stage records a transposed copy of its input
+or output.  A kind names its two stages in order, S for spatial and T for
+temporal:
 
     ST: spatial, then temporal        TT: temporal twice
     TS: temporal, then spatial        SS: spatial twice
@@ -15,33 +19,34 @@ weight starts with it, then applies each such expert's second stage to it.
 One rule, the same on and off the tape, decides how the second stages
 run.  The kinds that end in the same stage (ST and TT, TS and SS) run it as
 one call on their stacked inputs while that call's scan-gradient chunk
-buffer, directions * rows * ceil(sqrt(L)) * N * E*C * itemsize
+buffer, directions * rows * ceil(sqrt(3L)) * N * E*C * itemsize
 (``ssm._scan_chunk_bytes``), fits ``ssm._TILE_BYTES``, the budget of the
 tape-free row tiles; otherwise each kind runs its own call.  A stack saves
 per-step Python: it halves the second stages' kernel calls and so their
 scan loops, which is what a small training step pays for (the overfit
-problem, whose stacks hold about 0.2 MB, ran about 10% slower per epoch
+problem, whose stacks hold about 0.4 MB, ran about 10% slower per epoch
 with per-kind calls), though not tape nodes (its concat and slice nodes
-outnumber the block nodes it saves, 60 against 58 per forward there).  A
+outnumber the block nodes it saves, 56 against 52 per forward there).  A
 large stack costs memory instead.  Recorded, it doubles the rows of the
 chunk buffers its backward holds at the step's peak; off the tape, where
 the row tiles keep the block's working set as it is, its concatenated
 input and sliced outputs are extra whole-batch copies.  At
-``ModelConfig()`` in float32 on 8 rows the stacks would hold 2.15 and
-1.66 MB, so each kind runs its own call, and a traced train step peaks at
-18.7 MB against 22.6 MB stacked.  A tape-free row has the same bits in any
-stack, so the rule moves no forecast bit.
+``ModelConfig()`` in float32 on 8 rows the stacks would hold 3.69 and
+2.76 MB, so each kind runs its own call, and a traced train step peaks at
+16.5 MB against 22.4 MB stacked (65.2 against 88.7 MB on 32 rows).  A
+tape-free row has the same bits in any stack, so the rule moves no
+forecast bit.
 
 The first stages run first, in pool order, then the second-stage calls in
 decreasing order of their chunk buffers; at ``ModelConfig()`` shapes S
-second (L = 45, E*C = 150) comes before T second (L = 75, E*C = 90).  On a
-tape the backward runs in reverse and releases each node once it has run,
-so the costliest call's chunk buffers are allocated after the other calls'
-kept arrays are freed.  Where each second stage is one call, the order
-moves no bit: each first-stage output has at most two consumers, and two
-adjoints add to the same bits in either order.  Per-kind calls give each
-block's weights three consumers, and there the order sets the gradients'
-last bits.
+second (L = 45, q = 12, E*C = 150) comes before T second (L = 75, q = 15,
+E*C = 90).  On a tape the backward runs in reverse and releases each node
+once it has run, so the costliest call's chunk buffers are allocated after
+the other calls' kept arrays are freed.  Where each second stage is one
+call, the order moves no bit: each first-stage output has at most two
+consumers, and two adjoints add to the same bits in either order.
+Per-kind calls give each block's weights three consumers, and there the
+order sets the gradients' last bits.
 
 The gate reduces each sample's feature map by a temporal mean, applies one
 linear layer, keeps the top-k logits (ties to the lowest index), masks the
@@ -60,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (Module, ShapeError, Tensor, add, concat, matmul, mul, reduce_mean,
-                       reshape, slice_axis, softmax_lastaxis, take_rows, topk_mask, transpose)
+                       reshape, slice_axis, softmax_lastaxis, take_rows, topk_mask)
 from .ssm import _TILE_BYTES, BiBlockParams, _scan_chunk_bytes, bidirectional_forward
 
 EXPERT_KINDS = ("ST", "TT", "TS", "SS")
@@ -127,15 +132,6 @@ def gate(router: RouterParams, features: Tensor) -> GateDecision:
     return GateDecision(logits=np.array(logits.data), kept=kept, weights=weights)
 
 
-def _stage(name: str, shared_s: BiBlockParams, shared_t: BiBlockParams, x: Tensor) -> Tensor:
-    """One expert stage over (batch, D, T): "S" is the spatial block; "T" is
-    the temporal block on the transposed view (batch, T, D), transposed back."""
-    if name == "S":
-        return bidirectional_forward(shared_s, x)
-    y = bidirectional_forward(shared_t, transpose(x, 1, 2))
-    return transpose(y, 1, 2)
-
-
 def expert_outputs(kinds, shared_s: BiBlockParams, shared_t: BiBlockParams,
                    features: Tensor, rows=None) -> dict[str, Tensor]:
     """Each distinct kind in ``kinds`` applied to (batch, D, T) features.
@@ -162,6 +158,7 @@ def expert_outputs(kinds, shared_s: BiBlockParams, shared_t: BiBlockParams,
     bsz = features.shape[0]
     want = {kind: np.arange(bsz) if rows is None else np.asarray(rows[kind]) for kind in kinds}
     firsts: dict[str, tuple[np.ndarray, Tensor]] = {}
+    blocks = {"S": shared_s, "T": shared_t}
 
     def first_stage(name: str) -> tuple[np.ndarray, Tensor]:
         if name not in firsts:
@@ -169,7 +166,7 @@ def expert_outputs(kinds, shared_s: BiBlockParams, shared_t: BiBlockParams,
             head = np.flatnonzero(np.bincount(np.concatenate(
                 [want[k] for k in kinds if k[0] == name]), minlength=bsz))
             x = features if len(head) == bsz else take_rows(features, head)
-            firsts[name] = head, _stage(name, shared_s, shared_t, x)
+            firsts[name] = head, bidirectional_forward(blocks[name], x)
         return firsts[name]
 
     def second_input(kind: str) -> Tensor:
@@ -185,18 +182,17 @@ def expert_outputs(kinds, shared_s: BiBlockParams, shared_t: BiBlockParams,
 
     def scratch(group: list[str]) -> int:
         # the chunk buffer of the group's second-stage call
-        block, length = ((shared_s, features.shape[1]) if group[0][1] == "S"
-                         else (shared_t, features.shape[2]))
+        block = blocks[group[0][1]]
         rows = sum(len(want[k]) for k in group)
-        return _scan_chunk_bytes(block, rows, length, features.data.dtype)
+        return _scan_chunk_bytes(block, rows, features.shape[block.axis], features.data.dtype)
 
     calls = [call for group in ends.values()
              for call in ([group] if scratch(group) <= _TILE_BYTES else [[k] for k in group])]
     outs: dict[str, Tensor] = {}
     for group in sorted(calls, key=scratch, reverse=True):  # stable: ties keep pool order
         xs = [second_input(k) for k in group]
-        y = _stage(group[0][1], shared_s, shared_t,
-                   xs[0] if len(xs) == 1 else concat(xs, axis=0))
+        y = bidirectional_forward(blocks[group[0][1]],
+                                  xs[0] if len(xs) == 1 else concat(xs, axis=0))
         if len(xs) == 1:
             outs[group[0]] = y
             continue

@@ -15,21 +15,27 @@ The discretization is exact (zero-order hold) on the state path and Euler
 on the input path.  The scan kernels, ``_scan_forward`` and ``_scan_grads``,
 fuse it into the scan: they form exp(delta_i A) and delta_i B_i one step at
 a time.  For a recorded call the forward keeps the hidden state only at the
-start of each chunk of q = ceil(sqrt(L)) steps but the first, which starts
+start of each chunk of q = ceil(sqrt(3L)) steps but the first, which starts
 from h_0 = 0: ceil(L/q) - 1 states instead of L, and none when L <= q (Chen
 et al. 2016, "Training Deep Nets with Sublinear Memory Cost"; Gu & Dao
-2023, section 3.3).  The hand-written gradient recomputes one chunk at
-a time, the discretization and the states, into two (q, B, N, E*C) buffers,
-and runs the reverse recurrence over them, reducing each step's gradient
+2023, section 3.3).  q is the training step's optimum, not one call's: at
+the step's peak a full-pool mixture layer holds the chunk starts of all six
+of its recorded block calls, about L/q states each, beside the 2q chunk
+states of the one call whose gradient runs, and 6L/q + 2q is least at
+q = sqrt(3L): 12 and 15 steps at L = 45 and 75, against 7 and 9 at Chen
+et al.'s sqrt(L), which weighs one call's kept states against one chunk.
+The hand-written gradient recomputes one chunk at a time, the
+discretization and the states, into two (q, B, N, E*C) buffers, and runs
+the reverse recurrence over them, reducing each step's gradient
 with respect to delta_i A into the gradients of delta and A as it forms it.
 It reads its (B, L, .) inputs a chunk at a time and writes each chunk's
 gradients of u and delta over the output gradient and delta it is handed,
 so beside those it holds the 2q chunk states and chunk-long arrays, never a
 whole sequence more.  The recomputation repeats the forward's operations,
 so outputs and gradients are those of a scan that keeps every state, bit
-for bit.  The state is held as (B, N, E*C), channels innermost, in both
-directions, so that each per-step product runs over E*C contiguous values
-rather than N = 16.
+for bit, whatever q.  The state is held as (B, N, E*C), channels innermost,
+in both directions, so that each per-step product runs over E*C contiguous
+values rather than N = 16.
 
 The Mamba kernel, ``_mamba_block``, runs the whole block around the scan's
 kernels; its sizes are those of its weights.  For a recorded call it keeps
@@ -37,7 +43,8 @@ y, the conv's pre-activation and the chunk-start states, and takes x again
 in its backward: less than the ``checkpoint_lvl=1`` recipe of the reference
 ``MambaInnerFn``, which rebuilds only the conv's output and delta.  Its
 backward rebuilds the rest by the forward's own operations, so outputs and
-gradients are bit for bit those of the block's primitive composition: z,
+gradients are bit for bit those of the block's primitive composition: the
+contiguous x and z halves of in_proj and A^T, rather than a copy per call; z,
 silu(z)'s sigmoid and the gated product; x W_x; the conv's sigmoid and x'
 from the pre-activation; x_proj(x'); delta's pre-activation and delta.  It
 forms delta's pre-activation twice, for delta and for its sigmoid, and the
@@ -60,27 +67,36 @@ the ``matmul`` and ``add`` primitives of its oracle chain bit for bit.
 The bidirectional wrapper shares ONE set of block weights between the
 forward and the reversed scan, and runs both as one block call on the
 (2B, L, C) stack of x and its time reversal.  It adds the raw input back,
-and finishes with LN(LN(core) + FFN(LN(core))).  The mixture layer stacks
-further, the inputs of two experts into one call, only while the call's
-scan-gradient chunk buffer, ``_scan_chunk_bytes``, fits ``_TILE_BYTES``
-(see ``moe``).
+and finishes with LN(LN(core) + FFN(LN(core))).  A block owns the axis it
+scans, ``BiBlockParams.axis``: on axis 1 its input is (B, L, C); on axis 2
+it is (B, C, L), which the block reads, and writes its output to, through
+views with the two axes swapped, so that the mixture layer's temporal stage
+needs no transposed copy of the (batch, D, T) features on either side.  The
+stack is built in C order from either layout; the Mamba kernel's GEMMs
+round by layout, and a concatenation keeps a transposed view's.  The
+mixture layer stacks further, the inputs of two experts into one call, only
+while the call's scan-gradient chunk buffer, ``_scan_chunk_bytes``, fits
+``_TILE_BYTES`` (see ``moe``).
 
 ``bidirectional_forward`` records the whole wrapper as one ``bi_block`` op
 over x and the block's 16 weights, and calls the Mamba kernel inside that
 op rather than as a node of its own.  A recorded call keeps what the kernel
 keeps, plus the residual sum core, one (B, L, C) array.  Its backward
 rebuilds the stack from x, and runs the LN-FFN-LN head again from core,
-statistics included, by the primitives' own operations.  It hands x's
-gradient to the tape as three shares, one per use of x (the residual, the
-forward rows, the reversed rows), so that the tape adds them in the
-primitive composition's order.  Outputs and gradients are therefore bit for
-bit those of that composition, the chain of tape primitives in
-``tests/oracles.py``.  The backward lets go of core once the head's
-gradient is formed, and of the Mamba arrays as the kernel's backward reads
-them, so it too runs once.
+statistics included, by the primitives' own operations.  On axis 1 it
+hands x's gradient to the tape as three shares, one per use of x (the
+residual, the forward rows, the reversed rows), so that the tape adds them
+in the primitive composition's order.  On axis 2 that composition,
+transpose -> block -> transpose, adds them on its transposed copy of x
+before the transpose hands the sum on, so the backward hands over one
+share, (residual + forward) + reversed, as a swapped view.  Outputs and
+gradients are therefore bit for bit those of the composition, the chain of
+tape primitives in ``tests/oracles.py``.  The backward lets go of core once
+the head's gradient is formed, and of the Mamba arrays as the kernel's
+backward reads them, so it too runs once.
 
 A tape-free call runs the kernel and the head over tiles of x's rows and
-writes each tile into one preallocated (B, L, C) output.  A tile holds
+writes each tile into one preallocated output of x's shape.  A tile holds
 max(1, _TILE_BYTES // (directions * L * E*C * itemsize)) rows, so each of
 its stacked (rows, L, E*C) arrays holds about ``_TILE_BYTES``, and its peak,
 about five of them, stops growing with the batch.  Rows of L = 0 hold
@@ -265,8 +281,9 @@ def init_mamba_block(rng: np.random.Generator, channels: int, expand: int = 2,
 
 
 def _chunk_steps(length: int) -> int:
-    """q = ceil(sqrt(L)), the steps in one chunk of a recorded scan."""
-    return math.isqrt(max(length, 1) - 1) + 1
+    """q = ceil(sqrt(3L)), the steps in one chunk of a recorded scan (the
+    module docstring says why)."""
+    return math.isqrt(3 * max(length, 1) - 1) + 1
 
 
 def _scan_forward(dd, a_t, bd, cd, ud, keep):
@@ -366,10 +383,16 @@ def _mamba_block(params: MambaBlockParams, xd: np.ndarray, keep: bool):
     w_proj, dt_proj, dt_bias = params.x_proj.data, params.dt_proj.data, params.dt_bias.data
     a_log, w_out = params.A_log.data, params.out_proj.data
     (inner, n), rank = a_log.shape, dt_proj.shape[0]
-    # slicing the weight, not the (B, L, 2*E*C) activation, keeps x and z
-    # from being materialized together; z is formed only after the scan
-    w_x, w_z = (np.ascontiguousarray(w) for w in np.split(w_in, [inner], axis=1))
-    a_t = np.ascontiguousarray(-np.exp(a_log).T)  # A^T, (N, E*C)
+
+    def derived():
+        # (W_x, W_z, A^T): slicing the weight, not the (B, L, 2*E*C)
+        # activation, keeps x and z from being materialized together, and z
+        # is formed only after the scan.  The backward forms them again
+        # rather than keeping copies of them per call
+        w_x, w_z = (np.ascontiguousarray(w) for w in np.split(w_in, [inner], axis=1))
+        return w_x, w_z, np.ascontiguousarray(-np.exp(a_log).T)
+
+    w_x, w_z, a_t = derived()
 
     def scan_inputs(xs):  # (dt_low, B, C) = split(x_proj(x'))
         return (np.ascontiguousarray(part)
@@ -395,6 +418,7 @@ def _mamba_block(params: MambaBlockParams, xd: np.ndarray, keep: bool):
         nonlocal ys, pre, starts
         if ys is None:
             raise AutodiffError("mamba_block: backward ran already and let go of its arrays")
+        w_x, w_z, a_t = derived()
         z = np.matmul(xd, w_z)
         s_z = _sigmoid(z)
         gate = z * s_z
@@ -445,10 +469,13 @@ class BiBlockParams(Module):
     forward, scans its time reversal ("backward"), or sums both
     ("bidirectional").  A reversed scan's output is flipped back into input
     frame order, so that a "bidirectional" block commutes with time reversal.
+    ``axis``, also fixed when the block is built, is the axis of the
+    (batch, ., .) input that the block scans, 1 or 2; the other holds the
+    channels.
 
     ``parameters()`` names the Mamba weights ``mamba/<field>``, then the
     head's eight by field, in the order ``_head`` takes them; ``scan_mode``
-    is a setting, not a weight.
+    and ``axis`` are settings, not weights.
     """
 
     mamba: MambaBlockParams
@@ -461,13 +488,17 @@ class BiBlockParams(Module):
     ffn_w2: Tensor  # (2C, C)
     ffn_b2: Tensor  # (C,)
     scan_mode: str = "bidirectional"
+    axis: int = 1
 
 
 def init_bi_block(rng: np.random.Generator, channels: int, expand: int = 2,
                   state_dim: int = 16, conv_width: int = 4,
-                  dt_rank: int | None = None, scan_mode: str = "bidirectional") -> BiBlockParams:
+                  dt_rank: int | None = None, scan_mode: str = "bidirectional",
+                  axis: int = 1) -> BiBlockParams:
     if scan_mode not in SCAN_MODES:
         raise ValueError(f"scan_mode must be one of {SCAN_MODES}, got {scan_mode!r}")
+    if axis not in (1, 2):
+        raise ValueError(f"axis must be 1 or 2, got {axis!r}")
     mamba = init_mamba_block(rng, channels, expand, state_dim, conv_width, dt_rank)
 
     return BiBlockParams(
@@ -481,13 +512,14 @@ def init_bi_block(rng: np.random.Generator, channels: int, expand: int = 2,
         ffn_w2=Tensor(_uniform(rng, 2 * channels, (2 * channels, channels)), requires_grad=True),
         ffn_b2=Tensor(np.zeros(channels), requires_grad=True),
         scan_mode=scan_mode,
+        axis=axis,
     )
 
 
 def _scan_chunk_bytes(params: BiBlockParams, rows: int, length: int, dtype) -> int:
     """Bytes of each of the two (q, directions * rows, N, E*C) chunk buffers
-    that the scan gradient of a recorded block call on (rows, length, C)
-    data of ``dtype`` holds, q = ceil(sqrt(L)) steps long."""
+    that the scan gradient of a recorded block call on ``rows`` rows of
+    ``length`` steps of ``dtype`` holds, q = ceil(sqrt(3L)) steps long."""
     inner, n = params.mamba.A_log.shape
     steps = min(_chunk_steps(length), length)
     itemsize = np.result_type(dtype, params.mamba.A_log.data).itemsize
@@ -495,20 +527,31 @@ def _scan_chunk_bytes(params: BiBlockParams, rows: int, length: int, dtype) -> i
 
 
 def bidirectional_forward(params: BiBlockParams, x: Tensor) -> Tensor:
-    """Full block LN(LN(core) + FFN(LN(core))) over the channel axis, with
-    core the directional scans plus x, as one tape op; the module docstring
-    says what a recorded call keeps."""
+    """Full block LN(LN(core) + FFN(LN(core))) over the channels, with core
+    the directional scans plus x, as one tape op on (batch, ., .) x whose
+    axis ``params.axis`` it scans; the module docstring says what a
+    recorded call keeps."""
     channels = params.mamba.in_proj.shape[0]
-    if x.ndim != 3 or x.shape[2] != channels:
-        raise ShapeError(f"bidirectional_forward: expected (batch, L, {channels}), got {x.shape}")
+    axis = params.axis
+    if x.ndim != 3 or x.shape[3 - axis] != channels:
+        want = "(batch, L, {})" if axis == 1 else "(batch, {}, L)"
+        raise ShapeError(f"bidirectional_forward: expected {want.format(channels)}, "
+                         f"got {x.shape}")
+
+    def swap(a):  # x's layout <-> the block's (batch, L, C), as a view
+        return a if axis == 1 else a.swapaxes(1, 2)
+
     reversed_rows = _REVERSED_ROWS[params.scan_mode]
     weights = params.parameters()
     head = [t.data for name, t in weights.items() if not name.startswith("mamba/")]
-    # x once per gradient contribution: the engine adds repeated inputs in
-    # order, the order in which the primitive composition adds x's adjoints
-    inputs = (x,) * (1 + len(reversed_rows)) + tuple(weights.values())
+    # on axis 1, x once per gradient contribution: the engine adds repeated
+    # inputs in order, the order in which the primitive composition adds
+    # x's adjoints.  On axis 2 that composition adds them on its transposed
+    # copy of x, so the backward sums them itself
+    shares = 1 + len(reversed_rows) if axis == 1 else 1
+    inputs = (x,) * shares + tuple(weights.values())
     keep = is_recording(inputs)
-    xd = x.data
+    xd = swap(x.data)
     bsz, length = xd.shape[:2]
 
     def block_rows(xr):
@@ -526,17 +569,18 @@ def bidirectional_forward(params: BiBlockParams, x: Tensor) -> Tensor:
     rows = bsz if keep else max(1, _TILE_BYTES // max(1, row_bytes))
     if rows >= bsz:
         out, core, mamba_bwd = block_rows(xd)
+        out = swap(out)
     else:
-        out = np.empty_like(xd)
+        out = np.empty_like(x.data)
         for lo in range(0, bsz, rows):
-            out[lo:lo + rows] = block_rows(xd[lo:lo + rows])[0]
+            swap(out)[lo:lo + rows] = block_rows(xd[lo:lo + rows])[0]
         core = mamba_bwd = None
 
     def bwd(g):
         nonlocal core, mamba_bwd
         if mamba_bwd is None:
             raise AutodiffError("bi_block: backward ran already and let go of its arrays")
-        g_core, g_head = _head_grads(g, core, head)
+        g_core, g_head = _head_grads(swap(g), core, head)
         core = None
         # the stacked gradient goes straight in, so that the kernel's
         # backward can let it go after its first use
@@ -544,13 +588,20 @@ def bidirectional_forward(params: BiBlockParams, x: Tensor) -> Tensor:
         mamba_bwd = None
         g_rows = [np.ascontiguousarray(g_stack[i * bsz:(i + 1) * bsz, ::-1 if rev else 1])
                   for i, rev in enumerate(reversed_rows)]
-        return (g_core, *g_rows, *g_mamba, *g_head)
+        if axis == 1:
+            return (g_core, *g_rows, *g_mamba, *g_head)
+        # (core + forward) + reversed, the composition's order
+        return (swap(sum(g_rows, g_core)), *g_mamba, *g_head)
 
     return record("bi_block", inputs, out, bwd)
 
 
 def _stack(xd: np.ndarray, reversed_rows) -> np.ndarray:
-    return np.concatenate([xd[:, ::-1] if rev else xd for rev in reversed_rows], axis=0)
+    """xd's rows, time-reversed where ``reversed_rows`` says, stacked on the
+    batch axis in C order: a concatenation of a transposed view would keep
+    its layout, and the kernel's GEMMs would round differently on it."""
+    out = np.empty((len(reversed_rows) * xd.shape[0],) + xd.shape[1:], dtype=xd.dtype)
+    return np.concatenate([xd[:, ::-1] if rev else xd for rev in reversed_rows], axis=0, out=out)
 
 
 def _head(core, gamma_in, beta_in, gamma_out, beta_out, w1, b1, w2, b2):

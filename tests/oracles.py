@@ -1,9 +1,10 @@
 """Oracles that the tests compare production against.
 
-- The oracle primitives ``softplus``, ``silu``, ``relu``, ``reverse_axis``,
-  ``layernorm_lastaxis``, ``depthwise_causal_conv1d`` and ``broadcast_to``
-  (op ``"broadcast"``): tape ops that production no longer records, each the
-  production kernel from ``ssm`` (``_unbroadcast`` from ``autodiff``)
+- The oracle primitives ``softplus``, ``silu``, ``relu``, ``transpose``,
+  ``reverse_axis``, ``layernorm_lastaxis``, ``depthwise_causal_conv1d`` and
+  ``broadcast_to`` (op ``"broadcast"``): tape ops that production no longer
+  records, each the production kernel from ``ssm`` (``_unbroadcast`` from
+  ``autodiff``; numpy's own for ``transpose`` and ``reverse_axis``)
   recorded through ``ad.record``, so the oracle chains run production's
   arithmetic.  ``ORACLE_OPS`` maps each op name to its function.
 - ``primitive_cases``: the finite-difference cases of every registered and
@@ -18,9 +19,10 @@
 - ``primitive_block`` and ``primitive_bi_block``: the Mamba block and the
   bidirectional block as chains of tape primitives around ``scan_op``, the
   bit-for-bit oracles of ``ssm.bidirectional_forward``'s outputs and
-  gradients.
+  gradients on either scan axis.
 """
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -43,6 +45,11 @@ def silu(x):
 def relu(x):
     xd = x.data
     return ad.record("relu", (x,), np.maximum(xd, 0.0), lambda g: (ssm._relu_grad(g, xd),))
+
+
+def transpose(x, axis_a, axis_b):
+    return ad.record("transpose", (x,), x.data.swapaxes(axis_a, axis_b),
+                     lambda g: (g.swapaxes(axis_a, axis_b),))
 
 
 def reverse_axis(x, axis):
@@ -69,7 +76,8 @@ def broadcast_to(x, shape):
                      lambda g: (ad._unbroadcast(g, shape_in),))
 
 
-ORACLE_OPS = {"softplus": softplus, "silu": silu, "relu": relu, "reverse_axis": reverse_axis,
+ORACLE_OPS = {"softplus": softplus, "silu": silu, "relu": relu, "transpose": transpose,
+              "reverse_axis": reverse_axis,
               "layernorm_lastaxis": layernorm_lastaxis,
               "depthwise_causal_conv1d": depthwise_causal_conv1d, "broadcast": broadcast_to}
 
@@ -144,7 +152,7 @@ def primitive_cases(name, rng):
         axes = rng.choice(len(shape), size=2, replace=False)
         a, b = int(axes[0]), int(axes[1])
         w = np.swapaxes(well_scaled(rng, shape), a, b)
-        return [(lambda t: weighted_sum(ad.transpose(t, a, b), w), x)]
+        return [(lambda t: weighted_sum(transpose(t, a, b), w), x)]
     if name == "reverse_axis":
         shape = rand_shape(rng)
         x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
@@ -329,7 +337,12 @@ def primitive_head(params, core):
 
 def primitive_bi_block(params, x):
     """The bidirectional block as a chain of tape primitives around
-    ``primitive_block``: the bit-for-bit oracle of the fused block."""
+    ``primitive_block``: the bit-for-bit oracle of the fused block.  A
+    block that scans axis 2 runs on x transposed to (batch, L, C), and its
+    output is transposed back."""
+    if params.axis == 2:
+        return transpose(primitive_bi_block(dataclasses.replace(params, axis=1),
+                                            transpose(x, 1, 2)), 1, 2)
     # both directions run as one call on a (2B, L, C) stack of x and its
     # time reversal; their sum keeps the order (forward + reversed) + x
     reversed_rows = ssm._REVERSED_ROWS[params.scan_mode]

@@ -175,7 +175,7 @@ def test_criterion_04_routing_laws():
         from motionmoe.ssm import init_bi_block
         router = init_router(rng, pose_dim=5, n_experts=4, k=4)
         shared_s = init_bi_block(rng, channels=6, expand=2, state_dim=3, conv_width=2)
-        shared_t = init_bi_block(rng, channels=5, expand=2, state_dim=3, conv_width=2)
+        shared_t = init_bi_block(rng, channels=5, expand=2, state_dim=3, conv_width=2, axis=2)
         pool = ("ST", "TT", "TS", "SS")
         x = ad.Tensor(rng.standard_normal((3, 5, 6)))
         out, decision = moe_layer_forward(router, shared_s, shared_t, pool, x)

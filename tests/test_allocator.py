@@ -74,10 +74,11 @@ def test_every_export_resolves():
 def test_modules_share_only_the_kernels_that_must_match_across_them():
     # (from module, into module, name) of each private name imported from a
     # sibling: the matmul and broadcast-sum gradients, which the fused block
-    # shares with the matmul and add primitives of its oracle chain, and the
+    # shares with the matmul and add primitives of its oracle chain; the
     # scan gradient's chunk buffer size and the tile budget, by which the
-    # mixture stacks and orders its second stages.  A kernel that only one
-    # module runs lives in that module
+    # mixture stacks and orders its second stages; and the check of the
+    # sequences a model can read, which ``train`` runs before it writes
+    # anything.  A kernel that only one module runs lives in that module
     shared = set()
     for path in sorted(Path(SRC, "motionmoe").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -87,7 +88,8 @@ def test_modules_share_only_the_kernels_that_must_match_across_them():
                 shared |= {(source, path.stem, alias.name) for alias in node.names
                            if alias.name.startswith("_")}
     assert shared == {("autodiff", "ssm", "_matmul_grads"), ("autodiff", "ssm", "_unbroadcast"),
-                      ("ssm", "moe", "_TILE_BYTES"), ("ssm", "moe", "_scan_chunk_bytes")}
+                      ("ssm", "moe", "_TILE_BYTES"), ("ssm", "moe", "_scan_chunk_bytes"),
+                      ("training", "cli", "_check_scenes")}
 
 
 def test_only_the_module_base_and_the_model_list_parameters():

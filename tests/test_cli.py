@@ -132,6 +132,26 @@ class TestTrain:
                      "--set", f"train_data={tmp_path / 'absent.mmp1'}",
                      "--set", f"out_dir={tmp_path}"]) == 1
 
+    @pytest.mark.parametrize("dataset", ["train_data", "val_data"])
+    @pytest.mark.parametrize("spec, message", [
+        ({"joints": 4}, "sequence 0 has 4 joints, the model 3"),
+        ({"persons": 3}, "sequence 0 has 3 person(s), not a multiple of scene_persons=2"),
+        ({"frames": 7}, "sequence 0 has 7 frames, needs >= 8"),
+    ])
+    def test_data_the_model_cannot_read_exits_1_before_writing(self, tmp_path, capsys,
+                                                                dataset, spec, message):
+        good = synth(tmp_path, "good.mmp1", persons=2)
+        bad = synth(tmp_path, "bad.mmp1", **{"persons": 2, **spec})
+        data = {"train_data": good, "val_data": good, dataset: bad}
+        out_dir = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["train", *MICRO_SET, "--set", "scene_persons=2",
+                     "--set", f"train_data={data['train_data']}",
+                     "--set", f"val_data={data['val_data']}",
+                     "--set", f"out_dir={out_dir}"]) == 1
+        assert capsys.readouterr().err == f"error: {dataset} {bad}: {message}\n"
+        assert not out_dir.exists()
+
     def test_config_file_plus_override(self, tmp_path):
         data = synth(tmp_path)
         cfg = tmp_path / "run.cfg"

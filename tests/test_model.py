@@ -157,18 +157,23 @@ class TestForward:
             model.forward(x)
         assert counts == {"layer": 2, "block": 2 * block_calls, "mamba": 2 * block_calls}
 
+    @pytest.mark.parametrize("scan_mode", ["bidirectional", "forward"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_fused_blocks_train_bit_for_bit_as_their_primitive_composition(self, dtype,
-                                                                           monkeypatch):
+    def test_fused_blocks_train_bit_for_bit_as_their_primitive_composition(
+            self, dtype, scan_mode, monkeypatch):
         # each block's input also feeds ops recorded after the block (the
-        # residual around the layers, the temporal stage's transpose): the
-        # fused block must add its three shares of that input's adjoint in
-        # the order the primitive composition does, or the last bits move
+        # residual around the layers, the other stages): the fused spatial
+        # block must add its shares of that input's adjoint in the order the
+        # primitive composition does, or the last bits move.  The oracle
+        # runs the temporal block on a transposed copy of its input, whose
+        # adjoint sums the shares first, (core + forward) + reversed, and
+        # the fused temporal block must hand over that one sum; a forward
+        # scan has two shares
 
         def step():
             ad.set_default_dtype(dtype)
             try:
-                model = micro_model(dropout=0.1, moe_layers=2)
+                model = micro_model(dropout=0.1, moe_layers=2, scan_mode=scan_mode)
                 rng = np.random.default_rng(11)
                 x = ad.Tensor(rng.standard_normal((4, 9, 5)))
                 w = ad.Tensor(rng.standard_normal((4, 9, 8)))
@@ -256,15 +261,20 @@ class TestForward:
 
 
 class TestTrainStepMemory:
-    def test_a_float32_default_step_on_8_rows_peaks_under_21_mb(self):
+    def test_a_float32_default_step_on_8_rows_peaks_under_17_5_mb(self):
         # each recorded block's Mamba kernel keeps y, the conv's
         # pre-activation and the chunk starts after the first, and its
-        # backward rebuilds the rest.  The backward releases each tape node
-        # once it has run, and the costlier second-stage calls are recorded
-        # first, so their backwards run last, once the other blocks' arrays
-        # are gone.  Stacked, each second stage's chunk buffer would exceed
-        # one tile (2.15 and 1.66 MB), so each kind runs its own call
-        # (measured: 18.7 MB; 22.6 MB with the two kinds of each second
+        # backward rebuilds the rest, in_proj's halves and A^T included.
+        # The backward releases each tape node once it has run, and the
+        # costlier second-stage calls are recorded first, so their
+        # backwards run last, once the other blocks' arrays are gone.
+        # Stacked, each second stage's chunk buffer would exceed one tile,
+        # so each kind runs its own call.  A temporal stage is one block op
+        # on the (batch, D, T) features, and the chunks are
+        # q = ceil(sqrt(3L)) steps long, the step's optimum (measured:
+        # 16.55 MB; 18.7 MB with a transposed copy on either side of each
+        # temporal block, per-call copies of in_proj's halves and
+        # q = ceil(sqrt(L)); 22.6 MB with the two kinds of each second
         # stage stacked into one call; 27.7 MB when spent nodes kept their
         # tensors, the stages ran in pool order and chunk 0's zero start was
         # kept; 34.6 MB while the kernel also kept the conv's sigmoid,
@@ -285,7 +295,7 @@ class TestTrainStepMemory:
                 tracemalloc.stop()
         finally:
             ad.set_default_dtype(np.float64)
-        assert peak < 21e6, f"{peak / 1e6:.1f} MB"
+        assert peak < 17.5e6, f"{peak / 1e6:.2f} MB"
 
 
 class TestSecondStageStacking:
@@ -322,22 +332,24 @@ class TestSecondStageStacking:
     def test_a_stack_within_one_tile_runs_as_one_call(self, recorded, monkeypatch):
         calls, model = self.block_calls(1, recorded, monkeypatch)
         # each stack holds 2 kind-rows: S second's buffer is 2 directions *
-        # 2 rows * 7 steps * 16 states * 150 channels * 4 bytes, a quarter
-        # of a tile, T second's 2 * 2 * 9 * 16 * 90 * 4
+        # 2 rows * 12 steps (ceil(sqrt(3 * 45))) * 16 states * 150 channels
+        # * 4 bytes, under half a tile, T second's 2 * 2 * 15 * 16 * 90 * 4
+        # (were 268,800 and 207,360 bytes at q = ceil(sqrt(L)), 7 and 9)
         layer = model.layers[0]
-        assert ssm._scan_chunk_bytes(layer.spatial, 2, 45, np.float32) == 268_800
-        assert ssm._scan_chunk_bytes(layer.temporal, 2, 75, np.float32) == 207_360
+        assert ssm._scan_chunk_bytes(layer.spatial, 2, 45, np.float32) == 460_800
+        assert ssm._scan_chunk_bytes(layer.temporal, 2, 75, np.float32) == 345_600
         assert calls == [("S", 2), ("T", 2), ("S", 4), ("T", 4)]
 
     @pytest.mark.parametrize("recorded", [True, False])
     def test_a_stack_over_one_tile_runs_per_kind(self, recorded, monkeypatch):
         calls, model = self.block_calls(8, recorded, monkeypatch)
-        # stacked, each second stage would hold 16 kind-rows: 2.15 and
-        # 1.66 MB, over the 1.05 MB tile, so each kind runs its own call,
-        # TS and SS (2 * 8 * 7 * 16 * 150 * 4 bytes) before ST and TT
+        # stacked, each second stage would hold 16 kind-rows: 3.69 and
+        # 2.76 MB (2 * 16 * 12 * 16 * 150 * 4 and 2 * 16 * 15 * 16 * 90 * 4
+        # bytes; 2.15 and 1.66 MB at q = 7 and 9), over the 1.05 MB tile, so
+        # each kind runs its own call, TS and SS before ST and TT
         layer = model.layers[0]
-        assert ssm._scan_chunk_bytes(layer.spatial, 16, 45, np.float32) == 2_150_400
-        assert ssm._scan_chunk_bytes(layer.temporal, 16, 75, np.float32) == 1_658_880
+        assert ssm._scan_chunk_bytes(layer.spatial, 16, 45, np.float32) == 3_686_400
+        assert ssm._scan_chunk_bytes(layer.temporal, 16, 75, np.float32) == 2_764_800
         assert ssm._TILE_BYTES == 1 << 20
         assert calls == [("S", 16), ("T", 16)] + [("S", 16)] * 2 + [("T", 16)] * 2
 
@@ -348,17 +360,20 @@ class TestRecordOrder:
     def test_the_costlier_second_stage_is_recorded_first_bit_for_bit(self, k, dtype,
                                                                      monkeypatch):
         # at ModelConfig() shapes, S second's scan-gradient chunk buffer is
-        # kind-rows * 7 * 150 (L = 45, E*C = 150) against T second's
-        # kind-rows * 9 * 90, so the S-ending stack is recorded first on
-        # these inputs: 1 row with every kind routed, and 3 rows at k = 2,
-        # where each stack holds 3 kind-rows.  Each stack's buffer fits one
-        # tile in both dtypes, so each second stage is one call, and each
-        # first-stage output has at most two consumers, whose adjoints add
-        # to the same bits in either order: the step matches a recording in
-        # pool order byte for byte.  Per-kind calls give the shared blocks'
-        # weights three consumers, and there the order moves last bits
+        # kind-rows * 12 * 150 (L = 45, q = ceil(sqrt(3 * 45)), E*C = 150)
+        # against T second's kind-rows * 15 * 90 (L = 75), so the S-ending
+        # stack is recorded first on one row: 2 kind-rows per stack with
+        # every kind routed, 1 (ST and TS) at k = 2.  Each stack's buffer
+        # fits one tile in both dtypes (float64, 2 kind-rows: 2 directions
+        # * 2 * 12 * 16 * 150 * 8 = 0.92 MB; 3 rows at k = 2, as before the
+        # chunk rule, stack 3 kind-rows, 1.38 MB, and run per kind), so each
+        # second stage is one call, and each first-stage output has at most
+        # two consumers, whose adjoints add to the same bits in either
+        # order: the step matches a recording in pool order byte for byte.
+        # Per-kind calls give the shared blocks' weights three consumers,
+        # and there the order moves last bits
         cfg = ModelConfig(active_experts=k)
-        rows = {2: 3, 4: 1}[k]
+        rows = 1
         calls = []
         original = ssm._mamba_block
 

@@ -11,7 +11,7 @@ from motionmoe.moe import (EXPERT_KINDS, RouterParams,
                            expert_outputs, gate, init_router,
                            moe_layer_forward)
 from motionmoe.ssm import init_bi_block
-from oracles import layernorm_lastaxis, mamba_op, relu, reverse_axis
+from oracles import layernorm_lastaxis, mamba_op, relu, reverse_axis, transpose
 
 
 def make_router(logit_rows, k):
@@ -129,7 +129,7 @@ class TestExperts:
         rng = np.random.default_rng(0)
         d, t = 6, 8
         shared_s = init_bi_block(rng, channels=t, expand=2, state_dim=4, conv_width=3)
-        shared_t = init_bi_block(rng, channels=d, expand=2, state_dim=4, conv_width=3)
+        shared_t = init_bi_block(rng, channels=d, expand=2, state_dim=4, conv_width=3, axis=2)
         return d, t, shared_s, shared_t
 
     @pytest.mark.parametrize("kind", EXPERT_KINDS)
@@ -144,15 +144,23 @@ class TestExperts:
 
         from motionmoe.ssm import bidirectional_forward
         s_out = bidirectional_forward(shared_s, x)
-        t_out = ad.transpose(bidirectional_forward(shared_t, ad.transpose(x, 1, 2)), 1, 2)
+        t_out = bidirectional_forward(shared_t, x)
 
         st = expert_outputs(("ST",), shared_s, shared_t, x)["ST"].data
         ts = expert_outputs(("TS",), shared_s, shared_t, x)["TS"].data
-        exp_st = ad.transpose(bidirectional_forward(
-            shared_t, ad.transpose(s_out, 1, 2)), 1, 2).data
+        exp_st = bidirectional_forward(shared_t, s_out).data
         exp_ts = bidirectional_forward(shared_s, t_out).data
         np.testing.assert_array_equal(st, exp_st)
         np.testing.assert_array_equal(ts, exp_ts)
+
+    def test_a_temporal_stage_records_one_block_op(self, shared_blocks):
+        # the temporal block scans the features' last axis itself: no
+        # transposed copy on either side of it
+        d, t, shared_s, shared_t = shared_blocks
+        x = ad.Tensor(np.random.default_rng(3).standard_normal((2, d, t)), requires_grad=True)
+        with ad.Tape() as tape:
+            expert_outputs(("TT",), shared_s, shared_t, x)
+        assert [node.op for node in tape.nodes] == ["bi_block", "bi_block"]
 
     def test_unknown_kind_rejected(self, shared_blocks):
         d, t, shared_s, shared_t = shared_blocks
@@ -165,7 +173,7 @@ class TestMixture:
         rng = np.random.default_rng(seed)
         router = init_router(rng, d, len(pool), k)
         shared_s = init_bi_block(rng, channels=t, expand=2, state_dim=3, conv_width=2)
-        shared_t = init_bi_block(rng, channels=d, expand=2, state_dim=3, conv_width=2)
+        shared_t = init_bi_block(rng, channels=d, expand=2, state_dim=3, conv_width=2, axis=2)
         return router, shared_s, shared_t, pool
 
     def test_dense_mixture_matches_manual_sum(self):
@@ -247,7 +255,7 @@ def unshared_mixture(router, shared_s, shared_t, pool, x, scan_mode):
         return unshared_block(shared_s, f, scan_mode)
 
     def temporal(f):
-        return ad.transpose(unshared_block(shared_t, ad.transpose(f, 1, 2), scan_mode), 1, 2)
+        return transpose(unshared_block(shared_t, transpose(f, 1, 2), scan_mode), 1, 2)
 
     stages = {"S": spatial, "T": temporal}
     decision = gate(router, x)
@@ -270,7 +278,7 @@ class TestSharedComputation:
         shared_s = init_bi_block(rng, channels=t, expand=2, state_dim=3, conv_width=2,
                                  scan_mode=scan_mode)
         shared_t = init_bi_block(rng, channels=d, expand=2, state_dim=3, conv_width=2,
-                                 scan_mode=scan_mode)
+                                 scan_mode=scan_mode, axis=2)
         params = [router.gate_weight, router.gate_bias,
                   *shared_s.parameters().values(), *shared_t.parameters().values()]
         return router, shared_s, shared_t, params
@@ -370,9 +378,10 @@ class TestSharedComputation:
             moe_layer_forward(router, shared_s, shared_t, EXPERT_KINDS, x)
         # the block parameters put every stage on the tape: S first and T
         # first on 3 rows, then the costlier second stage's backward scratch
-        # first, S second on TS's and SS's 3 + 3 rows (12 rows * q = 3 *
-        # E*C = 14) before T second on ST's and TT's (12 * 3 * 10), each
-        # call with both directions stacked
+        # first, S second on TS's and SS's 3 + 3 rows (12 rows * q = 4 *
+        # E*C = 14, q = ceil(sqrt(3 * 5))) before T second on ST's and TT's
+        # (12 * 5 * 10, q = ceil(sqrt(3 * 7))), each call with both
+        # directions stacked
         assert calls == [("S", 6), ("T", 6), ("S", 12), ("T", 12)]
 
     @pytest.mark.parametrize("k,picks", [
@@ -488,11 +497,13 @@ class TestRowDispatch:
     def test_full_pool_records_no_gather(self):
         # a train_overfit-shaped forward with k == n: every stage's rows are
         # the whole batch, so the tape holds the dense layer's nodes exactly
-        # (four block calls, each second stage on its two kinds' stacked rows)
+        # (four block calls, each second stage on its two kinds' stacked
+        # rows; 60 nodes while each temporal stage recorded a transpose on
+        # either side of its block)
         model = MotionMoE(ModelConfig(joints=3, history_frames=5, total_frames=8,
                                       active_experts=4, moe_layers=1, dropout=0.0, seed=0))
         hist = np.random.default_rng(0).standard_normal((8, 9, 5)) * 30.0
         with ad.Tape() as tape:
             model.forward(ad.Tensor(hist), train_mode=True, rng=np.random.default_rng(0))
-        assert len(tape.nodes) == 60
+        assert len(tape.nodes) == 56
         assert "take_rows" not in {node.op for node in tape.nodes}

@@ -256,9 +256,10 @@ class TestSelectiveScan:
             assert np.array_equal(got, want), name
 
     def test_a_recorded_call_keeps_one_state_per_chunk(self):
-        # L = 64 steps in chunks of q = 8: a recorded call keeps the starts
-        # of chunks 1 to 7, 7 states beside its output, not 64 (chunk 0
-        # starts from h_0 = 0); a tape-free call keeps its output only
+        # L = 64 steps in chunks of q = ceil(sqrt(3 * 64)) = 14: a recorded
+        # call keeps the starts of chunks 1 to 4, 4 states beside its
+        # output, not 64 (chunk 0 starts from h_0 = 0; 7 states at
+        # q = ceil(sqrt(L)) = 8); a tape-free call keeps its output only
         bsz, length, inner, n = 2, 64, 16, 32
         inputs = random_scan_inputs(np.random.default_rng(6), bsz, length, inner, n, grad=True)
         state = bsz * n * inner * 8
@@ -277,13 +278,16 @@ class TestSelectiveScan:
             finally:
                 tracemalloc.stop()
 
-        assert 7 * state <= kept_bytes(record=True) < 7 * state + ys + 16 * 1024
+        assert ssm._chunk_steps(length) == 14
+        assert 4 * state <= kept_bytes(record=True) < 4 * state + ys + 16 * 1024
         assert kept_bytes(record=False) < ys + 16 * 1024
 
     def test_recorded_backward_peaks_below_the_states(self):
-        # the backward holds two chunks' worth of (B, N, EC) arrays, 2q
-        # states, beside (B, L, EC) and (B, L, N) arrays; never all L states
-        # (measured: 2q states and 10.0 sequence arrays, 0.51 of the L states)
+        # the backward holds two chunks' worth of (B, N, EC) arrays, 2q = 36
+        # states at q = ceil(sqrt(3 * 100)) = 18, beside (B, L, EC) and
+        # (B, L, N) arrays; never all L states (measured: 2q states and 7.0
+        # sequence arrays, 0.58 of the L states; at q = ceil(sqrt(L)) = 10,
+        # 2q states and 6.5 sequence arrays, 0.40 of them)
         bsz, length, inner, n = 2, 100, 32, 32
         inputs = random_scan_inputs(np.random.default_rng(11), bsz, length, inner, n,
                                     grad=True)
@@ -298,14 +302,16 @@ class TestSelectiveScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 10 * state + 12 * sequence
-        assert 2 * 10 * state + 12 * sequence < 0.6 * length * state
+        assert ssm._chunk_steps(length) == 18
+        assert peak < 2 * 18 * state + 12 * sequence
+        assert 2 * 18 * state + 12 * sequence < 0.75 * length * state
 
     def test_scan_gradient_overwrites_its_handed_over_buffers(self):
         # beyond 2q chunk states, the gradient holds the copies of g and
         # delta that it overwrites with dL/du and dL/d(delta), dL/db, dL/dc,
         # b step-major, four chunk-long (q, B, EC) arrays and two step states
-        # (measured: 2q states and 6.5 sequence arrays, where full-length
+        # (measured at q = 18: 2q states, the four chunk arrays and 6.3
+        # sequence arrays; at q = 10 the same 6.3, where full-length
         # step-major copies of g, delta and delta * u took 10.0)
         bsz, length, inner, n = 2, 100, 32, 32
         inputs = random_scan_inputs(np.random.default_rng(11), bsz, length, inner, n,
@@ -321,7 +327,8 @@ class TestSelectiveScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 10 * state + 7 * sequence
+        q = ssm._chunk_steps(length)
+        assert peak < 2 * q * state + 4 * q * bsz * inner * 8 + 6.5 * sequence
 
     def test_tape_free_call_holds_no_sequence_sized_temporary(self):
         # beyond ys, a tape-free call holds only (B, N, EC) step arrays:
@@ -562,42 +569,48 @@ def with_weight(params, name, t):
     return dataclasses.replace(params, **{name: t})
 
 
+def assert_block_matches_its_primitive_composition(params, x_data, record):
+    """The fused block's output, and recorded its loss and gradients, have
+    the bits of ``primitive_bi_block``'s.  The block's input also feeds an
+    op recorded after the block, as in the model: x's adjoint then already
+    holds that op's share when the block adds its own, and the sum must
+    associate as the oracle's."""
+    dtype = x_data.dtype
+    rng = np.random.default_rng(2)
+    w, v = (ad.Tensor(rng.standard_normal(x_data.shape), dtype=dtype) for _ in range(2))
+
+    def run(block):
+        """(the op names the block records, output arrays, gradients)"""
+        if not record:
+            return [], [block(params, ad.Tensor(x_data, dtype=dtype)).data], []
+        for p in params.parameters().values():
+            p.zero_grad()
+        x0 = ad.Tensor(x_data, requires_grad=True, dtype=dtype)
+        with ad.Tape() as tape:
+            x = ad.mul(x0, ad.Tensor(1.5, dtype=dtype))
+            out = block(params, x)
+            loss = ad.add(ad.reduce_sum(ad.mul(out, w)), ad.reduce_sum(ad.mul(x, v)))
+            grads = ad.backward(loss)
+        ops = [node.op for node in tape.nodes if node.op in ("bi_block", "mamba_block")]
+        return ops, [out.data, loss.data], [grads[t].data for t in
+                                            (x0, *params.parameters().values())]
+
+    ops, outs, grads = run(ssm.bidirectional_forward)
+    want_ops, want_outs, want_grads = run(primitive_bi_block)
+    if record:
+        assert (ops, want_ops) == (["bi_block"], [])
+        assert len(grads) == 17
+    for got, want in zip(outs + grads, want_outs + want_grads):
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestFusedBiBlock:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("scan_mode", ssm.SCAN_MODES)
     @pytest.mark.parametrize("record", [True, False])
     def test_matches_the_primitive_composition_bit_for_bit(self, dtype, scan_mode, record):
-        # the block's input also feeds an op recorded after the block, as in
-        # the model: x's adjoint then already holds that op's share when the
-        # block adds its three, and the sum must associate as the oracle's
-        params, x_data = bi_block_in(dtype, scan_mode)
-        rng = np.random.default_rng(2)
-        w, v = (ad.Tensor(rng.standard_normal(x_data.shape), dtype=dtype) for _ in range(2))
-
-        def run(block):
-            """(the op names the block records, output arrays, gradients)"""
-            if not record:
-                return [], [block(params, ad.Tensor(x_data, dtype=dtype)).data], []
-            for p in params.parameters().values():
-                p.zero_grad()
-            x0 = ad.Tensor(x_data, requires_grad=True, dtype=dtype)
-            with ad.Tape() as tape:
-                x = ad.mul(x0, ad.Tensor(1.5, dtype=dtype))
-                out = block(params, x)
-                loss = ad.add(ad.reduce_sum(ad.mul(out, w)), ad.reduce_sum(ad.mul(x, v)))
-                grads = ad.backward(loss)
-            ops = [node.op for node in tape.nodes if node.op in ("bi_block", "mamba_block")]
-            return ops, [out.data, loss.data], [grads[t].data for t in
-                                                (x0, *params.parameters().values())]
-
-        ops, outs, grads = run(ssm.bidirectional_forward)
-        want_ops, want_outs, want_grads = run(primitive_bi_block)
-        if record:
-            assert (ops, want_ops) == (["bi_block"], [])
-            assert len(grads) == 17
-        for got, want in zip(outs + grads, want_outs + want_grads):
-            assert got.dtype == want.dtype == dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+        assert_block_matches_its_primitive_composition(*bi_block_in(dtype, scan_mode), record)
 
     @pytest.mark.parametrize("scan_mode", ["bidirectional", "backward"])
     def test_against_finite_differences(self, scan_mode):
@@ -654,17 +667,20 @@ class TestFusedBiBlock:
         assert (mamba_ops, block_ops) == (["mamba_block"], ["bi_block"])
         assert block <= mamba + 1.5 * unit, f"{(block - mamba) / unit:.2f} units more"
 
-    def test_a_recorded_call_and_its_backward_peak_under_seventeen_units(self):
+    def test_a_recorded_call_and_its_backward_peak_under_twenty_units(self):
         # units of 2B*L*E*C values, the stacked rows' (B, L, E*C) arrays.
         # The call keeps y, the conv's pre-activation, the chunk-start
         # states and core.  The backward peaks in the scan gradient, which
         # holds, beside those but y, the output gradient, x' and delta,
-        # which the scan's gradients overwrite, and 2q chunk states (5.0
-        # units at L = 45).  Measured: 5.11 kept and a 16.32 peak; 8.11 and
-        # 18.32 while the call also kept the conv's sigmoid, delta's
-        # pre-activation and silu(z)'s sigmoid; 17.32 with the conv's
-        # sigmoid formed once in the backward and held across the scan
-        # gradient
+        # which the scan's gradients overwrite, and 2q chunk states (8.5
+        # units at L = 45, q = ceil(sqrt(3 * 45)) = 12).  Measured: 3.58
+        # kept (3 chunk starts) and an 18.94 peak; 4.75 and 15.96 at
+        # q = ceil(sqrt(L)) = 7 (6 chunk starts, 5.0 units of chunk
+        # states), where a full-pool step held six calls' chunk starts at
+        # its peak; 8.11 and 18.32 while the call also kept the conv's
+        # sigmoid, delta's pre-activation and silu(z)'s sigmoid; 17.32 with
+        # the conv's sigmoid formed once in the backward and held across
+        # the scan gradient
         bsz, length, channels = 8, 45, 30
         params = ssm.init_bi_block(np.random.default_rng(9), channels=channels)
         x = ad.Tensor(np.random.default_rng(10).standard_normal((bsz, length, channels)),
@@ -681,8 +697,8 @@ class TestFusedBiBlock:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert kept <= 5.5 * unit, f"{kept / unit:.2f} units kept"
-        assert peak <= 17 * unit, f"{peak / unit:.2f} units at the peak"
+        assert kept <= 4 * unit, f"{kept / unit:.2f} units kept"
+        assert peak <= 19.5 * unit, f"{peak / unit:.2f} units at the peak"
 
     def test_a_second_backward_raises_a_typed_error(self):
         # the block's own guard: its closure, captured before a backward
@@ -741,6 +757,58 @@ def kernel_rows(monkeypatch):
 
     monkeypatch.setattr(ssm, "_mamba_block", counting)
     return calls
+
+
+class TestScanAxis:
+    """A block built with axis 2 scans the last axis of its (batch, C, L)
+    input, as the primitive composition transpose -> block -> transpose."""
+
+    @staticmethod
+    def axis_2_block_in(dtype, scan_mode="bidirectional"):
+        params, x = bi_block_in(dtype, scan_mode)
+        return dataclasses.replace(params, axis=2), np.ascontiguousarray(x.swapaxes(1, 2))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("scan_mode", ssm.SCAN_MODES)
+    @pytest.mark.parametrize("record", [True, False])
+    def test_an_axis_2_block_matches_its_transposed_composition_bit_for_bit(
+            self, dtype, scan_mode, record):
+        # recorded, one op, whose x's adjoint is the composition's one sum
+        # of its shares on the transposed copy, (core + forward) + reversed
+        assert_block_matches_its_primitive_composition(*self.axis_2_block_in(dtype, scan_mode),
+                                                       record)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_axis_2_tiles_match_the_primitive_composition(self, dtype, monkeypatch):
+        # each tile reads its rows through a swapped view of x and writes
+        # them through one of the output
+        params, _ = self.axis_2_block_in(dtype)
+        x = ad.Tensor(np.random.default_rng(5).standard_normal((7, 5, 7)), dtype=dtype)
+        want = primitive_bi_block(params, x).data
+        calls = kernel_rows(monkeypatch)
+        monkeypatch.setattr(ssm, "_TILE_BYTES", tile_budget(params, 3, 7, dtype))
+        out = ssm.bidirectional_forward(params, x).data
+        assert calls == [6, 6, 2]
+        assert out.dtype == dtype and out.flags.c_contiguous
+        assert out.tobytes() == want.tobytes()
+
+    def test_the_stack_of_a_transposed_view_is_in_c_order(self):
+        # np.concatenate would keep the view's layout, and the Mamba
+        # kernel's GEMMs round by layout
+        xd = np.arange(2 * 5 * 4, dtype=np.float64).reshape(2, 5, 4).swapaxes(1, 2)
+        stacked = ssm._stack(xd, (False, True))
+        assert stacked.flags.c_contiguous
+        assert np.array_equal(stacked, np.concatenate([xd, xd[:, ::-1]]))
+
+    def test_the_channels_must_sit_on_the_other_axis(self):
+        params, x_data = self.axis_2_block_in(np.float64)
+        with pytest.raises(ad.ShapeError, match=r"expected \(batch, 5, L\)"):
+            ssm.bidirectional_forward(params, ad.Tensor(x_data.swapaxes(1, 2)))
+
+    @pytest.mark.parametrize("axis", [0, 3, -1])
+    def test_an_axis_other_than_1_or_2_raises(self, axis):
+        with pytest.raises(ValueError, match="axis must be 1 or 2"):
+            ssm.init_bi_block(np.random.default_rng(0), channels=3, axis=axis)
 
 
 class TestRowTiles:

@@ -5,16 +5,20 @@
 Both trees' ``src/motionmoe`` packages are imported into this one process
 (``digest.load_tree``), and each sets the workload up as perfbench's worker
 does, from the spec that ``perfbench/worker.py`` holds and its variant 0
-(perfbench's ``--seed 0``), on the same data file.  A request is what the
-worker times: one training epoch, with a checkpoint every
-``CHECKPOINT_EVERY`` epochs, or one forecast of a batch of scenes.  After
-one untimed warm-up request per side, the two sides take turns: each of
-``PAIRS`` pairs times ``REQUESTS`` requests per side, one side's then the
-other's, and the side that starts alternates from request to request.  The
-two requests of one turn run the same epoch or batch back to back, and a
-pair's ratio is the median of its turns' ratios.  The cyclic collector runs
-before every request, outside its time, so that one side's garbage is not
-collected on the other's clock.
+(perfbench's ``--seed 0``), on the same data file.  Each tree is imported
+and set up twice, in two set-ups of opposite order: PARENT first in one,
+CHANGE first in the other.  With one set-up, the tree imported and set up
+second ran about 0.5% faster on ``forecast_scene`` in 7 of 8 A/A runs,
+whichever tree it was, so the pairs alternate between the two set-ups and
+the lean cancels.  A request is what the worker times: one training epoch,
+with a checkpoint every ``CHECKPOINT_EVERY`` epochs, or one forecast of a
+batch of scenes.  After one untimed warm-up request per side, the two
+sides take turns: each of ``PAIRS`` pairs times ``REQUESTS`` requests per
+side, one side's then the other's, and the side that starts alternates
+from request to request.  The two requests of one turn run the same epoch
+or batch back to back, and a pair's ratio is the median of its turns'
+ratios.  The cyclic collector runs before every request, outside its time,
+so that one side's garbage is not collected on the other's clock.
 
 A ratio is CHANGE's time over PARENT's.  The report gives the
 median ratio, the share of pairs that CHANGE won (ratio below 1) and the
@@ -41,7 +45,8 @@ import numpy as np
 from digest import load_tree, workload_specs
 
 # Two copies of one tree read within 2% of each other, and a copy slowed by
-# 10% loses at least 90% of the pairs, on every workload (BENCH_stack_rule.json).
+# 10% loses at least 90% of the pairs, on every workload (BENCH_stack_rule.json;
+# with the two set-ups, on forecast_scene, in BENCH_step_holds.json).
 PAIRS = 20
 REQUESTS = 20
 SEED = 0  # perfbench's variant 0: it seeds the data, the model and the shuffling
@@ -122,22 +127,28 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        parent, change = (load_tree(tree, f"motionmoe_{name}")
-                          for name, tree in (("parent", args.parent), ("change", args.change)))
-        parent.set_default_dtype(spec["dtype"])
+        trees = (("parent", args.parent), ("change", args.change))
         data_path = tmp / "data.mmp1"
-        parent.write_dataset(parent.synth_generate(
-            parent.GeneratorSpec(**spec["data"], seed=SEED)), data_path)
-        sides = []
-        for mm in (parent, change):
-            out_dir = tmp / mm.__name__
-            out_dir.mkdir()
-            sides.append(Side(mm, spec, data_path, out_dir, specs["CHECKPOINT_EVERY"]))
-        for side in sides:
+        setups = []  # [parent's side, change's side] per set-up
+        for first in (0, 1):
+            sides = {}
+            for i in (first, 1 - first):
+                name, tree = trees[i]
+                mm = load_tree(tree, f"motionmoe_{name}{len(setups)}")
+                mm.set_default_dtype(spec["dtype"])
+                if not data_path.exists():
+                    mm.write_dataset(mm.synth_generate(
+                        mm.GeneratorSpec(**spec["data"], seed=SEED)), data_path)
+                out_dir = tmp / mm.__name__
+                out_dir.mkdir()
+                sides[i] = Side(mm, spec, data_path, out_dir, specs["CHECKPOINT_EVERY"])
+            setups.append([sides[0], sides[1]])
+        for side in (side for sides in setups for side in sides):
             side.timed()  # warm-up
         times, ratios = [[], []], []
         turn = 0
-        for _ in range(PAIRS):
+        for pair in range(PAIRS):
+            sides = setups[pair % 2]
             rounds = []
             for _ in range(REQUESTS):
                 t = [0.0, 0.0]

@@ -17,11 +17,12 @@ and fixed random inputs, the parts are:
 
 The configs are ``ModelConfig()`` on 8 rows; the models of perfbench's
 ``train_overfit`` and ``forecast_scene`` on one batch of their scenes (8 and
-16), read from ``perfbench/worker.py``; and a micro model with k = 2, two
-persons per scene and two mixture layers on 4 scenes.  A workload that only
-forecasts gets only the forecast part, the one output it produces.  Exit
-code 0 means every part matched (or one tree was given), 1 that some part
-differs.
+16), read from ``perfbench/worker.py``; and two micro models with k = 2 and
+two persons per scene on 4 scenes, one with two mixture layers and one whose
+blocks scan forward only, so that a temporal block hands its input two
+gradient shares rather than three.  A workload that only forecasts gets
+only the forecast part, the one output it produces.  Exit code 0 means
+every part matched (or one tree was given), 1 that some part differs.
 """
 
 from __future__ import annotations
@@ -62,13 +63,14 @@ def configs() -> dict[str, tuple[dict, int, bool]]:
         persons = spec["data"]["persons"] // spec["model"].get("scene_persons", 1)
         return spec["model"], spec["batch"] * persons, spec["kind"] == "train"
 
+    micro = dict(joints=3, history_frames=5, total_frames=8, state_dim=4, conv_width=2,
+                 codec_hidden=12, active_experts=2, scene_persons=2)
     return {
         "default": ({}, 8, True),
         "train_overfit": workload("train_overfit"),
         "forecast_scene": workload("forecast_scene"),
-        "micro_k2_scenes": (dict(joints=3, history_frames=5, total_frames=8, state_dim=4,
-                                 conv_width=2, codec_hidden=12, active_experts=2,
-                                 scene_persons=2, moe_layers=2), 4, True),
+        "micro_k2_scenes": (dict(micro, moe_layers=2), 4, True),
+        "micro_forward_k2_scenes": (dict(micro, scan_mode="forward"), 4, True),
     }
 
 
