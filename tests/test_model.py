@@ -194,6 +194,31 @@ class TestForward:
             assert got.dtype == want.dtype == dtype
             assert got.tobytes() == want.tobytes()
 
+    def test_fused_blocks_train_bit_for_bit_at_the_default_shapes(self, monkeypatch):
+        # numpy's GEMMs round by operand layout at these shapes, not at the
+        # micro model's: a float64 step on one row moved 52 of its arrays'
+        # last bits while the temporal block stacked a transposed view of
+        # its input without putting it in C order
+        def step():
+            model = MotionMoE(ModelConfig(dropout=0.0))
+            cfg = model.config
+            rng = np.random.default_rng(11)
+            x = ad.Tensor(rng.standard_normal((1, cfg.pose_dim, cfg.history_frames)))
+            w = ad.Tensor(rng.standard_normal((1, cfg.pose_dim, cfg.total_frames)))
+            params = model.parameters()
+            with ad.Tape():
+                pred, _ = model.forward(x)
+                loss = ad.reduce_sum(ad.mul(pred, w))
+                grads = ad.backward(loss)
+            return [loss.data] + [grads[params[name]].data for name in sorted(params)]
+
+        fused = step()
+        monkeypatch.setattr(moe, "bidirectional_forward", primitive_bi_block)
+        oracle = step()
+        assert len(fused) == len(oracle) > 40
+        for got, want in zip(fused, oracle):
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_active_expert_sweep(self, k):
         model = micro_model(active_experts=k)
