@@ -33,7 +33,7 @@ the row tiles keep the block's working set as it is, its concatenated
 input and sliced outputs are extra whole-batch copies.  At
 ``ModelConfig()`` in float32 on 8 rows the stacks would hold 3.69 and
 2.76 MB, so each kind runs its own call, and a traced train step peaks at
-16.5 MB against 22.4 MB stacked (65.2 against 88.7 MB on 32 rows).  A
+14.4 MB against 20.7 MB stacked (56.6 against 81.8 MB on 32 rows).  A
 tape-free row has the same bits in any stack, so the rule moves no
 forecast bit.
 

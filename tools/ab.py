@@ -26,6 +26,14 @@ spread (the ratios' quartiles).  Since both sides see the same load at the
 same moments, the ratio resolves changes that runs in separate processes,
 minutes apart, do not.  Peak RSS and set-up time cannot be paired in one
 process and are not reported.  The last line of output is one JSON object.
+
+Resolution: A/A runs (a checkout against a copy of it) read medians within
+about 0.5% of 1 on ``train_overfit`` and ``train_default`` (0.998-1.005 over
+six runs, BENCH_stack_rule.json) and within about 1% on
+``forecast_scene`` (1.0100, 1.0000 and 1.0014, BENCH_step_holds.json), where
+each run's per-pair quartiles span about +-1%.  So a median ratio within
+0.5% of 1 on a training workload, or within 1% on ``forecast_scene``, shows
+no difference.
 """
 
 from __future__ import annotations
